@@ -4,7 +4,9 @@
 The fixtures cover the worked examples the test suite runs against: the
 damped/pumped oscillator at two truncations, the driven two-level system,
 the two-qubit coherence-stabilization model with and without its
-Hamiltonian, and the single-qubit ground-state decay model.
+Hamiltonian, the single-qubit ground-state decay model, and a qutrit whose
+excited level decays into two dark levels (trivial commutant, no faithful
+invariant state, four-dimensional stationary space).
 """
 
 from __future__ import annotations
@@ -71,6 +73,14 @@ def main():
     )
     save_operator_file(np.diag([1.0, 0.0]).astype(complex), FIXTURES / "qubit_V.json")
     save_operator_file(np.diag([1.0, 0.0]).astype(complex), FIXTURES / "qubit_excited.json")
+
+    # qutrit branching decay: H = 0, L1 = |1><0|, L2 = |2><0|; levels 1 and 2
+    # and their coherences are all stationary
+    save_model(
+        ModelSpec(np.zeros((3, 3), dtype=complex), [ket_bra(1, 0, 3), ket_bra(2, 0, 3)]),
+        FIXTURES / "qutrit_branching_decay.json",
+        labels=["0", "1", "2"],
+    )
 
     print(f"fixtures written to {FIXTURES}")
 

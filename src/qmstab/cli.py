@@ -240,6 +240,8 @@ def _cmd_steady_common(run: _Run, model: ModelSpec):
         Verdict.HOLDS if report.states else Verdict.FAILS,
         run.args.tol,
         null_dimension=report.null_dimension,
+        null_space_method=report.null_space_method,
+        exhaustive=report.exhaustive,
         residuals=list(report.residuals),
         reliable=list(report.reliable),
         states=[s.matrix for s in report.states],
@@ -277,18 +279,23 @@ def cmd_analyze(run: _Run) -> None:
 
     if model.dim <= 24:
         uni = uniqueness_check(model, tol=run.args.tol)
+        verdict = {
+            "unique": Verdict.HOLDS,
+            "not_unique": Verdict.FAILS,
+            "inconclusive": Verdict.INCONCLUSIVE,
+        }[uni.verdict]
+        if report.null_dimension > 1:
+            verdict = Verdict.FAILS
         run.add_check(
             "unique-invariant-state",
             "Theorem 3",
-            {
-                "unique": Verdict.HOLDS,
-                "not_unique": Verdict.FAILS,
-                "inconclusive": Verdict.INCONCLUSIVE,
-            }[uni.verdict],
+            verdict,
             run.args.tol,
             commutant_dimension=uni.commutant_dimension,
             span_dimension=uni.span_dimension,
             null_dimension=report.null_dimension,
+            note="a trivial commutant implies uniqueness only when a faithful invariant "
+            "state exists (Frigerio 1978); a null dimension above 1 refutes it",
         )
     else:
         run.add_check(

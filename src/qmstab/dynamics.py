@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sps
 from scipy.integrate import RK45
 
 from .generator import (
@@ -138,7 +137,7 @@ def evolve(
 
 def _evolve_expm(m, rho, times, trace_tol):
     dt = float(times[1] - times[0])
-    propagator = sla.expm(m * dt)
+    propagator = sla.expm(m.toarray() * dt)
     y = vec(rho).astype(complex)
     raw = [unvec(y).copy()]
     renorm = 0
@@ -162,10 +161,6 @@ def _evolve_expm(m, rho, times, trace_tol):
 
 def _evolve_rk(m, rho, times, rtol, atol, trace_tol):
     t_final = float(times[-1])
-    # dense matvecs at dim^2 > ~1000 are memory-bound; typical Liouvillians
-    # are sparse enough that a CSR product wins by orders of magnitude
-    if m.shape[0] > 1024 and np.count_nonzero(m) < 0.05 * m.size:
-        m = sps.csr_matrix(m)
     stepper = RK45(
         lambda t, y: m @ y,
         0.0,

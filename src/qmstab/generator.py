@@ -1,4 +1,4 @@
-"""Lindblad generators and their dense superoperator matrices.
+"""Lindblad generators and their sparse superoperator matrices.
 
 Builds the Heisenberg-picture generator G(X) = -i[X,H] + L(X) with
 dissipator L(X) = sum_k (Lk' X Lk - 1/2 {Lk' Lk, X}), its Schroedinger
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sps
 
 from .operators import (
     DensityMatrix,
@@ -30,8 +31,9 @@ from .operators import (
 HEISENBERG = "heisenberg"
 SCHROEDINGER = "schroedinger"
 
-# Liouvillian matrices take 16 * dim^4 bytes; the default cap keeps a single
-# superoperator under ~4.3 GB.
+# Liouvillians are stored sparse, so the cap no longer guards their storage;
+# it bounds the dim^2 x dim^2 problems handed to the null-space LU and the
+# propagators, which are measured only up to dim 60.
 MAX_LIOUVILLIAN_DIM = 128
 
 _SUPEROP_TOL = 1e-9
@@ -162,26 +164,27 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Superoperator:
-    """dim^2 x dim^2 matrix acting on column-stacked operators.
+    """dim^2 x dim^2 CSR matrix acting on column-stacked operators.
 
-    The Heisenberg side annihilates vec(I) (unitality); the Schroedinger
-    side satisfies vec(I)' M = 0 (trace preservation). Both are validated
-    at construction.
+    Any matrix, dense or sparse, is accepted and stored as CSR. The
+    Heisenberg side annihilates vec(I) (unitality); the Schroedinger side
+    satisfies vec(I)' M = 0 (trace preservation). Both are validated at
+    construction by a sparse matvec.
     """
 
-    matrix: np.ndarray
+    matrix: sps.csr_array
     side: str
 
     def __post_init__(self):
-        m = self.matrix
-        n2 = m.shape[0]
-        n = int(round(np.sqrt(n2)))
+        m = sps.csr_array(self.matrix, dtype=complex)
+        object.__setattr__(self, "matrix", m)
+        n = int(round(np.sqrt(m.shape[0])))
         vec_id = vec(np.eye(n, dtype=complex))
-        scale = max(1.0, max_abs(m))
+        scale = max(1.0, max_abs(m.data))
         if self.side == HEISENBERG:
             residual = max_abs(m @ vec_id)
         elif self.side == SCHROEDINGER:
-            residual = max_abs(vec_id.conj() @ m)
+            residual = max_abs(m.conj().T @ vec_id)
         else:
             raise OperatorError(f"unknown superoperator side {self.side!r}")
         if residual > _SUPEROP_TOL * scale:
@@ -199,34 +202,27 @@ class Superoperator:
 
 
 def liouvillian(model: ModelSpec, side: str, max_dim: int = MAX_LIOUVILLIAN_DIM) -> Superoperator:
-    """Dense matrix realization of the generator on vectorized operators.
+    """Sparse matrix realization of the generator on vectorized operators.
 
     With column stacking, vec(A X B) = kron(B^T, A) vec(X).
     """
     n = model.dim
     if n > max_dim:
-        raise OperatorError(
-            f"dimension {n} exceeds the Liouvillian cap {max_dim} "
-            f"(would need {16 * n**4 / 1e9:.1f} GB)"
-        )
-    eye = np.eye(n, dtype=complex)
-    h = model.hamiltonian
-    if side == HEISENBERG:
-        # G(X) = -i(XH - HX) + sum Lk' X Lk - 1/2 {Lk'Lk, X}
-        m = -1j * (np.kron(h.T, eye) - np.kron(eye, h))
-        for l in model.couplings:
-            ldl = dag(l) @ l
-            m += np.kron(l.T, dag(l))
-            m -= 0.5 * np.kron(eye, ldl)
-            m -= 0.5 * np.kron(ldl.T, eye)
-    elif side == SCHROEDINGER:
-        # G*(rho) = -i(H rho - rho H) + sum Lk rho Lk' - 1/2 {Lk'Lk, rho}
-        m = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-        for l in model.couplings:
-            ldl = dag(l) @ l
-            m += np.kron(l.conj(), l)
-            m -= 0.5 * np.kron(eye, ldl)
-            m -= 0.5 * np.kron(ldl.T, eye)
-    else:
+        raise OperatorError(f"dimension {n} exceeds the Liouvillian cap {max_dim}")
+    if side not in (HEISENBERG, SCHROEDINGER):
         raise OperatorError(f"unknown superoperator side {side!r}")
+
+    def kron(a, b):
+        return sps.kron(sps.csr_array(a), sps.csr_array(b), format="csr")
+
+    eye = sps.identity(n, dtype=complex, format="csr")
+    h = model.hamiltonian
+    # Heisenberg:     G(X) = -i(XH - HX) + sum Lk' X Lk - 1/2 {Lk'Lk, X}
+    # Schroedinger: G*(rho) = -i(H rho - rho H) + sum Lk rho Lk' - 1/2 {Lk'Lk, rho}
+    commutator = kron(h.T, eye) - kron(eye, h)  # vec(XH - HX)
+    m = -1j * commutator if side == HEISENBERG else 1j * commutator
+    for l in model.couplings:
+        ldl = dag(l) @ l
+        m += kron(l.T, dag(l)) if side == HEISENBERG else kron(l.conj(), l)
+        m -= 0.5 * (kron(eye, ldl) + kron(ldl.T, eye))
     return Superoperator(matrix=m, side=side)

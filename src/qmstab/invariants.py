@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
+import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from .generator import (
@@ -42,9 +42,22 @@ UNIQUE = "unique"
 NOT_UNIQUE = "not_unique"
 INCONCLUSIVE = "inconclusive"
 
+NULL_SPACE_DENSE = "dense-eig"
+NULL_SPACE_ARNOLDI = "splu-arnoldi"
+
 # Dense eigendecomposition of the full Liouvillian is used up to this
-# dimension; above it the null space is found by shift-inverted Arnoldi.
-_DENSE_EIG_DIM = 24
+# dimension; above it the null space is found by shift-inverted Arnoldi on a
+# sparse LU. Dims 1-2 must stay dense because ARPACK needs k < dim^2 - 1;
+# the crossover itself is measured by scripts/time_null_space.py (numbers in
+# README "Numerical notes").
+_DENSE_EIG_DIM = 8
+# Up to this dimension dense eig takes under a second, so it answers whenever
+# the Arnoldi window is not exhaustive or ARPACK stalls (eigenvalues clustered
+# at the tolerance scale). ARPACK then gets only _FALLBACK_MAXITER restarts,
+# which bounds a stall at dim 24 to about 1 s instead of 49 s; random dim-24
+# models with two couplings (seeds 0-399) converge within 75.
+_DENSE_FALLBACK_DIM = 24
+_FALLBACK_MAXITER = 100
 _CONNECTIVITY_THRESHOLD = 1e-9
 
 
@@ -60,7 +73,10 @@ class InvariantStateReport:
     `states` spans the stationary face found; `null_dimension` is the
     Liouvillian kernel dimension before cleanup. A state whose cleanup
     moved it by more than 10x the tolerance is flagged unreliable rather
-    than silently accepted.
+    than silently accepted. `null_space_method` names the kernel solver
+    whose answer is reported; `exhaustive` is False when its Arnoldi window
+    may have missed null vectors, making `null_dimension` a lower bound
+    (only above dim 24, where no dense fallback runs).
     """
 
     states: tuple[DensityMatrix, ...]
@@ -73,6 +89,8 @@ class InvariantStateReport:
     reliable: tuple[bool, ...]
     liouvillian_norm: float
     tolerance: float
+    null_space_method: str
+    exhaustive: bool
     notes: tuple[str, ...] = ()
 
 
@@ -131,30 +149,71 @@ def _validate_projection(p, dim: int, allow_trivial: bool = False) -> np.ndarray
 # Stationary states
 # ---------------------------------------------------------------------------
 
-def _null_space(m: np.ndarray, tol_abs: float, max_null: int):
+def _null_space_dense(m: sps.csr_array, tol_abs: float):
+    """Null vectors and kernel dimension by dense eigendecomposition."""
+    w, v = np.linalg.eig(m.toarray())
+    mask = np.abs(w) <= tol_abs
+    return v[:, mask], int(mask.sum())
+
+
+def _null_space_arnoldi(
+    m: sps.csr_array, tol_abs: float, max_null: int, maxiter: int | None = None
+):
+    """Null vectors by shift-inverted Arnoldi close to zero.
+
+    m - sigma I is factored once by sparse LU (`splu`, CSC) and its solve
+    drives ARPACK, which returns the `max_null` eigenvalues nearest sigma.
+    The window is exhaustive when its farthest eigenvalue lies outside the
+    disc |w - sigma| <= sigma + tol_abs, which holds every eigenvalue within
+    tol_abs of zero; otherwise further null vectors may exist. Raises
+    ArpackNoConvergence when ARPACK does not converge within `maxiter`
+    restarts (None: its default), as when the spectrum clusters near sigma.
+    """
+    n2 = m.shape[0]
+    k = min(max_null, n2 - 2)
+    sigma = max(10 * tol_abs, 1e-8)
+    lu = spla.splu(sps.csc_array(m - sigma * sps.identity(n2, dtype=complex)))
+    op = spla.LinearOperator(m.shape, matvec=lu.solve, dtype=complex)
+    # a fixed generic start vector keeps repeated runs bit-identical
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(n2) + 1j * rng.standard_normal(n2)
+    w_inv, v = spla.eigs(op, k=k, which="LM", v0=v0, maxiter=maxiter)
+    w = sigma + 1.0 / w_inv
+    mask = np.abs(w) <= tol_abs
+    exhaustive = bool(np.abs(w - sigma).max() > sigma + tol_abs)
+    return v[:, mask], int(mask.sum()), exhaustive
+
+
+def _null_space(m: sps.csr_array, tol_abs: float, max_null: int):
     """Null vectors of the Liouvillian matrix and the kernel dimension.
 
-    Dense eigendecomposition for small systems; shifted-inverse Arnoldi
-    close to zero for large ones. Returns (vectors, null_dim, exhaustive)
-    where exhaustive is False when the Arnoldi window may have missed
-    further null vectors.
+    Returns (vectors, null_dim, method, exhaustive, notes): dense
+    eigendecomposition up to `_DENSE_EIG_DIM`, shift-inverted Arnoldi on a
+    sparse LU above it. Up to `_DENSE_FALLBACK_DIM`, an Arnoldi window that
+    is not exhaustive or does not converge is replaced by the exact dense
+    answer, with a note saying why; above it, a non-exhaustive window is
+    returned as a lower bound and non-convergence raises.
     """
     n2 = m.shape[0]
     if n2 <= _DENSE_EIG_DIM**2:
-        w, v = np.linalg.eig(m)
-        mask = np.abs(w) <= tol_abs
-        return v[:, mask], int(mask.sum()), True
-    k = min(max_null, n2 - 2)
-    sigma = max(10 * tol_abs, 1e-8)
-    lu = sla.lu_factor(m - sigma * np.eye(n2, dtype=complex))
-    op = spla.LinearOperator(
-        m.shape, matvec=lambda x: sla.lu_solve(lu, x), dtype=complex
-    )
-    w_inv, v = spla.eigs(op, k=k, which="LM")
-    w = sigma + 1.0 / w_inv
-    mask = np.abs(w) <= tol_abs
-    exhaustive = int(mask.sum()) < k
-    return v[:, mask], int(mask.sum()), exhaustive
+        return (*_null_space_dense(m, tol_abs), NULL_SPACE_DENSE, True, ())
+    fallback = n2 <= _DENSE_FALLBACK_DIM**2
+    maxiter = _FALLBACK_MAXITER if fallback else None
+    try:
+        vecs, null_dim, exhaustive = _null_space_arnoldi(m, tol_abs, max_null, maxiter)
+    except spla.ArpackNoConvergence as exc:
+        if not fallback:
+            raise InvariantAnalysisError(
+                "shift-inverted Arnoldi did not converge: the Liouvillian spectrum "
+                "clusters at the tolerance scale near zero"
+            ) from exc
+        reason = f"did not converge in {maxiter} restarts"
+    else:
+        if exhaustive or not fallback:
+            return vecs, null_dim, NULL_SPACE_ARNOLDI, exhaustive, ()
+        reason = f"window of {max_null} was not exhaustive"
+    note = f"shift-inverted Arnoldi {reason}; dense eig gave the null space"
+    return (*_null_space_dense(m, tol_abs), NULL_SPACE_DENSE, True, (note,))
 
 
 def steady_states(model: ModelSpec, tol: float = 1e-9, max_null: int = 8) -> InvariantStateReport:
@@ -165,13 +224,11 @@ def steady_states(model: ModelSpec, tol: float = 1e-9, max_null: int = 8) -> Inv
     returned as a basis of states with the `not_unique` verdict.
     """
     n = model.dim
-    sup = liouvillian(model, SCHROEDINGER)
-    m = sup.matrix
-    scale = float(np.abs(m).sum(axis=0).max())  # induced 1-norm
+    m = liouvillian(model, SCHROEDINGER).matrix
+    scale = float(spla.norm(m, 1))  # induced 1-norm
     tol_abs = tol * max(1.0, scale)
-    notes: list[str] = []
-
-    null_vecs, null_dim, exhaustive = _null_space(m, tol_abs, max_null)
+    null_vecs, null_dim, method, exhaustive, null_notes = _null_space(m, tol_abs, max_null)
+    notes = list(null_notes)
     if null_dim == 0:
         raise InvariantAnalysisError(
             "no Liouvillian null vector within tolerance; a trace-preserving "
@@ -283,6 +340,8 @@ def steady_states(model: ModelSpec, tol: float = 1e-9, max_null: int = 8) -> Inv
         reliable=tuple(reliable),
         liouvillian_norm=scale,
         tolerance=tol,
+        null_space_method=method,
+        exhaustive=exhaustive,
         notes=tuple(notes),
     )
 

@@ -184,13 +184,16 @@ def jsonable(obj):
         if obj.ndim == 1 and np.iscomplexobj(obj):
             return complex_vector_to_json(obj)
         return [jsonable(x) for x in obj.tolist()]
+    # bool before int: True is an int, and np.bool_ is neither int nor float
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, (str, bool)) or obj is None:
+    if isinstance(obj, str) or obj is None:
         return obj
     if is_dataclass(obj):
         return {k: jsonable(v) for k, v in asdict(obj).items()}

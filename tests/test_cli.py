@@ -48,6 +48,34 @@ class TestAnalyze:
         code = run(["analyze", "--model", str(tmp_path / "m.json")], tmp_path)
         assert code == 1  # faithfulness/uniqueness fail for the dephasing model
 
+    def test_uniqueness_fails_with_degenerate_null_space(self, tmp_path):
+        # trivial commutant but no faithful invariant state: the commutant
+        # test alone would say unique next to a 4-dimensional null space
+        code = run(["analyze", "--model", str(FIXTURES / "qutrit_branching_decay.json")], tmp_path)
+        assert code == 1
+        checks = checks_by_name(read_report(tmp_path))
+        assert checks["invariant-state-exists"]["null_dimension"] == 4
+        unique = checks["unique-invariant-state"]
+        assert unique["commutant_dimension"] == 1
+        assert unique["null_dimension"] == 4
+        assert unique["verdict"] == "fails"
+
+    def test_null_space_path_reported(self, tmp_path):
+        run(["analyze", "--model", str(FIXTURES / "twolevel.json")], tmp_path)
+        entry = checks_by_name(read_report(tmp_path))["invariant-state-exists"]
+        assert entry["null_space_method"] == "dense-eig"
+        assert entry["exhaustive"] is True
+
+
+class TestSteadyState:
+    def test_reliable_is_json_boolean(self, tmp_path):
+        code = run(["steady-state", "--model", str(FIXTURES / "oscillator_n40.json")], tmp_path)
+        assert code == 0
+        entry = checks_by_name(read_report(tmp_path))["invariant-state-exists"]
+        assert len(entry["reliable"]) == 1 and entry["reliable"][0] is True  # not 1
+        assert entry["null_space_method"] == "splu-arnoldi"
+        assert entry["exhaustive"] is True
+
 
 class TestCheckCommands:
     def test_lasalle_t5_two_qubit(self, tmp_path):

@@ -47,6 +47,12 @@ class TestSteadyStates:
         assert abs(mean - 1.0 / 3.0) < 1e-6
         assert report.unique == "unique"
 
+    def test_arnoldi_path_repeatable(self):
+        model = oscillator(12)
+        first, second = steady_states(model), steady_states(model)
+        assert (first.null_space_method, first.exhaustive) == ("splu-arnoldi", True)
+        assert first.states[0].matrix.tobytes() == second.states[0].matrix.tobytes()
+
     def test_degenerate_null_space(self, dephasing):
         report = steady_states(dephasing)
         assert report.null_dimension == 2

@@ -1,0 +1,169 @@
+"""Randomized properties of the sparse Liouvillian and its null space.
+
+Models are drawn over dims 1-10 with random, zero and near-degenerate
+Hamiltonians and couplings. Hypothesis runs derandomized with few examples,
+so every run checks the same models.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sps
+import scipy.sparse.linalg as spla
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from qmstab import (
+    HEISENBERG,
+    SCHROEDINGER,
+    ModelSpec,
+    generator_heisenberg,
+    generator_schroedinger,
+    liouvillian,
+    random_density,
+    random_hermitian,
+    random_matrix,
+    unvec,
+    vec,
+)
+from qmstab.invariants import (
+    NULL_SPACE_ARNOLDI,
+    NULL_SPACE_DENSE,
+    _FALLBACK_MAXITER,
+    _null_space,
+    _null_space_arnoldi,
+    _null_space_dense,
+    steady_states,
+)
+from qmstab.operators import max_abs
+
+from conftest import oscillator
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=25, database=None)
+KINDS = ("random", "zero", "near_degenerate")
+
+
+def _operator(kind, n, rng, hermitian):
+    if kind == "zero":
+        return np.zeros((n, n), dtype=complex)
+    if kind == "random":
+        return random_hermitian(n, rng) if hermitian else random_matrix(n, rng)
+    # spectrum clustered within 1e-7 of 1 in a random eigenbasis
+    u, _ = np.linalg.qr(random_matrix(n, rng))
+    spectrum = 1.0 + 1e-7 * rng.standard_normal(n)
+    if not hermitian:
+        spectrum = spectrum * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    return u @ np.diag(spectrum) @ u.conj().T
+
+
+@st.composite
+def models(draw, min_dim=1, max_dim=10):
+    n = draw(st.integers(min_dim, max_dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = _operator(draw(st.sampled_from(KINDS)), n, rng, hermitian=True)
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=3))
+    return ModelSpec(h, [_operator(k, n, rng, hermitian=False) for k in kinds]), rng
+
+
+def _tol(*arrays):
+    return 1e-10 * max(1.0, *(max_abs(a) for a in arrays))
+
+
+@SETTINGS
+@given(models())
+def test_liouvillian_matches_elementwise_generators(drawn):
+    model, rng = drawn
+    x = random_matrix(model.dim, rng)
+    for side, gen in ((HEISENBERG, generator_heisenberg), (SCHROEDINGER, generator_schroedinger)):
+        sup = liouvillian(model, side)
+        assert sps.issparse(sup.matrix)
+        expected = gen(model, x)
+        assert np.abs(unvec(sup.matrix @ vec(x)) - expected).max() <= _tol(expected, x)
+
+
+@SETTINGS
+@given(models())
+def test_unital_and_trace_preserving(drawn):
+    model, _ = drawn
+    vec_id = vec(np.eye(model.dim, dtype=complex))
+    mh = liouvillian(model, HEISENBERG).matrix
+    ms = liouvillian(model, SCHROEDINGER).matrix
+    assert np.abs(mh @ vec_id).max() <= _tol(mh.data)
+    assert np.abs(ms.conj().T @ vec_id).max() <= _tol(ms.data)
+
+
+@SETTINGS
+@given(models())
+def test_heisenberg_schroedinger_duality(drawn):
+    model, rng = drawn
+    rho = random_density(model.dim, rng)
+    x = random_matrix(model.dim, rng)
+    lhs = np.trace(generator_schroedinger(model, rho) @ x)
+    rhs = np.trace(rho @ generator_heisenberg(model, x))
+    assert abs(lhs - rhs) <= _tol(generator_heisenberg(model, x), x)
+
+
+@SETTINGS
+@given(models(min_dim=8, max_dim=10))
+def test_dense_and_splu_null_spaces_agree(drawn):
+    model, _ = drawn
+    m = liouvillian(model, SCHROEDINGER).matrix
+    tol_abs = 1e-9 * max(1.0, float(spla.norm(m, 1)))
+    _, dense_dim = _null_space_dense(m, tol_abs)
+    _, null_dim, method, exhaustive, notes = _null_space(m, tol_abs, max_null=8)
+    event(f"{method}, {len(notes)} fallback notes")
+    assert (null_dim, exhaustive) == (dense_dim, True)
+    if method == NULL_SPACE_ARNOLDI:
+        assert model.dim > 8 and not notes
+
+
+@settings(derandomize=True, deadline=None, max_examples=5, database=None)
+@given(st.integers(10, 60))
+def test_oscillator_liouvillian_is_sparse(n):
+    m = liouvillian(oscillator(n), SCHROEDINGER).matrix
+    assert sps.issparse(m)
+    assert m.nnz <= 12 * n * n  # a dense assembly would hold n**4 entries
+
+
+def test_arnoldi_non_convergence_falls_back_to_dense():
+    # near-degenerate H and coupling: all 81 eigenvalues sit at the 1e-8
+    # tolerance scale, where shift-invert Arnoldi stalls
+    rng = np.random.default_rng(1)
+    h = _operator("near_degenerate", 9, rng, hermitian=True)
+    model = ModelSpec(h, [_operator("near_degenerate", 9, rng, hermitian=False)])
+    m = liouvillian(model, SCHROEDINGER).matrix
+    tol_abs = 1e-9 * max(1.0, float(spla.norm(m, 1)))
+    with pytest.raises(spla.ArpackNoConvergence):
+        _null_space_arnoldi(m, tol_abs, max_null=8, maxiter=_FALLBACK_MAXITER)
+    _, null_dim, method, exhaustive, notes = _null_space(m, tol_abs, max_null=8)
+    assert (null_dim, method, exhaustive) == (9, NULL_SPACE_DENSE, True)
+    assert "did not converge" in notes[0]
+
+
+def test_window_crowded_near_the_shift_is_not_exhaustive():
+    # near-degenerate H without dissipation: eigenvalues -i(e_i - e_j) of
+    # size ~1e-8 crowd the shift sigma = 10 tol_abs, so the window of 8 holds
+    # fewer null eigenvalues than the 9-dimensional kernel without being full
+    rng = np.random.default_rng(1)
+    h = _operator("near_degenerate", 9, rng, hermitian=True)
+    model = ModelSpec(h, [_operator("zero", 9, rng, hermitian=False)])
+    m = liouvillian(model, SCHROEDINGER).matrix
+    tol_abs = 1e-9 * max(1.0, float(spla.norm(m, 1)))
+    _, arnoldi_dim, exhaustive = _null_space_arnoldi(m, tol_abs, max_null=8)
+    assert arnoldi_dim < 9
+    assert not exhaustive
+    _, null_dim, method, exhaustive, notes = _null_space(m, tol_abs, max_null=8)
+    assert (null_dim, method, exhaustive) == (9, NULL_SPACE_DENSE, True)
+    assert "not exhaustive" in notes[0]
+
+
+def test_kernel_wider_than_the_arnoldi_window_is_found_whole():
+    # diagonal H and a diagonal coupling at dim 10: every |i><i| is
+    # stationary, so the kernel has 10 directions, more than the window of 8
+    n = 10
+    model = ModelSpec(np.diag(np.arange(n, dtype=complex)), [np.diag(np.linspace(0.5, 2, n))])
+    report = steady_states(model)
+    assert report.null_dimension == n
+    assert (report.null_space_method, report.exhaustive) == (NULL_SPACE_DENSE, True)
+    assert len(report.states) == n
+    assert report.unique == "not_unique"
+    assert any("not exhaustive" in note for note in report.notes)
