@@ -548,6 +548,7 @@ def cmd_probe(run: _Run) -> None:
         final_values=[float(x) for x in probe.final_values],
         samples=probe.samples,
         t_final=probe.t_final,
+        step_controller=probe.step_controller,
     )
 
 

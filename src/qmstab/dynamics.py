@@ -1,12 +1,24 @@
 """Master-equation integration and trajectory diagnostics.
 
 Integrates the state evolution generated by the Schroedinger-side
-Liouvillian, either by repeated application of a precomputed matrix
-exponential (`expm_fixed`) or by adaptive embedded Runge-Kutta on the
-vectorized state (`rk_adaptive`), and provides the trajectory-level
-diagnostics used by the invariance analysis: monotone decrease of <V>,
-integrability and decay of <W>, the exponential mean bound, and probing of
-convergence onto ground sets.
+Liouvillian and provides the trajectory-level diagnostics used by the
+invariance analysis: monotone decrease of <V>, integrability and decay of
+<W>, the exponential mean bound, and probing of convergence onto ground
+sets.
+
+`evolve` and `invariant_set_probe` share one propagator. It builds the
+Liouvillian once per call and advances a dim^2 x k block of vectorized
+states, one column per initial state: `evolve` passes one column, the probe
+one per sample. Two methods:
+
+- `expm_fixed` computes the step exponential expm(L dt) once per call
+  (scaling and squaring) and advances the whole block by one dense product
+  per step.
+- `rk_adaptive` runs embedded RK45 on each column with sparse matvecs.
+
+`expm_multiply` (Al-Mohy & Higham 2011) is not used: for one column of the
+n = 60 oscillator it was no faster than RK45 (1.6 s against 1.4-2.5 s), and
+at n = 128 it took 14 s.
 
 Time is dimensionless, in units of the model's rate constants.
 """
@@ -41,7 +53,14 @@ METHOD_RK = "rk_adaptive"
 METHOD_AUTO = "auto"
 
 # expm of the full Liouvillian is exact up to exponential accuracy but
-# scales as dim^6; adaptive RK only needs matrix-vector products.
+# scales as dim^6; it is paid once per call, for every column of the block.
+# Adaptive RK only needs sparse matvecs, but for each column.
+# scripts/time_propagators.py (20-sample probe of H = N, L = a, t = 30;
+# 2 CPUs, numpy 2.4, scipy 1.17; median of 3, expm / RK): dim 16 0.24 /
+# 2.29 s, 24 0.45 / 3.19 s, 30 1.16 / 4.22 s, 40 4.85 / 6.67 s. The probe
+# would gain up to dim 40, but a higher limit also moves single-trajectory
+# `simulate` on the n = 40 fixtures to expm, which no benchmark workload
+# measures.
 _EXPM_DIM_LIMIT = 30
 
 
@@ -52,11 +71,15 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepRecord:
+    """What the propagator did. `max_trace_drift` is the largest |tr - 1|
+    seen at a step check, before any renormalization."""
+
     method: str
     accepted: int
     rejected_estimate: int
     n_rhs_evals: int
     renormalizations: int
+    max_trace_drift: float
     dt: float | None = None
     rtol: float | None = None
     atol: float | None = None
@@ -93,18 +116,45 @@ def evolve(
     """Integrate the master equation from rho0 over [0, t_final].
 
     States are sampled on a uniform grid of `n_points` times. The stepper
-    renormalizes the trace whenever the drift exceeds `trace_tol` (count
-    recorded); a sampled state with an eigenvalue below -positivity_tol
-    aborts the run with a diagnostic.
+    renormalizes the trace whenever the drift exceeds `trace_tol` (count and
+    largest drift recorded); a sampled state with an eigenvalue below
+    -positivity_tol aborts the run with a diagnostic.
+    """
+    times, states, record = _propagate(
+        model, [rho0], t_final, method, n_points, rtol, atol, trace_tol, positivity_tol
+    )
+    return Trajectory(times=times, states=states[0], step_controller=record)
+
+
+def _propagate(
+    model: ModelSpec,
+    rhos,
+    t_final: float,
+    method: str,
+    n_points: int,
+    rtol: float = 1e-9,
+    atol: float = 1e-12,
+    trace_tol: float = 1e-11,
+    positivity_tol: float = 1e-8,
+) -> tuple[np.ndarray, tuple[tuple[DensityMatrix, ...], ...], StepRecord]:
+    """Evolve every state in `rhos` with one Liouvillian on one time grid.
+
+    The vectorized states are the columns of a dim^2 x k block. Returns the
+    grid, one tuple of checked states per input state, and the step record
+    summed over the columns.
     """
     if t_final <= 0:
         raise OperatorError("t_final must be positive")
     if n_points < 2:
         raise OperatorError("need at least two sample points")
-    rho = state_matrix(rho0)
-    DensityMatrix.from_matrix(rho)  # validate the initial state
-    if rho.shape != (model.dim, model.dim):
-        raise OperatorError("initial state dimension does not match the model")
+    columns = []
+    for rho0 in rhos:
+        rho = state_matrix(rho0)
+        DensityMatrix.from_matrix(rho)  # validate the initial state
+        if rho.shape != (model.dim, model.dim):
+            raise OperatorError("initial state dimension does not match the model")
+        columns.append(vec(rho))
+    block = np.column_stack(columns).astype(complex)
 
     if method == METHOD_AUTO:
         method = METHOD_EXPM if model.dim <= _EXPM_DIM_LIMIT else METHOD_RK
@@ -113,96 +163,133 @@ def evolve(
     times = np.linspace(0.0, float(t_final), n_points)
 
     if method == METHOD_EXPM:
-        raw, record = _evolve_expm(m, rho, times, trace_tol)
+        raw, record = _evolve_expm(m, block, times, trace_tol)
     elif method == METHOD_RK:
-        raw, record = _evolve_rk(m, rho, times, rtol, atol, trace_tol)
+        raw, record = _evolve_rk(m, block, times, rtol, atol, trace_tol)
     else:
         raise OperatorError(f"unknown integration method {method!r}")
 
-    states = []
-    for t, x in zip(times, raw):
-        x = hermitian_part(x)
+    states = tuple(
+        tuple(
+            _checked_state(t, unvec(x), trace_tol, positivity_tol)
+            for t, x in zip(times, column)
+        )
+        for column in np.moveaxis(raw, -1, 0)
+    )
+    return times, states, record
+
+
+def _checked_state(
+    t: float, x: np.ndarray, trace_tol: float, positivity_tol: float
+) -> DensityMatrix:
+    """Validate one sampled state with one eigendecomposition.
+
+    The lowest eigenvalue is computed again only when `from_matrix` rejects
+    the state, to report a positivity violation as an `IntegrationError`
+    naming `t`; any other rejection is re-raised.
+    """
+    x = hermitian_part(x)
+    try:
+        return DensityMatrix.from_matrix(
+            x, trace_tol=max(10 * trace_tol, 1e-10), positivity_tol=positivity_tol
+        )
+    except OperatorError:
         lo = float(np.linalg.eigvalsh(x)[0])
         if lo < -positivity_tol:
             raise IntegrationError(
                 f"state at t = {t:.6g} has eigenvalue {lo:.3e} below "
                 f"-{positivity_tol:g}; the model or tolerances are suspect"
-            )
-        states.append(
-            DensityMatrix.from_matrix(x, trace_tol=max(10 * trace_tol, 1e-10),
-                                      positivity_tol=positivity_tol)
-        )
-    return Trajectory(times=times, states=tuple(states), step_controller=record)
+            ) from None
+        raise
 
 
-def _evolve_expm(m, rho, times, trace_tol):
+def _evolve_expm(m, block, times, trace_tol):
+    """Advance the whole block by one precomputed step exponential per step;
+    only the columns whose trace drifts past `trace_tol` are renormalized."""
     dt = float(times[1] - times[0])
     propagator = sla.expm(m.toarray() * dt)
-    y = vec(rho).astype(complex)
-    raw = [unvec(y).copy()]
+    dim = int(round(np.sqrt(block.shape[0])))
+    y = block
+    raw = [y]
     renorm = 0
+    drift = 0.0
     for _ in times[1:]:
         y = propagator @ y
-        tr = np.trace(unvec(y)).real
-        if abs(tr - 1.0) > trace_tol:
-            y = y / tr
-            renorm += 1
-        raw.append(unvec(y).copy())
+        tr = np.trace(y.reshape(dim, dim, -1, order="F")).real
+        off = np.abs(tr - 1.0)
+        drift = max(drift, float(off.max()))
+        bad = off > trace_tol
+        if bad.any():
+            y[:, bad] /= tr[bad]
+            renorm += int(bad.sum())
+        raw.append(y)
     record = StepRecord(
         method=METHOD_EXPM,
-        accepted=len(times) - 1,
+        accepted=(len(times) - 1) * block.shape[1],
         rejected_estimate=0,
         n_rhs_evals=0,
         renormalizations=renorm,
+        max_trace_drift=drift,
         dt=dt,
     )
-    return raw, record
+    return np.stack(raw), record
 
 
-def _evolve_rk(m, rho, times, rtol, atol, trace_tol):
-    t_final = float(times[-1])
-    stepper = RK45(
-        lambda t, y: m @ y,
-        0.0,
-        vec(rho).astype(complex),
-        t_bound=t_final,
-        rtol=rtol,
-        atol=atol,
-    )
-    raw = [unvec(stepper.y).copy()]
-    next_idx = 1
-    accepted = 0
-    renorm = 0
-    while stepper.status == "running":
-        try:
-            stepper.step()
-        except RuntimeError as exc:
-            raise IntegrationError(f"step controller failed: {exc}") from exc
-        accepted += 1
-        dense = stepper.dense_output()
-        while next_idx < len(times) and times[next_idx] <= stepper.t + 1e-15:
-            raw.append(unvec(dense(times[next_idx])).copy())
+def _evolve_rk(m, block, times, rtol, atol, trace_tol):
+    """RK45 on each column of the block in turn, with the one Liouvillian."""
+    columns = []
+    accepted = rejected = n_rhs = renorm = 0
+    drift = 0.0
+    for y0 in block.T:
+        stepper = RK45(
+            lambda t, y: m @ y,
+            0.0,
+            y0,
+            t_bound=float(times[-1]),
+            rtol=rtol,
+            atol=atol,
+        )
+        raw = [stepper.y.copy()]
+        next_idx = 1
+        steps = 0
+        while stepper.status == "running":
+            try:
+                stepper.step()
+            except RuntimeError as exc:
+                raise IntegrationError(f"step controller failed: {exc}") from exc
+            steps += 1
+            dense = stepper.dense_output()
+            while next_idx < len(times) and times[next_idx] <= stepper.t + 1e-15:
+                raw.append(dense(times[next_idx]))
+                next_idx += 1
+            tr = float(np.trace(unvec(stepper.y)).real)
+            drift = max(drift, abs(tr - 1.0))
+            if abs(tr - 1.0) > trace_tol:
+                # RK45 reuses f, the derivative at y, as the next step's first
+                # stage; the rhs is linear, so f / tr is the derivative at y / tr.
+                stepper.y = stepper.y / tr
+                stepper.f = stepper.f / tr
+                renorm += 1
+        if stepper.status == "failed":
+            raise IntegrationError("adaptive integration failed before t_final")
+        while next_idx < len(times):
+            raw.append(stepper.y.copy())
             next_idx += 1
-        tr = np.trace(unvec(stepper.y)).real
-        if abs(tr - 1.0) > trace_tol:
-            stepper.y = stepper.y / tr
-            renorm += 1
-    if stepper.status == "failed":
-        raise IntegrationError("adaptive integration failed before t_final")
-    while next_idx < len(times):
-        raw.append(unvec(stepper.y).copy())
-        next_idx += 1
-    attempts = max(accepted, (stepper.nfev - 1) // 6)
+        columns.append(raw)
+        accepted += steps
+        rejected += max(steps, (stepper.nfev - 1) // 6) - steps
+        n_rhs += stepper.nfev
     record = StepRecord(
         method=METHOD_RK,
         accepted=accepted,
-        rejected_estimate=attempts - accepted,
-        n_rhs_evals=stepper.nfev,
+        rejected_estimate=rejected,
+        n_rhs_evals=n_rhs,
         renormalizations=renorm,
+        max_trace_drift=drift,
         rtol=rtol,
         atol=atol,
     )
-    return raw, record
+    return np.stack(columns, axis=-1), record
 
 
 def expectation_series(traj: Trajectory, x) -> np.ndarray:
@@ -341,7 +428,11 @@ def _tail_integral_estimate(t: np.ndarray, w: np.ndarray, notes: list[str]) -> f
 
 @dataclass(frozen=True)
 class InvariantSetProbe:
-    """Monte-Carlo probe of convergence onto the ground set of V."""
+    """Monte-Carlo probe of convergence onto the ground set of V.
+
+    `step_controller` sums the step, rhs and renormalization counts over the
+    samples and keeps the largest trace drift of any of them.
+    """
 
     verdict: Verdict
     final_values: np.ndarray
@@ -350,6 +441,7 @@ class InvariantSetProbe:
     samples: int
     t_final: float
     seed: int
+    step_controller: StepRecord
 
 
 def invariant_set_probe(
@@ -362,15 +454,15 @@ def invariant_set_probe(
     method: str = METHOD_AUTO,
     n_points: int = 33,
 ) -> InvariantSetProbe:
-    """Integrate from seeded random initial states and report max final <V>."""
+    """Integrate from seeded random initial states and report max final <V>.
+
+    All samples are drawn first and propagated together as one block.
+    """
     varr = require_hermitian(v)
     rng = np.random.default_rng(seed)
-    finals = []
-    for _ in range(samples):
-        rho0 = random_density(model.dim, rng)
-        traj = evolve(model, rho0, t_final, method=method, n_points=n_points)
-        finals.append(float(np.trace(traj.final_state.matrix @ varr).real))
-    finals = np.array(finals)
+    rhos = [random_density(model.dim, rng) for _ in range(samples)]
+    _, states, record = _propagate(model, rhos, t_final, method, n_points)
+    finals = np.array([float(np.trace(s[-1].matrix @ varr).real) for s in states])
     max_final = float(finals.max())
     return InvariantSetProbe(
         verdict=Verdict.HOLDS if max_final <= threshold else Verdict.FAILS,
@@ -380,6 +472,7 @@ def invariant_set_probe(
         samples=samples,
         t_final=t_final,
         seed=seed,
+        step_controller=record,
     )
 
 

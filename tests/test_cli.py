@@ -217,8 +217,12 @@ class TestProbe:
             tmp_path,
         )
         assert code == 0
-        checks = checks_by_name(read_report(tmp_path))
-        assert checks["invariant-set-probe"]["max_final"] <= 1e-5
+        entry = checks_by_name(read_report(tmp_path))["invariant-set-probe"]
+        assert entry["max_final"] <= 1e-5
+        rec = entry["step_controller"]
+        assert rec["method"] == "expm_fixed"
+        assert rec["accepted"] == 5 * 32  # 5 samples, 33 sample points each
+        assert 0.0 <= rec["max_trace_drift"] <= 1e-11
 
 
 class TestExitCodes:

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 
+import qmstab.dynamics as dyn
 from qmstab import (
+    IntegrationError,
     ModelSpec,
     OperatorError,
     Verdict,
@@ -12,11 +16,15 @@ from qmstab import (
     generator_heisenberg,
     invariant_set_probe,
     ket_bra,
+    ladder_lowering,
     lasalle_diagnostics,
+    liouvillian,
     mean_bound_check,
     number_operator,
     random_density,
 )
+from qmstab.generator import SCHROEDINGER, unvec, vec
+from qmstab.operators import hermitian_part
 
 from conftest import oscillator
 
@@ -78,6 +86,102 @@ class TestEvolve:
             evolve(qubit_decay, EXCITED, -1.0)
         with pytest.raises(OperatorError):
             evolve(qubit_decay, np.eye(2), 1.0)  # trace 2
+
+
+class TestBlockPropagator:
+    def test_evolve_matches_reference_loop_bit_for_bit(self, twoqubit, rng):
+        # the per-state expm loop, with trace_tol = 0 so renormalization runs
+        rho0 = random_density(4, rng)
+        traj = evolve(twoqubit, rho0, 5.0, method="expm_fixed", n_points=21, trace_tol=0.0)
+        m = liouvillian(twoqubit, SCHROEDINGER).matrix.toarray()
+        propagator = sla.expm(m * float(traj.times[1] - traj.times[0]))
+        y = vec(rho0).astype(complex)
+        expected = [unvec(y).copy()]
+        for _ in traj.times[1:]:
+            y = propagator @ y
+            tr = np.trace(unvec(y)).real
+            if abs(tr - 1.0) > 0.0:
+                y = y / tr
+            expected.append(unvec(y).copy())
+        assert traj.step_controller.renormalizations > 0
+        for state, x in zip(traj.states, expected):
+            assert np.array_equal(state.matrix, hermitian_part(x))
+
+    def test_drifting_column_is_renormalized_alone(self, twoqubit, rng):
+        # column 0 drifts by 1e-12, inside trace_tol; column 1 has trace 2
+        m = liouvillian(twoqubit, SCHROEDINGER).matrix
+        y = (1.0 + 1e-12) * vec(random_density(4, rng)).astype(complex)
+        times = np.linspace(0.0, 5.0, 11)
+        raw, record = dyn._evolve_expm(m, np.column_stack([y, 2.0 * y]), times, 1e-11)
+        untouched, _ = dyn._evolve_expm(m, np.column_stack([y, y]), times, 1e-11)
+        assert record.renormalizations == 1
+        assert record.accepted == 2 * 10
+        assert record.max_trace_drift == pytest.approx(1.0)
+        assert np.array_equal(raw[:, :, 0], untouched[:, :, 0])
+        np.testing.assert_allclose(
+            raw[1:, :, 1], raw[1:, :, 0] / (1.0 + 1e-12), rtol=0, atol=1e-14
+        )
+
+    @pytest.mark.parametrize("method", ["expm_fixed", "rk_adaptive"])
+    def test_probe_matches_per_sample_evolve(self, method):
+        n = 8
+        model = ModelSpec(number_operator(n), [ladder_lowering(n)])
+        probe = invariant_set_probe(
+            model, number_operator(n), samples=5, t_final=30.0, seed=4, method=method
+        )
+        rng = np.random.default_rng(4)
+        expected = []
+        for _ in range(5):
+            traj = evolve(model, random_density(n, rng), 30.0, method=method, n_points=33)
+            expected.append(np.trace(traj.final_state.matrix @ number_operator(n)).real)
+        np.testing.assert_allclose(probe.final_values, expected, rtol=0, atol=1e-10)
+        assert probe.step_controller.method == method
+
+    @pytest.mark.parametrize("method", ["expm_fixed", "rk_adaptive"])
+    def test_one_liouvillian_per_probe(self, qubit_decay, monkeypatch, method):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return liouvillian(*args, **kwargs)
+
+        monkeypatch.setattr(dyn, "liouvillian", counting)
+        invariant_set_probe(qubit_decay, V_GROUND, samples=6, t_final=5.0, method=method)
+        assert len(calls) == 1
+
+    def test_rk_renormalization_rescales_cached_derivative(self, rng):
+        # M = -I/2 only shrinks the trace, so every step renormalizes; with
+        # a stale derivative the controller shrinks the step (7200 accepted
+        # steps against 87 with the derivative rescaled)
+        m = -0.5 * sp.identity(9, dtype=complex, format="csr")
+        y0 = vec(random_density(3, rng)).astype(complex)
+        raw, record = dyn._evolve_rk(
+            m, y0[:, None], np.linspace(0.0, 10.0, 11), 1e-9, 1e-12, 1e-11
+        )
+        assert record.renormalizations == record.accepted
+        assert record.accepted < 500
+        assert record.max_trace_drift > 1e-11
+        final = raw[-1, :, 0] / np.trace(unvec(raw[-1, :, 0])).real
+        np.testing.assert_allclose(final, y0, rtol=0, atol=1e-8)
+
+    def test_one_eigvalsh_per_sampled_state(self, qubit_decay, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(1)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        evolve(qubit_decay, EXCITED, 2.0, n_points=11)
+        assert len(calls) == 11 + 1  # sampled states plus the initial state
+        calls.clear()
+        invariant_set_probe(qubit_decay, V_GROUND, samples=3, t_final=2.0, n_points=11)
+        assert len(calls) == 3 * (11 + 1)
+
+    def test_positivity_violation_names_time(self, qubit_decay):
+        with pytest.raises(IntegrationError, match="t = 0"):
+            evolve(qubit_decay, EXCITED, 1.0, n_points=5, positivity_tol=-1.0)
 
 
 class TestExpectationSeries:
