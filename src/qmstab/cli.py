@@ -46,7 +46,6 @@ from .lyapunov import (
 from .operators import DensityMatrix, OperatorError, Verdict
 from .serialize import (
     FormatError,
-    complex_matrix_to_json,
     emit_series,
     jsonable,
     load_model,
@@ -243,6 +242,7 @@ def _cmd_steady_common(run: _Run, model: ModelSpec):
         null_space_method=report.null_space_method,
         exhaustive=report.exhaustive,
         residuals=list(report.residuals),
+        cleanup_distances=list(report.cleanup_distances),
         reliable=list(report.reliable),
         states=[s.matrix for s in report.states],
         notes=list(report.notes),
@@ -513,7 +513,7 @@ def cmd_synthesize(run: _Run) -> None:
         result.certificate.verdict,
         run.args.tol,
         pair_cases=list(result.pair_cases),
-        couplings=[complex_matrix_to_json(c) for c in result.couplings],
+        couplings=list(result.couplings),
         generator=result.generator_matrix,
         level_values=list(result.level_values),
         notes=list(result.notes),

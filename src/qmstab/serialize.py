@@ -13,6 +13,7 @@ import json
 import os
 import tempfile
 from dataclasses import asdict, is_dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -30,27 +31,27 @@ class FormatError(ValueError):
 # ---------------------------------------------------------------------------
 
 def complex_matrix_to_json(a: np.ndarray) -> list:
+    """[re, im] pairs for every entry, as Python floats (signed zeros and
+    non-finite values kept); any shape, so complex vectors use it too."""
     arr = np.asarray(a, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
-
-
-def complex_vector_to_json(v: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
+    return np.stack((arr.real, arr.imag), -1).tolist()
 
 
 def complex_matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
     try:
-        rows = []
-        for row in obj:
-            rows.append([complex(entry[0], entry[1]) for entry in row])
-        arr = np.asarray(rows, dtype=complex)
-    except (TypeError, ValueError, IndexError) as exc:
+        pairs = np.asarray(obj)
+    except ValueError as exc:  # ragged nesting
         raise FormatError(
             f"{what}: expected an array of rows of [re, im] pairs ({exc})"
         ) from exc
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise FormatError(f"{what}: expected a square matrix, got shape {arr.shape}")
-    return arr
+    if pairs.dtype.kind not in "biuf" or pairs.ndim != 3 or pairs.shape[2] != 2:
+        raise FormatError(
+            f"{what}: expected an array of rows of [re, im] pairs, "
+            f"got shape {pairs.shape} and dtype {pairs.dtype}"
+        )
+    if pairs.shape[0] != pairs.shape[1]:
+        raise FormatError(f"{what}: expected a square matrix, got shape {pairs.shape[:2]}")
+    return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -149,21 +150,47 @@ def dumps_canonical(doc) -> str:
     return _render(doc, 0) + "\n"
 
 
+def _float_json(x: float) -> str:
+    if x - x == 0.0:  # finite
+        return float.__repr__(x)
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+
+
+# Encoders for exact leaf types, each giving the text json.dumps gives.
+# Subclasses (np.float64, IntEnum, ...) are not listed and take json.dumps.
+_LEAF_JSON = {
+    float: _float_json,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+    str: encode_basestring_ascii,
+}
+
+
 def _render(obj, indent: int) -> str:
+    leaf = _LEAF_JSON.get(type(obj))
+    if leaf is not None:
+        return leaf(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         pad = " " * (indent + 2)
-        items = [f"{pad}{json.dumps(str(k))}: {_render(obj[k], indent + 2)}" for k in sorted(obj)]
+        items = [
+            f"{pad}{encode_basestring_ascii(str(k))}: {_render(obj[k], indent + 2)}"
+            for k in sorted(obj)
+        ]
         return "{\n" + ",\n".join(items) + "\n" + " " * indent + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        rendered = [_render(x, indent + 2) for x in obj]
-        if all("\n" not in r for r in rendered):
-            inline = "[" + ", ".join(rendered) + "]"
-            if len(inline) + indent <= 100:
-                return inline
+        # leaves encoded here save one call per number in [re, im] pairs
+        rendered = [
+            leaf(x) if (leaf := _LEAF_JSON.get(type(x))) else _render(x, indent + 2)
+            for x in obj
+        ]
+        inline = "[" + ", ".join(rendered) + "]"
+        if "\n" not in inline and len(inline) + indent <= 100:
+            return inline
         pad = " " * (indent + 2)
         return "[\n" + ",\n".join(pad + r for r in rendered) + "\n" + " " * indent + "]"
     return json.dumps(obj)
@@ -176,13 +203,13 @@ def write_json(doc, path) -> None:
 def jsonable(obj):
     """Best-effort conversion of result dataclasses into report-friendly
     JSON: matrices become [re, im] row arrays, verdicts their string value."""
+    if type(obj) in _LEAF_JSON:
+        return obj
     if isinstance(obj, Verdict):
         return obj.value
     if isinstance(obj, np.ndarray):
-        if obj.ndim == 2:
+        if obj.ndim == 2 or (obj.ndim == 1 and np.iscomplexobj(obj)):
             return complex_matrix_to_json(obj)
-        if obj.ndim == 1 and np.iscomplexobj(obj):
-            return complex_vector_to_json(obj)
         return [jsonable(x) for x in obj.tolist()]
     # bool before int: True is an int, and np.bool_ is neither int nor float
     if isinstance(obj, (bool, np.bool_)):
@@ -193,7 +220,7 @@ def jsonable(obj):
         return int(obj)
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, str) or obj is None:
+    if isinstance(obj, str):
         return obj
     if is_dataclass(obj):
         return {k: jsonable(v) for k, v in asdict(obj).items()}

@@ -76,6 +76,17 @@ class TestSteadyState:
         assert entry["null_space_method"] == "splu-arnoldi"
         assert entry["exhaustive"] is True
 
+    def test_cleanup_distances_reported(self, tmp_path):
+        from qmstab import steady_states
+        from qmstab.serialize import load_model
+
+        model_path = FIXTURES / "qutrit_branching_decay.json"
+        run(["steady-state", "--model", str(model_path)], tmp_path)
+        entry = checks_by_name(read_report(tmp_path))["invariant-state-exists"]
+        expected = steady_states(load_model(model_path)[0]).cleanup_distances
+        assert len(entry["cleanup_distances"]) == len(entry["states"]) == len(expected)
+        assert entry["cleanup_distances"] == pytest.approx(list(expected), rel=0, abs=1e-12)
+
 
 class TestCheckCommands:
     def test_lasalle_t5_two_qubit(self, tmp_path):
@@ -196,12 +207,14 @@ class TestSynthesizeCommand:
     def test_writes_model_file(self, tmp_path):
         code = run(["synthesize", "--v", str(FIXTURES / "qubit_V.json")], tmp_path)
         assert code == 0
-        from qmstab.serialize import load_model
+        from qmstab.serialize import complex_matrix_to_json, load_model
 
         model, _ = load_model(tmp_path / "synthesized_model.json")
         np.testing.assert_allclose(
             model.couplings[0], np.array([[0, 0], [1, 0]], dtype=complex), atol=1e-12
         )
+        couplings = checks_by_name(read_report(tmp_path))["synthesis"]["couplings"]
+        assert couplings == [complex_matrix_to_json(c) for c in model.couplings]
 
 
 class TestProbe:

@@ -36,6 +36,32 @@ class TestComplexMatrixFormat:
         with pytest.raises(FormatError):
             complex_matrix_from_json([[[1.0, 0.0], [0.0, 0.0]]])
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [[["1.0", "0.0"], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+            [[None, [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+            [[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]],
+            [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0]]],
+            [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]],
+            [],
+            "not a matrix",
+        ],
+        ids=["strings", "null", "three-element", "ragged-entry", "non-square", "empty", "string"],
+    )
+    def test_rejects_malformed_entries(self, doc):
+        with pytest.raises(FormatError):
+            complex_matrix_from_json(doc)
+
+    def test_round_trip_keeps_negative_zero(self):
+        a = np.array([[-0.0 + 1j, complex(0.0, -0.0)], [complex(-0.0, -0.0), 2.0]])
+        back = complex_matrix_from_json(json.loads(json.dumps(complex_matrix_to_json(a))))
+        np.testing.assert_array_equal(np.signbit(back.real), np.signbit(a.real))
+        np.testing.assert_array_equal(np.signbit(back.imag), np.signbit(a.imag))
+        assert dumps_canonical(complex_matrix_to_json(back)) == dumps_canonical(
+            complex_matrix_to_json(a)
+        )
+
 
 class TestModelFiles:
     def test_fixture_round_trip_is_stable(self, tmp_path):
@@ -133,6 +159,52 @@ class TestCanonicalJson:
         assert doc["verdict"] == "fails"
         assert doc["witness"]["eigenvalue"] == -1.0
         json.dumps(doc)  # fully serializable
+
+    def test_pinned_bytes(self):
+        # Written by the per-value renderer; every later renderer must match it.
+        doc = {
+            "floats": [-0.0, 1e-300, float("nan"), float("inf"), float("-inf"),
+                       np.float64(0.1), 2**70],
+            "leaves": [True, False, None, "Schr\u00f6dinger \u2202\"q\"\n\t"],
+            "int_keys": {10: "ten", 3: [], 1: {}},
+            "tuples": (1, (2.5, -3)),
+            "under": [123456789] * 8 + [12345678],  # 98 columns inline at indent 2
+            "over": [123456789] * 9,  # 99 columns: one past the inline rule
+            "nested": [{"a": 1}, [1e-5, 1e16, 1.5e16, 123456789.125]],
+        }
+        assert dumps_canonical(doc) == (
+            '{\n  "floats": [-0.0, 1e-300, NaN, Infinity, -Infinity, 0.1, 1180591620717411303424],\n'
+            '  "int_keys": {\n    "1": {},\n    "3": [],\n    "10": "ten"\n  },\n'
+            '  "leaves": [true, false, null, "Schr\\u00f6dinger \\u2202\\"q\\"\\n\\t"],\n'
+            '  "nested": [\n    {\n      "a": 1\n    },\n'
+            '    [1e-05, 1e+16, 1.5e+16, 123456789.125]\n  ],\n'
+            '  "over": [\n' + "    123456789,\n" * 8 + "    123456789\n  ],\n"
+            '  "tuples": [1, [2.5, -3]],\n'
+            '  "under": [123456789, 123456789, 123456789, 123456789, 123456789, 123456789, '
+            '123456789, 123456789, 12345678]\n}\n'
+        )
+
+    def test_jsonable_pinned_bytes(self):
+        doc = {
+            "matrix": np.array([[1 + 2j, -0.0], [0.5j, 3.0]]),
+            "vector": np.array([1 - 1j, 0.25]),
+            "real": np.array([1.5, -2.0]),
+            "ints": np.arange(3),
+            "flags": (np.bool_(True), False),
+            "scalars": [np.float32(0.1), np.int64(7), 2j, Verdict.HOLDS],
+            "report": psd_check(np.diag([-1.0, 0.0])),
+            5: None,
+        }
+        assert dumps_canonical(jsonable(doc)) == (
+            '{\n  "5": null,\n  "flags": [true, false],\n  "ints": [0, 1, 2],\n'
+            '  "matrix": [[[1.0, 2.0], [-0.0, 0.0]], [[0.0, 0.5], [3.0, 0.0]]],\n'
+            '  "real": [1.5, -2.0],\n'
+            '  "report": {\n    "min_eigenvalue": -1.0,\n    "threshold": 1e-09,\n'
+            '    "verdict": "fails",\n    "witness": {\n      "eigenvalue": -1.0,\n'
+            '      "vector": [[1.0, 0.0], [0.0, 0.0]]\n    }\n  },\n'
+            '  "scalars": [0.10000000149011612, 7, [0.0, 2.0], "holds"],\n'
+            '  "vector": [[1.0, -1.0], [0.25, 0.0]]\n}\n'
+        )
 
     def test_jsonable_verdict(self):
         assert jsonable(Verdict.HOLDS) == "holds"
