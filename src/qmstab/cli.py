@@ -61,7 +61,23 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_FORMAT = 65
 
-_THEOREM_FLAGS = {"5": THEOREM_5, "6": THEOREM_6, "7": THEOREM_7, "8": "t8", "c1": COROLLARY_1}
+# --theorem flag -> (library tag, report anchor); tag "t8" selects check_theorem8
+_THEOREMS = {
+    "5": (THEOREM_5, "Theorem 5"),
+    "6": (THEOREM_6, "Theorem 6"),
+    "7": (THEOREM_7, "Theorem 7"),
+    "8": ("t8", "Theorem 8"),
+    "c1": (COROLLARY_1, "Corollary 1"),
+}
+_UNIQUENESS_VERDICTS = {
+    "unique": Verdict.HOLDS,
+    "not_unique": Verdict.FAILS,
+    "inconclusive": Verdict.INCONCLUSIVE,
+}
+
+
+def _verdict(ok) -> Verdict:
+    return Verdict.HOLDS if ok else Verdict.FAILS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", required=True)
     p.add_argument("--w", help="companion operator (theorems 5-7, c1)")
     p.add_argument("--u", help="relaxation operator (corollary c1)")
-    p.add_argument("--theorem", choices=sorted(_THEOREM_FLAGS), required=True)
+    p.add_argument("--theorem", choices=sorted(_THEOREMS), required=True)
     common(p)
 
     p = sub.add_parser("synthesize", help="engineer couplings for a target operator")
@@ -236,7 +252,7 @@ def _cmd_steady_common(run: _Run, model: ModelSpec):
     run.add_check(
         "invariant-state-exists",
         "Theorem 1",
-        Verdict.HOLDS if report.states else Verdict.FAILS,
+        _verdict(report.states),
         run.args.tol,
         null_dimension=report.null_dimension,
         null_space_method=report.null_space_method,
@@ -263,7 +279,7 @@ def cmd_analyze(run: _Run) -> None:
         run.add_check(
             f"faithful[{i}]",
             "Definition 1",
-            Verdict.HOLDS if report.faithful[i] else Verdict.FAILS,
+            _verdict(report.faithful[i]),
             run.args.tol,
             rank=int(np.trace(report.support_projections[i]).real.round()),
             support=report.support_projections[i],
@@ -279,11 +295,7 @@ def cmd_analyze(run: _Run) -> None:
 
     if model.dim <= 24:
         uni = uniqueness_check(model, tol=run.args.tol)
-        verdict = {
-            "unique": Verdict.HOLDS,
-            "not_unique": Verdict.FAILS,
-            "inconclusive": Verdict.INCONCLUSIVE,
-        }[uni.verdict]
+        verdict = _UNIQUENESS_VERDICTS[uni.verdict]
         if report.null_dimension > 1:
             verdict = Verdict.FAILS
         run.add_check(
@@ -301,9 +313,7 @@ def cmd_analyze(run: _Run) -> None:
         run.add_check(
             "unique-invariant-state",
             "Theorem 3",
-            Verdict.HOLDS if report.unique == "unique" else (
-                Verdict.FAILS if report.unique == "not_unique" else Verdict.INCONCLUSIVE
-            ),
+            _UNIQUENESS_VERDICTS[report.unique],
             run.args.tol,
             method="liouvillian null dimension (commutant check skipped above dim 24)",
             null_dimension=report.null_dimension,
@@ -313,7 +323,7 @@ def cmd_analyze(run: _Run) -> None:
     run.add_check(
         "connectivity(coordinate family)",
         "Remark 1",
-        Verdict.HOLDS if scan.all_connected else Verdict.FAILS,
+        _verdict(scan.all_connected),
         run.args.tol,
         values={r.label: r.value for r in scan.results},
         note=scan.note,
@@ -324,7 +334,7 @@ def cmd_analyze(run: _Run) -> None:
         run.add_check(
             "connectivity(spectral family of V)",
             "Remark 1",
-            Verdict.HOLDS if scan_v.all_connected else Verdict.FAILS,
+            _verdict(scan_v.all_connected),
             run.args.tol,
             values={r.label: r.value for r in scan_v.results},
             note=scan_v.note,
@@ -345,17 +355,15 @@ def cmd_simulate(run: _Run) -> None:
     run.add_check(
         "trace-preservation",
         "Definition 1",
-        Verdict.HOLDS if trace_dev <= 1e-10 else Verdict.FAILS,
+        _verdict(trace_dev <= 1e-10),
         1e-10,
         max_trace_deviation=trace_dev,
         step_controller=traj.step_controller,
     )
 
-    observables = []
-    if run.args.v:
-        observables.append(("series_v", _load_operator_arg(run, "v", "v")))
-    if run.args.w:
-        observables.append(("series_w", _load_operator_arg(run, "w", "w")))
+    v = _load_operator_arg(run, "v", "v") if run.args.v else None
+    w = _load_operator_arg(run, "w", "w") if run.args.w else None
+    observables = [(stem, op) for stem, op in (("series_v", v), ("series_w", w)) if op is not None]
     if not observables:
         for i in range(model.dim):
             proj = np.zeros((model.dim, model.dim), dtype=complex)
@@ -368,14 +376,8 @@ def cmd_simulate(run: _Run) -> None:
         "series-emitted", "Definition 7", Verdict.HOLDS, run.args.tol, series=series_meta
     )
 
-    if run.args.v and run.args.w:
-        diag = lasalle_diagnostics(
-            traj,
-            load_operator(run.args.v, "v"),
-            load_operator(run.args.w, "w"),
-            c=run.args.c,
-            d=run.args.d,
-        )
+    if v is not None and w is not None:
+        diag = lasalle_diagnostics(traj, v, w, c=run.args.c, d=run.args.d)
         run.add_check(
             "lasalle-diagnostics",
             "Theorem 5",
@@ -389,10 +391,8 @@ def cmd_simulate(run: _Run) -> None:
             w_final=diag.w_final,
             notes=list(diag.notes),
         )
-    if run.args.v and run.args.c is not None and run.args.d is not None:
-        bound = mean_bound_check(
-            traj, load_operator(run.args.v, "v"), run.args.c, run.args.d
-        )
+    if v is not None and run.args.c is not None and run.args.d is not None:
+        bound = mean_bound_check(traj, v, run.args.c, run.args.d)
         run.add_check(
             "mean-bound",
             "Eq. (1)",
@@ -442,12 +442,12 @@ def cmd_check_lyapunov(run: _Run) -> None:
 def cmd_check_lasalle(run: _Run) -> None:
     model = _load_model_arg(run)
     varr = _load_operator_arg(run, "v", "v")
-    theorem = _THEOREM_FLAGS[run.args.theorem]
+    theorem, anchor = _THEOREMS[run.args.theorem]
     if theorem == "t8":
         rep = check_theorem8(model, varr, tol=run.args.tol)
         run.add_check(
             "ground-convergence",
-            "Theorem 8",
+            anchor,
             rep.verdict,
             run.args.tol,
             commutator_norm=rep.commutator_norm,
@@ -463,12 +463,7 @@ def cmd_check_lasalle(run: _Run) -> None:
     cert = check_lasalle_pair(model, varr, warr, theorem=theorem, u=uarr, tol=run.args.tol)
     run.add_check(
         f"lasalle-{run.args.theorem}",
-        {
-            THEOREM_5: "Theorem 5",
-            THEOREM_6: "Theorem 6",
-            THEOREM_7: "Theorem 7",
-            COROLLARY_1: "Corollary 1",
-        }[theorem],
+        anchor,
         cert.verdict,
         run.args.tol,
         shift=cert.shift,

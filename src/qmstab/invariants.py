@@ -36,6 +36,7 @@ from .operators import (
     op_norm,
     psd_check,
     require_hermitian,
+    spectral_decompose,
 )
 
 UNIQUE = "unique"
@@ -216,7 +217,20 @@ def _null_space(m: sps.csr_array, tol_abs: float, max_null: int):
     return (*_null_space_dense(m, tol_abs), NULL_SPACE_DENSE, True, (note,))
 
 
-def steady_states(model: ModelSpec, tol: float = 1e-9, max_null: int = 8) -> InvariantStateReport:
+def _orthonormal_append(basis: list[np.ndarray], x: np.ndarray, floor: float) -> bool:
+    """Gram-Schmidt step in the Hilbert-Schmidt inner product: append the
+    normalized part of `x` orthogonal to the orthonormal `basis` when its
+    norm exceeds `floor`, and say whether it did."""
+    r = x.copy()
+    for b in basis:
+        r -= np.trace(dag(b) @ r) * b
+    nrm = float(np.sqrt(np.trace(dag(r) @ r).real))
+    if nrm > floor:
+        basis.append(r / nrm)
+    return nrm > floor
+
+
+def steady_states(model: ModelSpec, tol: float = 1e-9) -> InvariantStateReport:
     """Stationary states from the Liouvillian null space.
 
     Each null vector is devectorized, hermitized, eigenvalue-clipped at
@@ -227,7 +241,7 @@ def steady_states(model: ModelSpec, tol: float = 1e-9, max_null: int = 8) -> Inv
     m = liouvillian(model, SCHROEDINGER).matrix
     scale = float(spla.norm(m, 1))  # induced 1-norm
     tol_abs = tol * max(1.0, scale)
-    null_vecs, null_dim, method, exhaustive, null_notes = _null_space(m, tol_abs, max_null)
+    null_vecs, null_dim, method, exhaustive, null_notes = _null_space(m, tol_abs, max_null=8)
     notes = list(null_notes)
     if null_dim == 0:
         raise InvariantAnalysisError(
@@ -242,21 +256,12 @@ def steady_states(model: ModelSpec, tol: float = 1e-9, max_null: int = 8) -> Inv
 
     # The null space is adjoint-closed, so hermitian parts of null vectors
     # span the same space.
-    pool: list[np.ndarray] = []
+    basis: list[np.ndarray] = []
     for j in range(null_vecs.shape[1]):
         x = unvec(null_vecs[:, j])
         for y in (hermitian_part(x), (x - dag(x)) / 2j):
             if max_abs(y) > 1e-14:
-                pool.append(y)
-
-    basis: list[np.ndarray] = []
-    for y in pool:
-        r = y.copy()
-        for b in basis:
-            r -= np.trace(dag(b) @ r) * b
-        nrm = float(np.sqrt(np.trace(dag(r) @ r).real))
-        if nrm > 1e-10:
-            basis.append(r / nrm)
+                _orthonormal_append(basis, y, 1e-10)
     basis = basis[:null_dim]
 
     candidates: list[tuple[np.ndarray, float]] = []
@@ -287,13 +292,8 @@ def steady_states(model: ModelSpec, tol: float = 1e-9, max_null: int = 8) -> Inv
         resid = max_abs(generator_schroedinger(model, rho))
         if resid > 10 * tol_abs:
             continue
-        r = rho.copy()
-        for b in kept_directions:
-            r -= np.trace(dag(b) @ r) * b
-        rnorm = float(np.sqrt(np.trace(dag(r) @ r).real))
-        if rnorm < 1e-8:
+        if not _orthonormal_append(kept_directions, rho, 1e-8):
             continue  # dependent on already-kept states
-        kept_directions.append(r / rnorm)
         try:
             dm = DensityMatrix.from_matrix(rho, trace_tol=1e-8, positivity_tol=10 * tol_abs)
         except OperatorError:
@@ -387,8 +387,6 @@ def _resolve_family(model: ModelSpec, family) -> list[tuple[str, np.ndarray]]:
         eye = np.eye(n, dtype=complex)
         return [(f"|{i}><{i}|", np.outer(eye[:, i], eye[:, i].conj())) for i in range(n)]
     if isinstance(family, np.ndarray):
-        from .operators import spectral_decompose
-
         sd = spectral_decompose(family)
         return [
             (f"eigenspace[{i}] (value {sd.eigenvalues[i]:.6g})", np.asarray(p))
@@ -436,9 +434,7 @@ def connectivity_scan(
 # Uniqueness via commutant triviality
 # ---------------------------------------------------------------------------
 
-def uniqueness_check(
-    model: ModelSpec, tol: float = 1e-9, max_products: int | None = None
-) -> UniquenessResult:
+def uniqueness_check(model: ModelSpec, tol: float = 1e-9) -> UniquenessResult:
     """Uniqueness of the invariant state through irreducibility.
 
     Builds the linear span of words in {I, H, Lk, Lk'} until its dimension
@@ -450,33 +446,19 @@ def uniqueness_check(
     n = model.dim
     if n == 1:
         return UniquenessResult(UNIQUE, 1, 1, True, 0)
-    if max_products is None:
-        max_products = n * n + 2
 
     gens = [model.hamiltonian] + [l for l in model.couplings] + [dag(l) for l in model.couplings]
 
-    basis: list[np.ndarray] = []
-
-    def absorb(x: np.ndarray) -> bool:
-        r = x.copy()
-        for b in basis:
-            r -= np.trace(dag(b) @ r) * b
-        nrm = float(np.sqrt(np.trace(dag(r) @ r).real))
-        if nrm > 1e-10 * max(1.0, max_abs(x)):
-            basis.append(r / nrm)
-            return True
-        return False
-
-    absorb(np.eye(n, dtype=complex))
+    basis = [np.eye(n, dtype=complex) / np.sqrt(n)]
     frontier = [np.eye(n, dtype=complex)]
     stabilized = False
     words = 0
-    for words in range(1, max_products + 1):
+    for words in range(1, n * n + 3):
         new_frontier = []
         for w in frontier:
             for g in gens:
                 cand = g @ w
-                if absorb(cand):
+                if _orthonormal_append(basis, cand, 1e-10 * max(1.0, max_abs(cand))):
                     new_frontier.append(cand)
         if not new_frontier or len(basis) == n * n:
             stabilized = True

@@ -81,27 +81,35 @@ def _require_psd_input(name: str, a: np.ndarray, tol: float) -> None:
         )
 
 
-def check_lyapunov(model: ModelSpec, v, tol: float = PSD_TOL) -> LyapunovCertificate:
-    """Strict Lyapunov condition: V >= 0 and G(V) <= 0.
+def strict_certificate(
+    g: np.ndarray, v: np.ndarray, tol: float, shift: float = 0.0
+) -> LyapunovCertificate:
+    """Certificate of G(V) <= 0 for the Hermitian generator matrix `g` of `v`.
 
-    On failure the witness is the eigenvector with <G(V)> > 0, i.e. a pure
-    state along which the expectation of V initially increases.
+    `metrics["generator_max_eigenvalue"]` is the largest eigenvalue of G(V);
+    on failure the witness carries it (positive) with its eigenvector, a
+    pure state along which the expectation of V initially increases.
     """
-    varr = require_hermitian(v)
-    _require_psd_input("V", varr, tol)
-    gv = hermitian_part(generator_heisenberg(model, varr))
-    report = psd_check(-gv, tol)
+    report = psd_check(-g, tol)
     witness = None
     if not report.holds:
         witness = EigWitness(-report.min_eigenvalue, report.witness.vector)
     return LyapunovCertificate(
         mode=MODE_STRICT,
         verdict=report.verdict,
-        v=_frozen(varr),
+        v=_frozen(v),
         tolerance=tol,
+        shift=shift,
         witness=witness,
         metrics={"generator_max_eigenvalue": -report.min_eigenvalue},
     )
+
+
+def check_lyapunov(model: ModelSpec, v, tol: float = PSD_TOL) -> LyapunovCertificate:
+    """Strict Lyapunov condition: V >= 0 and G(V) <= 0 (`strict_certificate`)."""
+    varr = require_hermitian(v)
+    _require_psd_input("V", varr, tol)
+    return strict_certificate(hermitian_part(generator_heisenberg(model, varr)), varr, tol)
 
 
 def check_weak_lyapunov(
@@ -251,8 +259,8 @@ def tightness_tail_bound(spectral: SpectralDecomposition, c: float, eps: float) 
 # LaSalle hypothesis pairs
 # ---------------------------------------------------------------------------
 
-def _shifted_psd(name: str, a: np.ndarray, tol: float, auto_shift: bool) -> tuple[np.ndarray, float]:
-    """Return a PSD version of `a`, shifting by a multiple of I if allowed.
+def _shifted_psd(a: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+    """Return a PSD version of `a`, shifted by a multiple of I if needed.
 
     Shifting V leaves G(V) unchanged, so inequalities on the generator are
     insensitive to it; the shift is recorded on the certificate.
@@ -260,12 +268,6 @@ def _shifted_psd(name: str, a: np.ndarray, tol: float, auto_shift: bool) -> tupl
     report = psd_check(a, tol)
     if report.holds:
         return a, 0.0
-    if not auto_shift:
-        raise OperatorError(
-            f"{name} must be positive semidefinite "
-            f"(min eigenvalue {report.min_eigenvalue:.3e}); pass auto_shift=True "
-            "to add a compensating multiple of the identity"
-        )
     shift = -report.min_eigenvalue
     return a + shift * np.eye(a.shape[0]), shift
 
@@ -277,7 +279,6 @@ def check_lasalle_pair(
     theorem: str = THEOREM_5,
     u=None,
     tol: float = PSD_TOL,
-    auto_shift: bool = True,
 ) -> LyapunovCertificate:
     """Check one LaSalle hypothesis pair (V, W).
 
@@ -289,8 +290,9 @@ def check_lasalle_pair(
     """
     varr = require_hermitian(v)
     warr = require_hermitian(w)
+    uarr = None
     notes: list[str] = []
-    varr, shift = _shifted_psd("V", varr, tol, auto_shift)
+    varr, shift = _shifted_psd(varr, tol)
     if shift > 0:
         notes.append(f"V shifted by {shift:.6g} * I to reach positivity; G(V) is unaffected")
     gv = hermitian_part(generator_heisenberg(model, varr))
@@ -338,19 +340,6 @@ def check_lasalle_pair(
             "confirm it by simulation (lasalle_diagnostics)"
         )
         mode = MODE_RELAXED
-        return LyapunovCertificate(
-            mode=mode,
-            verdict=verdict,
-            v=_frozen(varr),
-            w=_frozen(warr),
-            u=_frozen(uarr),
-            theorem=theorem,
-            tolerance=tol,
-            shift=shift,
-            witness=witness,
-            metrics=metrics,
-            notes=tuple(notes),
-        )
     else:
         raise OperatorError(f"unknown LaSalle mode {theorem!r}")
 
@@ -359,6 +348,7 @@ def check_lasalle_pair(
         verdict=verdict,
         v=_frozen(varr),
         w=_frozen(warr),
+        u=None if uarr is None else _frozen(uarr),
         theorem=theorem,
         tolerance=tol,
         shift=shift,

@@ -159,35 +159,56 @@ class SpectralDecomposition:
         return out
 
 
+def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues with a deterministic eigenbasis: exact
+    coordinate vectors for diagonal input (stable sort), otherwise LAPACK
+    vectors rotated so that each one's largest-magnitude component is real
+    and positive, whatever the LAPACK sign convention."""
+    if max_abs(a - np.diag(np.diag(a))) <= 1e-12 * max(1.0, max_abs(a)):
+        w = np.diag(a).real.copy()
+        order = np.argsort(w, kind="stable")
+        return w[order], np.eye(a.shape[0], dtype=complex)[:, order]
+    try:
+        w, vecs = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise OperatorError(f"eigendecomposition failed: {exc}") from exc
+    # one column at a time: numpy's vectorized abs rounds differently
+    for j in range(vecs.shape[1]):
+        z = vecs[int(np.argmax(np.abs(vecs[:, j]))), j]
+        vecs[:, j] *= np.conj(z) / abs(z)
+    return w, vecs
+
+
+def eigenlevels(a: np.ndarray, tol: float, descending: bool = False):
+    """Eigenvalue levels of a Hermitian operator and the eigenbasis of `eigh`.
+
+    Consecutive eigenvalues whose gap is within `tol` form one level.
+    Returns the level values (the mean of each level's eigenvalues), the
+    `(start, stop)` column slice of each level, and the eigenvectors as
+    columns; ascending order unless `descending` (a stable sort, so
+    degenerate columns keep their ascending order).
+    """
+    w, vecs = eigh(a)
+    if descending:
+        order = np.argsort(-w, kind="stable")
+        w, vecs = w[order], vecs[:, order]
+    bounds = [0, *(np.flatnonzero(np.abs(np.diff(w)) > tol) + 1).tolist(), len(w)]
+    slices = tuple(zip(bounds[:-1], bounds[1:]))
+    values = np.array([np.mean(w[i:j]) for i, j in slices], dtype=float)
+    return values, slices, vecs
+
+
 def spectral_decompose(a, degeneracy_tol: float = DEGENERACY_TOL) -> SpectralDecomposition:
     """Spectral decomposition with degenerate levels merged.
 
     Consecutive eigenvalues within `degeneracy_tol` (absolute gap) of each
     other are treated as one level and share a single projection.
     """
-    arr = require_hermitian(a)
-    try:
-        w, v = np.linalg.eigh(arr)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise OperatorError(f"eigendecomposition failed: {exc}") from exc
-    values: list[float] = []
-    projections: list[np.ndarray] = []
-    multiplicities: list[int] = []
-    i = 0
-    n = len(w)
-    while i < n:
-        j = i + 1
-        while j < n and w[j] - w[j - 1] <= degeneracy_tol:
-            j += 1
-        block = v[:, i:j]
-        values.append(float(np.mean(w[i:j])))
-        projections.append(_frozen(block @ dag(block)))
-        multiplicities.append(j - i)
-        i = j
+    values, slices, v = eigenlevels(require_hermitian(a), degeneracy_tol)
     return SpectralDecomposition(
-        eigenvalues=np.asarray(values, dtype=float),
-        projections=tuple(projections),
-        multiplicities=tuple(multiplicities),
+        eigenvalues=values,
+        projections=tuple(_frozen(v[:, i:j] @ dag(v[:, i:j])) for i, j in slices),
+        multiplicities=tuple(j - i for i, j in slices),
     )
 
 

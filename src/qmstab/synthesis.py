@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generator import ModelSpec, generator_heisenberg
-from .lyapunov import LyapunovCertificate, MODE_STRICT, check_theorem8, GroundConvergenceReport
+from .lyapunov import (GroundConvergenceReport, LyapunovCertificate, check_theorem8,
+                       strict_certificate)
 from .operators import (
     DEGENERACY_TOL,
     PSD_TOL,
@@ -31,6 +32,8 @@ from .operators import (
     Verdict,
     _frozen,
     dag,
+    eigenlevels,
+    eigh,
     hermitian_part,
     max_abs,
     psd_check,
@@ -98,54 +101,6 @@ class SynthesisResult:
     notes: tuple[str, ...] = ()
 
 
-def _phase_fix(vecs: np.ndarray) -> np.ndarray:
-    """Rotate each eigenvector so its largest-magnitude component is real
-    and positive; keeps synthesized couplings deterministic across LAPACK
-    sign conventions."""
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        i = int(np.argmax(np.abs(out[:, j])))
-        z = out[i, j]
-        if abs(z) > 0:
-            out[:, j] *= np.conj(z) / abs(z)
-    return out
-
-
-def _sorted_eigh(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh with a deterministic eigenbasis: exact coordinate vectors for
-    diagonal input (stable sort), phase-fixed LAPACK vectors otherwise."""
-    n = v.shape[0]
-    off = v - np.diag(np.diag(v))
-    if max_abs(off) <= 1e-12 * max(1.0, max_abs(v)):
-        w = np.diag(v).real.copy()
-        order = np.argsort(w, kind="stable")
-        return w[order], np.eye(n, dtype=complex)[:, order]
-    w, vecs = np.linalg.eigh(v)
-    return w, _phase_fix(vecs)
-
-
-def _descending_eigenbasis(v: np.ndarray, tol: float):
-    """Eigenvalues (distinct, descending) with an explicit eigenvector
-    basis. Diagonal targets keep coordinate eigenvectors so that the
-    engineered couplings land on the expected matrix entries."""
-    n = v.shape[0]
-    w, vecs = _sorted_eigh(v)
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    vecs = vecs[:, order]
-    values: list[float] = []
-    slices: list[tuple[int, int]] = []
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and w[i] - w[j] <= tol:
-            j += 1
-        values.append(float(np.mean(w[i:j])))
-        slices.append((i, j))
-        i = j
-    return np.asarray(values), tuple(slices), vecs
-
-
 def synthesize_coupling(spec: SynthesisSpec, tol: float = PSD_TOL) -> SynthesisResult:
     """Build one lowering coupling per selected pair and certify G(V) <= 0.
 
@@ -153,7 +108,7 @@ def synthesize_coupling(spec: SynthesisSpec, tol: float = PSD_TOL) -> SynthesisR
     recomputed from scratch and, if the certificate fails, the result is
     flagged failed.
     """
-    values, slices, q = _descending_eigenbasis(spec.v, DEGENERACY_TOL)
+    values, slices, q = eigenlevels(spec.v, DEGENERACY_TOL, descending=True)
     n = spec.v.shape[0]
     n_levels = len(values)
     notes: list[str] = []
@@ -251,18 +206,9 @@ def synthesize_coupling(spec: SynthesisSpec, tol: float = PSD_TOL) -> SynthesisR
         for j, (sj, ej) in enumerate(slices):
             blocks[(i, j)] = _frozen(g_eigen[si:ei, sj:ej])
 
-    psd = psd_check(-g, tol)
     shift = max(0.0, -float(np.linalg.eigvalsh(spec.v)[0]))
-    certificate = LyapunovCertificate(
-        mode=MODE_STRICT,
-        verdict=psd.verdict,
-        v=_frozen(spec.v + shift * np.eye(n)),
-        tolerance=tol,
-        shift=shift,
-        witness=psd.witness,
-        metrics={"generator_max_eigenvalue": -psd.min_eigenvalue},
-    )
-    failed = psd.verdict is not Verdict.HOLDS
+    certificate = strict_certificate(g, spec.v + shift * np.eye(n), tol, shift)
+    failed = certificate.verdict is not Verdict.HOLDS
     if failed:
         notes.append(
             "assembled generator is not negative semidefinite; pairwise synthesis "
@@ -343,7 +289,7 @@ def solve_ground_coupling(v, tol: float = PSD_TOL) -> GroundCouplingResult:
             explanation="V = 0: M = 0 and every coupling solves the equation trivially",
         )
 
-    w, vecs = _sorted_eigh(varr)
+    w, vecs = eigh(varr)
     vscale = max(1.0, float(np.abs(w).max()))
     kernel_mask = w <= tol * vscale
     k = int(kernel_mask.sum())
@@ -451,19 +397,10 @@ def verify_synthesis(
             first_mismatch=first,
             certificate=None,
         )
-    psd = psd_check(-g, result.certificate.tolerance)
-    shift = result.certificate.shift
-    cert = LyapunovCertificate(
-        mode=MODE_STRICT,
-        verdict=psd.verdict,
-        v=result.certificate.v,
-        tolerance=result.certificate.tolerance,
-        shift=shift,
-        witness=psd.witness,
-        metrics={"generator_max_eigenvalue": -psd.min_eigenvalue},
-    )
+    recorded = result.certificate
+    cert = strict_certificate(g, recorded.v, recorded.tolerance, recorded.shift)
     return SynthesisVerification(
-        verdict=psd.verdict,
+        verdict=cert.verdict,
         max_block_deviation=worst,
         first_mismatch=None,
         certificate=cert,

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qmstab.cli import main
+from qmstab.cli import _COMMANDS, main
 
 from conftest import FIXTURES
 
@@ -34,11 +34,36 @@ class TestAnalyze:
         assert state[0][0][0] == pytest.approx(0.5, abs=1e-9)
 
     def test_every_check_carries_anchor_and_tolerance(self, tmp_path):
-        run(["analyze", "--model", str(FIXTURES / "twolevel.json")], tmp_path)
-        for check in read_report(tmp_path)["run"]["checks"]:
-            assert check["anchor"]
-            assert "tolerance" in check
-            assert check["verdict"] in ("holds", "fails", "inconclusive")
+        # one run per subcommand; flags are JSON booleans wherever they appear
+        model, v = str(FIXTURES / "qubit_decay.json"), str(FIXTURES / "qubit_V.json")
+        invocations = [
+            ["analyze", "--model", str(FIXTURES / "twolevel.json")],
+            ["steady-state", "--model", model],
+            ["simulate", "--model", model, "--rho0", str(FIXTURES / "qubit_excited.json"),
+             "--t-final", "2", "--points", "21", "--v", v, "--w", v],
+            ["check-lyapunov", "--model", model, "--v", v],
+            ["check-lasalle", "--theorem", "5", "--model", model, "--v", v, "--w", v],
+            ["synthesize", "--v", v],
+            ["probe-invariant-set", "--model", model, "--v", v, "--samples", "2"],
+        ]
+        commands, flags = set(), set()
+        for i, args in enumerate(invocations):
+            run(args, tmp_path / str(i))
+            report = read_report(tmp_path / str(i))
+            commands.add(report["run"]["command"])
+            for check in report["run"]["checks"]:
+                assert check["anchor"]
+                assert "tolerance" in check
+                assert check["verdict"] in ("holds", "fails", "inconclusive")
+                for key in ("exhaustive", "v_monotone"):
+                    if key in check:
+                        assert type(check[key]) is bool, (check["name"], key)
+                        flags.add(key)
+                for flag in check.get("reliable", []):
+                    assert type(flag) is bool, (check["name"], "reliable")
+                    flags.add("reliable")
+        assert commands == set(_COMMANDS)
+        assert flags == {"exhaustive", "reliable", "v_monotone"}
 
     def test_dephasing_model_not_unique(self, tmp_path):
         from qmstab import ModelSpec, pauli

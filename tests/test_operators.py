@@ -14,7 +14,7 @@ from qmstab import (
     random_hermitian,
     spectral_decompose,
 )
-from qmstab.operators import as_complex_matrix, require_hermitian
+from qmstab.operators import as_complex_matrix, eigenlevels, eigh, require_hermitian
 
 
 class TestValidation:
@@ -75,6 +75,29 @@ class TestSpectralDecompose:
                 for j_, p2 in enumerate(sd.projections):
                     if j_ != i:
                         assert np.abs(p @ p2).max() < 1e-10
+
+
+class TestEigenlevels:
+    def test_diagonal_input_gives_coordinate_vectors(self):
+        w, vecs = eigh(np.diag([2.0, 0.0, 1.0, 0.0]).astype(complex))
+        assert list(w) == [0.0, 0.0, 1.0, 2.0]
+        np.testing.assert_array_equal(vecs, np.eye(4)[:, [1, 3, 2, 0]])
+
+    def test_phase_fixed_eigenvectors(self, rng):
+        a = random_hermitian(6, rng)
+        w, vecs = eigh(a)
+        np.testing.assert_allclose(a @ vecs, vecs * w, atol=1e-12)
+        for j in range(6):
+            z = vecs[np.argmax(np.abs(vecs[:, j])), j]
+            assert z.real > 0 and abs(z.imag) < 1e-15
+
+    def test_descending_keeps_degenerate_columns_in_order(self):
+        v = np.diag([3.0, 2.0, 2.0, 2.0, 1.0, 0.0, 0.0]).astype(complex)
+        values, slices, vecs = eigenlevels(v, 1e-9, descending=True)
+        assert list(values) == [3.0, 2.0, 1.0, 0.0]
+        assert slices == ((0, 1), (1, 4), (4, 5), (5, 7))
+        # reversing the ascending columns instead would give 0, 3, 2, 1, 4, 6, 5
+        np.testing.assert_array_equal(vecs, np.eye(7))
 
 
 class TestPsdCheck:

@@ -6,12 +6,15 @@ from qmstab import (
     OperatorError,
     SynthesisSpec,
     Verdict,
+    check_lyapunov,
     evolve,
     expectation_series,
     generator_heisenberg,
     ket_bra,
     pauli,
+    random_hermitian,
     solve_ground_coupling,
+    spectral_decompose,
     synthesize_coupling,
     verify_synthesis,
 )
@@ -110,6 +113,29 @@ class TestSynthesizeCoupling:
     def test_bad_pair_rejected(self):
         with pytest.raises(OperatorError, match="out of range"):
             synthesize_coupling(SynthesisSpec(v=V_GROUND, pair_selection=((5, 0),)))
+
+    def test_failure_witness_matches_check_lyapunov(self):
+        # an uncompensated Hamiltonian leaves G(V) with a positive eigenvalue;
+        # both certificates of G(V) <= 0 report that eigenvalue, positive
+        v = np.diag([3.0, 2.0, 1.0, 0.0]).astype(complex)
+        h = random_hermitian(4, np.random.default_rng(0))
+        result = synthesize_coupling(SynthesisSpec(v=v, hamiltonian=h, compensate=False))
+        direct = check_lyapunov(assembled_model(result, h), v)
+        assert result.failed and direct.verdict is Verdict.FAILS
+        assert result.certificate.witness.eigenvalue > 0
+        assert result.certificate.witness.eigenvalue == pytest.approx(direct.witness.eigenvalue)
+        assert result.certificate.witness.eigenvalue == pytest.approx(
+            result.certificate.metrics["generator_max_eigenvalue"]
+        )
+
+    def test_levels_grouped_by_consecutive_gaps(self):
+        # gaps of 0.6e-9 chain three eigenvalues into one level, although
+        # the outer two are 1.2e-9 apart; synthesis and the spectral
+        # decomposition share the rule
+        v = np.diag([1.0, 1.2e-9, 0.6e-9, 0.0]).astype(complex)
+        result = synthesize_coupling(SynthesisSpec(v=v))
+        assert result.level_slices == ((0, 1), (1, 4))
+        assert len(spectral_decompose(v).eigenvalues) == 2
 
 
 class TestVerifySynthesis:
