@@ -3,7 +3,7 @@
 Prints one row per dimension: the median wall time over `--repeats` probes
 of the damped oscillator H = N, L = a with V = N (20 seeded samples to
 t = 30, as in the `small-n24` benchmark workload), once with each method.
-These numbers set `dynamics._EXPM_DIM_LIMIT`.
+These numbers set the limits in `dynamics._auto_method`.
 
     PYTHONPATH=src python3 scripts/time_propagators.py [--dims 16 24 30 40]
 """

@@ -293,8 +293,17 @@ def cmd_analyze(run: _Run) -> None:
             min_eigenvalue=sub.min_eigenvalue,
         )
 
-    if model.dim <= 24:
-        uni = uniqueness_check(model, tol=run.args.tol)
+    uni = uniqueness_check(model, tol=run.args.tol)
+    if uni.commutant_dimension is None:
+        run.add_check(
+            "unique-invariant-state",
+            "Theorem 3",
+            _UNIQUENESS_VERDICTS[report.unique],
+            run.args.tol,
+            method="liouvillian null dimension (commutant system above its size cap)",
+            null_dimension=report.null_dimension,
+        )
+    else:
         verdict = _UNIQUENESS_VERDICTS[uni.verdict]
         if report.null_dimension > 1:
             verdict = Verdict.FAILS
@@ -308,15 +317,6 @@ def cmd_analyze(run: _Run) -> None:
             null_dimension=report.null_dimension,
             note="a trivial commutant implies uniqueness only when a faithful invariant "
             "state exists (Frigerio 1978); a null dimension above 1 refutes it",
-        )
-    else:
-        run.add_check(
-            "unique-invariant-state",
-            "Theorem 3",
-            _UNIQUENESS_VERDICTS[report.unique],
-            run.args.tol,
-            method="liouvillian null dimension (commutant check skipped above dim 24)",
-            null_dimension=report.null_dimension,
         )
 
     scan = connectivity_scan(model, "coordinate")

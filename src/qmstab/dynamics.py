@@ -54,14 +54,24 @@ METHOD_AUTO = "auto"
 
 # expm of the full Liouvillian is exact up to exponential accuracy but
 # scales as dim^6; it is paid once per call, for every column of the block.
-# Adaptive RK only needs sparse matvecs, but for each column.
-# scripts/time_propagators.py (20-sample probe of H = N, L = a, t = 30;
-# 2 CPUs, numpy 2.4, scipy 1.17; median of 3, expm / RK): dim 16 0.24 /
-# 2.29 s, 24 0.45 / 3.19 s, 30 1.16 / 4.22 s, 40 4.85 / 6.67 s. The probe
-# would gain up to dim 40, but a higher limit also moves single-trajectory
-# `simulate` on the n = 40 fixtures to expm, which no benchmark workload
-# measures.
+# Adaptive RK only needs sparse matvecs, but for each column, so the choice
+# depends on the column count. scripts/time_propagators.py (20-sample probe
+# of H = N, L = a, t = 30; 2 CPUs, numpy 2.4, scipy 1.17; median of 3,
+# expm / RK): dim 16 0.24 / 2.29 s, 24 0.45 / 3.19 s, 30 1.16 / 4.22 s;
+# a later run on the same host, 1.5x slower at dim 40: 32 2.51 / 8.37 s,
+# 40 7.09 / 10.53 s, 48 16.34 / 13.32 s. Blocks of at least
+# _EXPM_BLOCK_COLUMNS columns take expm up to dim 40, the last measured dim
+# where it wins. One column (`simulate`) and smaller blocks, which RK
+# serves in a fraction of the 20-column time, keep the limit of 30.
 _EXPM_DIM_LIMIT = 30
+_EXPM_BLOCK_COLUMNS = 20
+_EXPM_BLOCK_DIM_LIMIT = 40
+
+
+def _auto_method(dim: int, columns: int) -> str:
+    """The propagator `auto` picks for a block of `columns` states."""
+    limit = _EXPM_BLOCK_DIM_LIMIT if columns >= _EXPM_BLOCK_COLUMNS else _EXPM_DIM_LIMIT
+    return METHOD_EXPM if dim <= limit else METHOD_RK
 
 
 class IntegrationError(RuntimeError):
@@ -157,7 +167,7 @@ def _propagate(
     block = np.column_stack(columns).astype(complex)
 
     if method == METHOD_AUTO:
-        method = METHOD_EXPM if model.dim <= _EXPM_DIM_LIMIT else METHOD_RK
+        method = _auto_method(model.dim, block.shape[1])
 
     m = liouvillian(model, SCHROEDINGER).matrix
     times = np.linspace(0.0, float(t_final), n_points)

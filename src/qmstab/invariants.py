@@ -31,6 +31,7 @@ from .operators import (
     PsdReport,
     _frozen,
     dag,
+    eigenlevels,
     hermitian_part,
     max_abs,
     op_norm,
@@ -60,6 +61,9 @@ _DENSE_EIG_DIM = 8
 _DENSE_FALLBACK_DIM = 24
 _FALLBACK_MAXITER = 100
 _CONNECTIVITY_THRESHOLD = 1e-9
+# Largest commutant constraint matrix, in entries: the 2880 x 576 dense kron
+# system that the commutant test used to solve at dim 24 with two couplings.
+_COMMUTANT_MAX_ENTRIES = 2880 * 576
 
 
 class InvariantAnalysisError(RuntimeError):
@@ -126,9 +130,14 @@ class ConnectivityScan:
 
 @dataclass(frozen=True)
 class UniquenessResult:
+    """Result of `uniqueness_check`. `span_dimension` is the dimension of
+    the *-algebra generated by {H, Lk, Lk'}, None when it was not computed
+    (`stabilized` is then False); `words_used` is 0, since the commutant is
+    solved without forming words."""
+
     verdict: str
     commutant_dimension: int | None
-    span_dimension: int
+    span_dimension: int | None
     stabilized: bool
     words_used: int
 
@@ -434,53 +443,72 @@ def connectivity_scan(
 # Uniqueness via commutant triviality
 # ---------------------------------------------------------------------------
 
-def uniqueness_check(model: ModelSpec, tol: float = 1e-9) -> UniquenessResult:
-    """Uniqueness of the invariant state through irreducibility.
+def _commutant(gens: list[np.ndarray], tol: float) -> np.ndarray | None:
+    """Basis of the commutant {X : [X, g] = 0 for all g in `gens`} as a
+    stack of n x n matrices, or None when its constraint matrix would exceed
+    `_COMMUTANT_MAX_ENTRIES` entries.
 
-    Builds the linear span of words in {I, H, Lk, Lk'} until its dimension
-    stabilizes, then computes the commutant dimension by solving [A, S] = 0
-    over the span. A trivial commutant certifies a unique invariant state;
-    commuting with the generating set is equivalent to commuting with every
-    word, which keeps the linear system small.
+    `gens[0]` must be Hermitian. In its eigenbasis, with levels merged
+    within tol_abs = tol * (largest Frobenius norm of a generator), X is
+    block-diagonal, so only in-level entries X_ac are unknown. Each gives
+    the column vec(E_ac g - g E_ac) stacked over all rotated generators,
+    `gens[0]` included so that merged levels stay constrained. The kernel
+    holds the singular values (of the QR triangle) at most tol_abs: a bound
+    from the generators, since the largest singular value is itself
+    rounding noise when every generator is scalar within the levels.
+    """
+    n = gens[0].shape[0]
+    tol_abs = tol * max(float(np.linalg.norm(g)) for g in gens)
+    _, slices, u = eigenlevels(gens[0], tol_abs)
+    ia, ic = np.array(
+        [(a, c) for i, j in slices for a in range(i, j) for c in range(i, j)]
+    ).T
+    unknowns = len(ia)
+    if len(gens) * n * n * unknowns > _COMMUTANT_MAX_ENTRIES:
+        return None
+    rot = np.stack([dag(u) @ g @ u for g in gens])
+    k = np.arange(unknowns)
+    cols = np.zeros((len(gens), n, n, unknowns), dtype=complex)
+    cols[:, ia, :, k] = rot[:, ic, :].transpose(1, 0, 2)  # E_ac g: row a is row c of g
+    cols[:, :, ic, k] -= rot[:, :, ia]  # g E_ac: column c is column a of g
+    r = np.linalg.qr(cols.reshape(-1, unknowns), mode="r")
+    _, s, vh = np.linalg.svd(r)
+    kernel = vh[s <= tol_abs].conj()
+    x = np.zeros((len(kernel), n, n), dtype=complex)
+    x[:, ia, ic] = kernel
+    return u @ x @ dag(u)
+
+
+def uniqueness_check(model: ModelSpec, tol: float = 1e-9) -> UniquenessResult:
+    """Uniqueness of the invariant state through irreducibility (Theorem 3).
+
+    The commutant of {H, Lk, Lk'} comes from one kernel solve
+    (`_commutant`); by von Neumann's double commutant theorem it is trivial
+    exactly when these operators generate all n x n matrices, so no words
+    are formed (`words_used` is 0). `span_dimension`, the dimension of the
+    generated *-algebra, is n^2 or else the dimension of the commutant's
+    commutant, solved from two generic Hermitian elements that generate it.
+
+    A nontrivial commutant refutes uniqueness. A trivial one implies it only
+    when a faithful invariant state exists (Frigerio 1978), which is not
+    tested here: `fixtures/qutrit_branching_decay.json` has commutant 1 and
+    a 4-dimensional stationary set. Above the solve's size cap the verdict
+    is `inconclusive`, with no dimension.
     """
     n = model.dim
-    if n == 1:
-        return UniquenessResult(UNIQUE, 1, 1, True, 0)
-
-    gens = [model.hamiltonian] + [l for l in model.couplings] + [dag(l) for l in model.couplings]
-
-    basis = [np.eye(n, dtype=complex) / np.sqrt(n)]
-    frontier = [np.eye(n, dtype=complex)]
-    stabilized = False
-    words = 0
-    for words in range(1, n * n + 3):
-        new_frontier = []
-        for w in frontier:
-            for g in gens:
-                cand = g @ w
-                if _orthonormal_append(basis, cand, 1e-10 * max(1.0, max_abs(cand))):
-                    new_frontier.append(cand)
-        if not new_frontier or len(basis) == n * n:
-            stabilized = True
-            break
-        frontier = new_frontier
-
-    span_dim = len(basis)
-    if not stabilized:
-        return UniquenessResult(INCONCLUSIVE, None, span_dim, False, words)
-
-    if span_dim == n * n:
-        commutant_dim = 1
-    else:
-        eye = np.eye(n, dtype=complex)
-        rows = [np.kron(eye, g) - np.kron(g.T, eye) for g in gens]
-        k = np.vstack(rows)
-        svals = np.linalg.svd(k, compute_uv=False)
-        rank_tol = max(k.shape) * np.finfo(float).eps * (svals[0] if svals.size else 1.0)
-        commutant_dim = int(np.sum(svals <= rank_tol))
-
-    verdict = UNIQUE if commutant_dim == 1 else NOT_UNIQUE
-    return UniquenessResult(verdict, commutant_dim, span_dim, True, words)
+    gens = [model.hamiltonian, *model.couplings, *(dag(l) for l in model.couplings)]
+    basis = _commutant(gens, tol)
+    if basis is None:
+        return UniquenessResult(INCONCLUSIVE, None, None, False, 0)
+    if len(basis) <= 1:  # I always commutes; a tol below rounding can lose it
+        return UniquenessResult(UNIQUE, 1, n * n, True, 0)
+    # a fixed generic draw keeps repeated runs bit-identical
+    rng = np.random.default_rng(0)
+    coef = rng.standard_normal((2, len(basis))) + 1j * rng.standard_normal((2, len(basis)))
+    generic = [hermitian_part(np.tensordot(c, basis, axes=1)) for c in coef]
+    double = _commutant(generic, tol)
+    span_dim = None if double is None else len(double)
+    return UniquenessResult(NOT_UNIQUE, len(basis), span_dim, double is not None, 0)
 
 
 # ---------------------------------------------------------------------------

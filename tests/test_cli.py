@@ -85,6 +85,23 @@ class TestAnalyze:
         assert unique["null_dimension"] == 4
         assert unique["verdict"] == "fails"
 
+    def test_commutant_solved_above_dim_24(self, tmp_path):
+        run(["analyze", "--model", str(FIXTURES / "oscillator_n40.json")], tmp_path)
+        unique = checks_by_name(read_report(tmp_path))["unique-invariant-state"]
+        assert unique["commutant_dimension"] == 1
+        assert unique["span_dimension"] == 1600
+        assert unique["verdict"] == "holds"
+
+    def test_commutant_above_size_cap_falls_back_to_null_dimension(self, tmp_path, monkeypatch):
+        import qmstab.invariants
+
+        monkeypatch.setattr(qmstab.invariants, "_COMMUTANT_MAX_ENTRIES", 0)
+        run(["analyze", "--model", str(FIXTURES / "twolevel.json")], tmp_path)
+        unique = checks_by_name(read_report(tmp_path))["unique-invariant-state"]
+        assert "commutant_dimension" not in unique
+        assert unique["method"].startswith("liouvillian null dimension")
+        assert (unique["null_dimension"], unique["verdict"]) == (1, "holds")
+
     def test_null_space_path_reported(self, tmp_path):
         run(["analyze", "--model", str(FIXTURES / "twolevel.json")], tmp_path)
         entry = checks_by_name(read_report(tmp_path))["invariant-state-exists"]

@@ -179,6 +179,20 @@ class TestBlockPropagator:
         invariant_set_probe(qubit_decay, V_GROUND, samples=3, t_final=2.0, n_points=11)
         assert len(calls) == 3 * (11 + 1)
 
+    def test_auto_method_by_dimension_and_columns(self):
+        # one column keeps expm up to dim 30; a probe-sized block up to 40
+        assert dyn._auto_method(30, 1) == "expm_fixed"
+        assert dyn._auto_method(31, 1) == "rk_adaptive"
+        assert dyn._auto_method(40, 19) == "rk_adaptive"
+        assert dyn._auto_method(40, 20) == "expm_fixed"
+        assert dyn._auto_method(41, 20) == "rk_adaptive"
+
+    def test_auto_method_counts_the_block_columns(self, qubit_decay, monkeypatch):
+        monkeypatch.setattr(dyn, "_EXPM_DIM_LIMIT", 1)
+        probe = invariant_set_probe(qubit_decay, V_GROUND, samples=20, t_final=2.0)
+        assert probe.step_controller.method == "expm_fixed"
+        assert evolve(qubit_decay, EXCITED, 2.0).step_controller.method == "rk_adaptive"
+
     def test_positivity_violation_names_time(self, qubit_decay):
         with pytest.raises(IntegrationError, match="t = 0"):
             evolve(qubit_decay, EXCITED, 1.0, n_points=5, positivity_tol=-1.0)

@@ -160,6 +160,34 @@ class TestUniqueness:
         assert res.verdict == "not_unique"
         assert res.commutant_dimension == 2
 
+    def test_span_dimension_is_the_generated_algebra(self, twoqubit, rng):
+        # M_3 (+) C gives 9 + 1 = 10; M_3 (x) I_2 gives 9 with commutant
+        # I_3 (x) M_2 of dimension 4; a multiple of I generates only C
+        h = np.kron(np.diag([0.0, 1.0, 2.0]), np.eye(2))
+        l = np.kron(random_model(3, rng).couplings[0], np.eye(2))
+        cases = [
+            (twoqubit, 2, 10),
+            (ModelSpec(h, [l]), 4, 9),
+            (ModelSpec(np.zeros((5, 5)), [2.0 * np.eye(5)]), 25, 1),
+        ]
+        for model, commutant, span in cases:
+            res = uniqueness_check(model)
+            assert (res.commutant_dimension, res.span_dimension) == (commutant, span)
+            assert (res.verdict, res.stabilized, res.words_used) == ("not_unique", True, 0)
+
+    def test_trivial_commutant_spans_all_matrices(self):
+        res = uniqueness_check(oscillator(16))
+        assert (res.verdict, res.commutant_dimension, res.span_dimension) == ("unique", 1, 256)
+        assert res.words_used == 0
+
+    def test_system_above_size_cap_is_inconclusive(self, rng):
+        # H = 0 leaves all 900 entries unknown: 3 * 900 rows x 900 columns
+        model = ModelSpec(np.zeros((30, 30)), [random_model(30, rng).couplings[0]])
+        res = uniqueness_check(model)
+        assert (res.verdict, res.commutant_dimension, res.span_dimension) == (
+            "inconclusive", None, None)
+        assert not res.stabilized
+
     def test_agrees_with_null_dimension(self, twolevel, dephasing, twoqubit, qubit_decay):
         for model in (twolevel, dephasing, twoqubit, qubit_decay):
             unique = uniqueness_check(model).verdict == "unique"
