@@ -192,9 +192,13 @@ class _Run:
         self.series_files: list[str] = []
         self.inputs: dict = {}
 
-    def add_check(self, name: str, anchor: str, verdict, tolerance: float, **data) -> None:
+    def add_check(
+        self, name: str, anchor: str, verdict, tolerance: float, result=None, fields=(), **data
+    ) -> None:
+        """Append one entry: each attribute of `result` named in `fields`, then `data`."""
         verdict = verdict.value if isinstance(verdict, Verdict) else str(verdict)
         entry = {"name": name, "anchor": anchor, "verdict": verdict, "tolerance": tolerance}
+        data = {**{f: getattr(result, f) for f in fields}, **data}
         entry.update({k: jsonable(v) for k, v in data.items()})
         self.checks.append(entry)
 
@@ -250,18 +254,10 @@ def _load_operator_arg(run: _Run, flag: str, what: str):
 def _cmd_steady_common(run: _Run, model: ModelSpec):
     report = steady_states(model, tol=run.args.tol)
     run.add_check(
-        "invariant-state-exists",
-        "Theorem 1",
-        _verdict(report.states),
-        run.args.tol,
-        null_dimension=report.null_dimension,
-        null_space_method=report.null_space_method,
-        exhaustive=report.exhaustive,
-        residuals=list(report.residuals),
-        cleanup_distances=list(report.cleanup_distances),
-        reliable=list(report.reliable),
+        "invariant-state-exists", "Theorem 1", _verdict(report.states), run.args.tol, report,
+        ("null_dimension", "null_space_method", "exhaustive", "residuals", "cleanup_distances",
+         "reliable", "notes"),
         states=[s.matrix for s in report.states],
-        notes=list(report.notes),
     )
     return report
 
@@ -275,69 +271,39 @@ def cmd_analyze(run: _Run) -> None:
     model = _load_model_arg(run)
     report = _cmd_steady_common(run, model)
 
-    for i, state in enumerate(report.states):
+    for i, support in enumerate(report.support_projections):
         run.add_check(
-            f"faithful[{i}]",
-            "Definition 1",
-            _verdict(report.faithful[i]),
-            run.args.tol,
-            rank=int(np.trace(report.support_projections[i]).real.round()),
-            support=report.support_projections[i],
+            f"faithful[{i}]", "Definition 1", _verdict(report.faithful[i]), run.args.tol,
+            rank=int(np.trace(support).real.round()), support=support,
         )
-        sub = subharmonicity_check(model, report.support_projections[i], tol=1e-7)
+        sub = subharmonicity_check(model, support, tol=1e-7)
         run.add_check(
-            f"support-subharmonic[{i}]",
-            "Proposition 1",
-            sub.verdict,
-            1e-7,
-            min_eigenvalue=sub.min_eigenvalue,
+            f"support-subharmonic[{i}]", "Proposition 1", sub.verdict, 1e-7, sub,
+            ("min_eigenvalue",),
         )
 
     uni = uniqueness_check(model, tol=run.args.tol)
-    if uni.commutant_dimension is None:
-        run.add_check(
-            "unique-invariant-state",
-            "Theorem 3",
-            _UNIQUENESS_VERDICTS[report.unique],
-            run.args.tol,
-            method="liouvillian null dimension (commutant system above its size cap)",
-            null_dimension=report.null_dimension,
-        )
+    if uni.commutant_dimension is None:  # the commutant system is above its size cap
+        verdict, fields = report.unique, ()
+        extra = {"method": "liouvillian null dimension (commutant system above its size cap)"}
     else:
-        verdict = _UNIQUENESS_VERDICTS[uni.verdict]
-        if report.null_dimension > 1:
-            verdict = Verdict.FAILS
-        run.add_check(
-            "unique-invariant-state",
-            "Theorem 3",
-            verdict,
-            run.args.tol,
-            commutant_dimension=uni.commutant_dimension,
-            span_dimension=uni.span_dimension,
-            null_dimension=report.null_dimension,
-            note="a trivial commutant implies uniqueness only when a faithful invariant "
-            "state exists (Frigerio 1978); a null dimension above 1 refutes it",
-        )
-
-    scan = connectivity_scan(model, "coordinate")
+        verdict, fields = uni.verdict, ("commutant_dimension", "span_dimension")
+        extra = {"note": "a trivial commutant implies uniqueness only when a faithful invariant "
+                 "state exists (Frigerio 1978); a null dimension above 1 refutes it"}
     run.add_check(
-        "connectivity(coordinate family)",
-        "Remark 1",
-        _verdict(scan.all_connected),
-        run.args.tol,
-        values={r.label: r.value for r in scan.results},
-        note=scan.note,
+        "unique-invariant-state", "Theorem 3",
+        Verdict.FAILS if report.null_dimension > 1 else _UNIQUENESS_VERDICTS[verdict],
+        run.args.tol, uni, fields, null_dimension=report.null_dimension, **extra,
     )
+
+    families = [("coordinate family", "coordinate")]
     if run.args.v:
-        varr = _load_operator_arg(run, "v", "v")
-        scan_v = connectivity_scan(model, varr)
+        families.append(("spectral family of V", _load_operator_arg(run, "v", "v")))
+    for label, family in families:
+        scan = connectivity_scan(model, family)
         run.add_check(
-            "connectivity(spectral family of V)",
-            "Remark 1",
-            _verdict(scan_v.all_connected),
-            run.args.tol,
-            values={r.label: r.value for r in scan_v.results},
-            note=scan_v.note,
+            f"connectivity({label})", "Remark 1", _verdict(scan.all_connected), run.args.tol,
+            scan, ("note",), values={r.label: r.value for r in scan.results},
         )
 
 
@@ -353,12 +319,8 @@ def cmd_simulate(run: _Run) -> None:
     )
     trace_dev = max(abs(np.trace(s.matrix).real - 1.0) for s in traj.states)
     run.add_check(
-        "trace-preservation",
-        "Definition 1",
-        _verdict(trace_dev <= 1e-10),
-        1e-10,
-        max_trace_deviation=trace_dev,
-        step_controller=traj.step_controller,
+        "trace-preservation", "Definition 1", _verdict(trace_dev <= 1e-10), 1e-10, traj,
+        ("step_controller",), max_trace_deviation=trace_dev,
     )
 
     v = _load_operator_arg(run, "v", "v") if run.args.v else None
@@ -379,35 +341,19 @@ def cmd_simulate(run: _Run) -> None:
     if v is not None and w is not None:
         diag = lasalle_diagnostics(traj, v, w, c=run.args.c, d=run.args.d)
         run.add_check(
-            "lasalle-diagnostics",
-            "Theorem 5",
-            Verdict.HOLDS if diag.conclusive else Verdict.INCONCLUSIVE,
-            run.args.tol,
-            v_monotone=diag.v_monotone,
-            v_monotone_max_violation=diag.v_monotone_max_violation,
-            v_sup=diag.v_sup,
-            w_integral_estimate=diag.w_integral_estimate,
-            w_limit_estimate=diag.w_limit_estimate,
-            w_final=diag.w_final,
-            notes=list(diag.notes),
+            "lasalle-diagnostics", "Theorem 5",
+            Verdict.HOLDS if diag.conclusive else Verdict.INCONCLUSIVE, run.args.tol, diag,
+            ("v_monotone", "v_monotone_max_violation", "v_sup", "w_integral_estimate",
+             "w_limit_estimate", "w_final", "notes"),
         )
     if v is not None and run.args.c is not None and run.args.d is not None:
         bound = mean_bound_check(traj, v, run.args.c, run.args.d)
         run.add_check(
-            "mean-bound",
-            "Eq. (1)",
-            bound.verdict,
-            1e-6,
-            max_violation=bound.max_violation,
-            worst_time=bound.worst_time,
+            "mean-bound", "Eq. (1)", bound.verdict, 1e-6, bound, ("max_violation", "worst_time")
         )
     run.add_check(
-        "final-state",
-        "Definition 7",
-        Verdict.HOLDS,
-        run.args.tol,
-        t=float(traj.times[-1]),
-        state=traj.final_state.matrix,
+        "final-state", "Definition 7", Verdict.HOLDS, run.args.tol,
+        t=traj.times[-1], state=traj.final_state.matrix,
     )
 
 
@@ -419,23 +365,13 @@ def cmd_check_lyapunov(run: _Run) -> None:
     if run.args.c is not None:
         cert = check_weak_lyapunov(model, varr, run.args.c, run.args.d, tol=run.args.tol)
         run.add_check(
-            "weak-lyapunov",
-            "Eq. (1)",
-            cert.verdict,
-            run.args.tol,
-            c=cert.c,
-            d=cert.d,
-            metrics=cert.metrics,
+            "weak-lyapunov", "Eq. (1)", cert.verdict, run.args.tol, cert, ("c", "d", "metrics")
         )
     else:
         cert = check_lyapunov(model, varr, tol=run.args.tol)
         run.add_check(
-            "strict-lyapunov",
-            "Definition 2",
-            cert.verdict,
-            run.args.tol,
-            metrics=cert.metrics,
-            witness=cert.witness,
+            "strict-lyapunov", "Definition 2", cert.verdict, run.args.tol, cert,
+            ("metrics", "witness"),
         )
 
 
@@ -446,14 +382,8 @@ def cmd_check_lasalle(run: _Run) -> None:
     if theorem == "t8":
         rep = check_theorem8(model, varr, tol=run.args.tol)
         run.add_check(
-            "ground-convergence",
-            anchor,
-            rep.verdict,
-            run.args.tol,
-            commutator_norm=rep.commutator_norm,
-            restricted_min_eigenvalue=rep.restricted_min_eigenvalue,
-            kernel_dim=rep.kernel_dim,
-            notes=list(rep.notes),
+            "ground-convergence", anchor, rep.verdict, run.args.tol, rep,
+            ("commutator_norm", "restricted_min_eigenvalue", "kernel_dim", "notes"),
         )
         return
     if not run.args.w:
@@ -462,13 +392,8 @@ def cmd_check_lasalle(run: _Run) -> None:
     uarr = _load_operator_arg(run, "u", "u") if run.args.u else None
     cert = check_lasalle_pair(model, varr, warr, theorem=theorem, u=uarr, tol=run.args.tol)
     run.add_check(
-        f"lasalle-{run.args.theorem}",
-        anchor,
-        cert.verdict,
-        run.args.tol,
-        shift=cert.shift,
-        metrics=cert.metrics,
-        notes=list(cert.notes),
+        f"lasalle-{run.args.theorem}", anchor, cert.verdict, run.args.tol, cert,
+        ("shift", "metrics", "notes"),
     )
 
 
@@ -503,23 +428,13 @@ def cmd_synthesize(run: _Run) -> None:
     save_model(model, run.outdir / "synthesized_model.json")
     verification = verify_synthesis(result, model)
     run.add_check(
-        "synthesis",
-        "Appendix cases A/B/C",
-        result.certificate.verdict,
-        run.args.tol,
-        pair_cases=list(result.pair_cases),
-        couplings=list(result.couplings),
-        generator=result.generator_matrix,
-        level_values=list(result.level_values),
-        notes=list(result.notes),
-        model_file="synthesized_model.json",
+        "synthesis", "Appendix cases A/B/C", result.certificate.verdict, run.args.tol, result,
+        ("pair_cases", "couplings", "level_values", "notes"),
+        generator=result.generator_matrix, model_file="synthesized_model.json",
     )
     run.add_check(
-        "synthesis-verification",
-        "Appendix cases A/B/C",
-        verification.verdict,
-        1e-10,
-        max_block_deviation=verification.max_block_deviation,
+        "synthesis-verification", "Appendix cases A/B/C", verification.verdict, 1e-10,
+        verification, ("max_block_deviation",),
     )
 
 
@@ -535,15 +450,8 @@ def cmd_probe(run: _Run) -> None:
         seed=run.args.seed,
     )
     run.add_check(
-        "invariant-set-probe",
-        "Theorem 8",
-        probe.verdict,
-        run.args.threshold,
-        max_final=probe.max_final,
-        final_values=[float(x) for x in probe.final_values],
-        samples=probe.samples,
-        t_final=probe.t_final,
-        step_controller=probe.step_controller,
+        "invariant-set-probe", "Theorem 8", probe.verdict, run.args.threshold, probe,
+        ("max_final", "final_values", "samples", "t_final", "step_controller"),
     )
 
 
