@@ -56,6 +56,8 @@ RUNS = (
                         "--v", "{f}/qubit_V.json"]),
     ("lyapunov-twoqubit", ["check-lyapunov", "--model", "{f}/twoqubit_dissipative.json",
                            "--v", "{f}/twoqubit_Vshifted.json"]),
+    ("lyapunov-indefinite", ["check-lyapunov", "--model", "{f}/twoqubit_dissipative.json",
+                             "--v", "{f}/twoqubit_V.json"]),
     ("lyapunov-weak", ["check-lyapunov", "--model", "{f}/qubit_decay.json",
                        "--v", "{f}/qubit_V.json", "--c", "0.5", "--d", "0"]),
     *(

@@ -10,6 +10,7 @@ output goes to files only.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 from datetime import datetime, timezone
@@ -371,7 +372,7 @@ def cmd_check_lyapunov(run: _Run) -> None:
         cert = check_lyapunov(model, varr, tol=run.args.tol)
         run.add_check(
             "strict-lyapunov", "Definition 2", cert.verdict, run.args.tol, cert,
-            ("metrics", "witness"),
+            ("shift", "metrics", "witness", "notes"),
         )
 
 
@@ -425,12 +426,15 @@ def cmd_synthesize(run: _Run) -> None:
         h if h is not None else np.zeros((n, n), dtype=complex),
         list(result.couplings) or [np.zeros((n, n), dtype=complex)],
     )
-    save_model(model, run.outdir / "synthesized_model.json")
+    model_path = run.outdir / "synthesized_model.json"
+    save_model(model, model_path)
     verification = verify_synthesis(result, model)
+    # the couplings live in the model file only; the entry names it and its digest
     run.add_check(
         "synthesis", "Appendix cases A/B/C", result.certificate.verdict, run.args.tol, result,
-        ("pair_cases", "couplings", "level_values", "notes"),
-        generator=result.generator_matrix, model_file="synthesized_model.json",
+        ("pair_cases", "level_values", "notes"),
+        generator=result.generator_matrix, model_file=model_path.name,
+        model_sha256=hashlib.sha256(model_path.read_bytes()).hexdigest(),
     )
     run.add_check(
         "synthesis-verification", "Appendix cases A/B/C", verification.verdict, 1e-10,

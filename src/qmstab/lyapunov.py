@@ -13,7 +13,7 @@ tolerance (default 1e-9), overridable per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -106,16 +106,25 @@ def strict_certificate(
 
 
 def check_lyapunov(model: ModelSpec, v, tol: float = PSD_TOL) -> LyapunovCertificate:
-    """Strict Lyapunov condition: V >= 0 and G(V) <= 0 (`strict_certificate`)."""
-    varr = require_hermitian(v)
-    _require_psd_input("V", varr, tol)
-    return strict_certificate(hermitian_part(generator_heisenberg(model, varr)), varr, tol)
+    """Strict Lyapunov condition G(V) <= 0 (`strict_certificate`).
+
+    An indefinite V is shifted by a multiple of I to reach positivity, as in
+    `check_lasalle_pair`; G(V) does not change under the shift, so neither
+    does the verdict. The shift and a note are recorded on the certificate.
+    """
+    varr, shift, notes = _shifted_psd(require_hermitian(v), tol)
+    cert = strict_certificate(hermitian_part(generator_heisenberg(model, varr)), varr, tol, shift)
+    return replace(cert, notes=tuple(notes))
 
 
 def check_weak_lyapunov(
     model: ModelSpec, v, c: float, d: float, tol: float = PSD_TOL
 ) -> LyapunovCertificate:
-    """Weak (exponential) Lyapunov condition G(V) <= -cV + dI, c > 0, d >= 0."""
+    """Weak (exponential) Lyapunov condition G(V) <= -cV + dI, c > 0, d >= 0.
+
+    V must be PSD. An indefinite V is rejected, not shifted: V + sI meets
+    the condition with offset d + cs, not d.
+    """
     if c <= 0 or d < 0:
         raise OperatorError(f"weak Lyapunov condition needs c > 0 and d >= 0, got c={c}, d={d}")
     varr = require_hermitian(v)
@@ -259,17 +268,19 @@ def tightness_tail_bound(spectral: SpectralDecomposition, c: float, eps: float) 
 # LaSalle hypothesis pairs
 # ---------------------------------------------------------------------------
 
-def _shifted_psd(a: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
-    """Return a PSD version of `a`, shifted by a multiple of I if needed.
+def _shifted_psd(v: np.ndarray, tol: float) -> tuple[np.ndarray, float, list[str]]:
+    """Return V shifted by a multiple of I if it is not PSD, the shift, and
+    a note recording a nonzero shift.
 
     Shifting V leaves G(V) unchanged, so inequalities on the generator are
     insensitive to it; the shift is recorded on the certificate.
     """
-    report = psd_check(a, tol)
+    report = psd_check(v, tol)
     if report.holds:
-        return a, 0.0
+        return v, 0.0, []
     shift = -report.min_eigenvalue
-    return a + shift * np.eye(a.shape[0]), shift
+    note = f"V shifted by {shift:.6g} * I to reach positivity; G(V) is unaffected"
+    return v + shift * np.eye(v.shape[0]), shift, [note]
 
 
 def check_lasalle_pair(
@@ -288,13 +299,9 @@ def check_lasalle_pair(
     corollary1: G(V) <= U - W; the integrability of <U(t)> must be
     confirmed by simulation and is flagged as such.
     """
-    varr = require_hermitian(v)
+    varr, shift, notes = _shifted_psd(require_hermitian(v), tol)
     warr = require_hermitian(w)
     uarr = None
-    notes: list[str] = []
-    varr, shift = _shifted_psd(varr, tol)
-    if shift > 0:
-        notes.append(f"V shifted by {shift:.6g} * I to reach positivity; G(V) is unaffected")
     gv = hermitian_part(generator_heisenberg(model, varr))
     gw = hermitian_part(generator_heisenberg(model, warr))
     metrics: dict = {"generator_w_norm": op_norm(gw)}
@@ -383,6 +390,11 @@ class GroundConvergenceReport:
 
 
 def check_theorem8(model: ModelSpec, v, tol: float = PSD_TOL) -> GroundConvergenceReport:
+    """Theorem 8's conditions on (model, V); see `GroundConvergenceReport`.
+
+    V must be PSD. An indefinite V is rejected, not shifted: condition (c)
+    is stated on ker V, which the shift changes.
+    """
     varr = require_hermitian(v)
     _require_psd_input("V", varr, tol)
     n = model.dim

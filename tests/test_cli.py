@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -21,6 +22,49 @@ def checks_by_name(report):
     return {c["name"]: c for c in report["run"]["checks"]}
 
 
+# The key set of every check entry kind and the type json.load gives each
+# value, on the runs of test_every_check_carries_anchor_and_tolerance (where
+# the strict witness is null). Every entry also carries ENTRY_COMMON.
+ENTRY_COMMON = {"name": str, "anchor": str, "verdict": str, "tolerance": float}
+ENTRY_SCHEMA = {
+    "invariant-state-exists": {
+        "null_dimension": int, "null_space_method": str, "exhaustive": bool, "residuals": list,
+        "cleanup_distances": list, "reliable": list, "notes": list, "states": list,
+    },
+    "faithful[0]": {"rank": int, "support": list},
+    "support-subharmonic[0]": {"min_eigenvalue": float},
+    "unique-invariant-state": {
+        "commutant_dimension": int, "span_dimension": int, "null_dimension": int, "note": str,
+    },
+    "connectivity(coordinate family)": {"note": str, "values": dict},
+    "connectivity(spectral family of V)": {"note": str, "values": dict},
+    "trace-preservation": {"step_controller": dict, "max_trace_deviation": float},
+    "series-emitted": {"series": dict},
+    "lasalle-diagnostics": {
+        "v_monotone": bool, "v_monotone_max_violation": float, "v_sup": float,
+        "w_integral_estimate": float, "w_limit_estimate": float, "w_final": float, "notes": list,
+    },
+    "mean-bound": {"max_violation": float, "worst_time": float},
+    "final-state": {"t": float, "state": list},
+    "weak-lyapunov": {"c": float, "d": float, "metrics": dict},
+    "strict-lyapunov": {"shift": float, "metrics": dict, "witness": type(None), "notes": list},
+    "ground-convergence": {
+        "commutator_norm": float, "restricted_min_eigenvalue": float, "kernel_dim": int,
+        "notes": list,
+    },
+    "lasalle-5": {"shift": float, "metrics": dict, "notes": list},
+    "synthesis": {
+        "pair_cases": list, "level_values": list, "notes": list, "generator": list,
+        "model_file": str, "model_sha256": str,
+    },
+    "synthesis-verification": {"max_block_deviation": float},
+    "invariant-set-probe": {
+        "max_final": float, "final_values": list, "samples": int, "t_final": float,
+        "step_controller": dict,
+    },
+}
+
+
 class TestAnalyze:
     def test_twolevel_all_hold(self, tmp_path):
         code = run(["analyze", "--model", str(FIXTURES / "twolevel.json")], tmp_path)
@@ -34,24 +78,32 @@ class TestAnalyze:
         assert state[0][0][0] == pytest.approx(0.5, abs=1e-9)
 
     def test_every_check_carries_anchor_and_tolerance(self, tmp_path):
-        # one run per subcommand; flags are JSON booleans wherever they appear
+        # every subcommand and every entry kind but the uniqueness entry
+        # above the commutant size cap; flags are JSON booleans wherever
+        # they appear, and each entry has exactly the keys and value types
+        # of ENTRY_SCHEMA
         model, v = str(FIXTURES / "qubit_decay.json"), str(FIXTURES / "qubit_V.json")
         invocations = [
-            ["analyze", "--model", str(FIXTURES / "twolevel.json")],
+            ["analyze", "--model", str(FIXTURES / "twolevel.json"), "--v", v],
             ["steady-state", "--model", model],
             ["simulate", "--model", model, "--rho0", str(FIXTURES / "qubit_excited.json"),
-             "--t-final", "2", "--points", "21", "--v", v, "--w", v],
+             "--t-final", "2", "--points", "21", "--v", v, "--w", v, "--c", "1", "--d", "0"],
             ["check-lyapunov", "--model", model, "--v", v],
+            ["check-lyapunov", "--model", model, "--v", v, "--c", "0.5", "--d", "0"],
             ["check-lasalle", "--theorem", "5", "--model", model, "--v", v, "--w", v],
+            ["check-lasalle", "--theorem", "8", "--model", model, "--v", v],
             ["synthesize", "--v", v],
             ["probe-invariant-set", "--model", model, "--v", v, "--samples", "2"],
         ]
-        commands, flags = set(), set()
+        commands, flags, entries = set(), set(), set()
         for i, args in enumerate(invocations):
             run(args, tmp_path / str(i))
             report = read_report(tmp_path / str(i))
             commands.add(report["run"]["command"])
             for check in report["run"]["checks"]:
+                types = {key: type(value) for key, value in check.items()}
+                assert types == {**ENTRY_COMMON, **ENTRY_SCHEMA[check["name"]]}, check["name"]
+                entries.add(check["name"])
                 assert check["anchor"]
                 assert "tolerance" in check
                 assert check["verdict"] in ("holds", "fails", "inconclusive")
@@ -63,6 +115,7 @@ class TestAnalyze:
                     assert type(flag) is bool, (check["name"], "reliable")
                     flags.add("reliable")
         assert commands == set(_COMMANDS)
+        assert entries == set(ENTRY_SCHEMA)
         assert flags == {"exhaustive", "reliable", "v_monotone"}
 
     def test_dephasing_model_not_unique(self, tmp_path):
@@ -249,14 +302,18 @@ class TestSynthesizeCommand:
     def test_writes_model_file(self, tmp_path):
         code = run(["synthesize", "--v", str(FIXTURES / "qubit_V.json")], tmp_path)
         assert code == 0
-        from qmstab.serialize import complex_matrix_to_json, load_model
+        from qmstab.serialize import load_model
 
         model, _ = load_model(tmp_path / "synthesized_model.json")
         np.testing.assert_allclose(
             model.couplings[0], np.array([[0, 0], [1, 0]], dtype=complex), atol=1e-12
         )
-        couplings = checks_by_name(read_report(tmp_path))["synthesis"]["couplings"]
-        assert couplings == [complex_matrix_to_json(c) for c in model.couplings]
+        # the couplings are written once, to the model file the entry names
+        entry = checks_by_name(read_report(tmp_path))["synthesis"]
+        assert "couplings" not in entry
+        assert entry["model_file"] == "synthesized_model.json"
+        data = (tmp_path / "synthesized_model.json").read_bytes()
+        assert entry["model_sha256"] == hashlib.sha256(data).hexdigest()
 
 
 class TestProbe:

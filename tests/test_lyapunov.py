@@ -47,9 +47,24 @@ class TestStrictLyapunov:
         grow = np.trace(generator_heisenberg(model, number_operator(12)) @ rho).real
         assert grow > 0
 
-    def test_rejects_indefinite_v(self, qubit_decay):
+    def test_shifts_indefinite_v(self, qubit_decay):
+        # sigma_z = 2 P_e - I: the shift by I leaves G(sigma_z) = -2 P_e <= 0
+        cert = check_lyapunov(qubit_decay, pauli("z"))
+        assert cert.verdict is Verdict.HOLDS
+        assert cert.shift == pytest.approx(1.0)
+        np.testing.assert_allclose(cert.v, 2 * V_GROUND, atol=1e-12)
+        np.testing.assert_allclose(
+            generator_heisenberg(qubit_decay, pauli("z")), -2 * V_GROUND, atol=1e-12
+        )
+        assert cert.notes == ("V shifted by 1 * I to reach positivity; G(V) is unaffected",)
+        assert check_lyapunov(qubit_decay, V_GROUND).notes == ()
+
+    def test_weak_mode_and_theorem8_reject_indefinite_v(self, qubit_decay):
+        # their conditions change under the shift: the offset d, and ker V
         with pytest.raises(OperatorError, match="positive semidefinite"):
-            check_lyapunov(qubit_decay, pauli("z"))
+            check_weak_lyapunov(qubit_decay, pauli("z"), c=1.0, d=0.0)
+        with pytest.raises(OperatorError, match="positive semidefinite"):
+            check_theorem8(qubit_decay, pauli("z"))
 
 
 class TestWeakLyapunov:
