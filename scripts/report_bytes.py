@@ -9,8 +9,9 @@ is removed and the temporary directory's path is replaced by `<tmp>`, so the
 digests cover exactly the bytes that the determinism contract fixes.
 
 The list covers every subcommand on `fixtures/` plus seeded `synthesize`
-targets: the `certify-n32` recipe, degenerate diagonal targets and a
-Hamiltonian with and without compensation. The inputs come from this
+targets: the `certify-n32` recipe, degenerate and indefinite diagonal
+targets and a Hamiltonian with and without compensation. `simulate-osc40`
+is the one `simulate` run above dim 30, so it takes `rk_adaptive`. The inputs come from this
 script's own checkout, so two trees see identical files. To compare two
 trees:
 
@@ -52,6 +53,9 @@ RUNS = (
                      "--rho0", "{f}/qubit_excited.json", "--t-final", "5", "--points", "41",
                      "--v", "{f}/qubit_V.json", "--w", "{f}/qubit_V.json",
                      "--c", "1", "--d", "0"]),
+    ("simulate-osc40", ["simulate", "--model", "{f}/oscillator_n40.json",
+                        "--rho0", "{t}/vacuum40.json", "--t-final", "1", "--points", "5",
+                        "--v", "{f}/number_n40.json"]),
     ("lyapunov-qubit", ["check-lyapunov", "--model", "{f}/qubit_decay.json",
                         "--v", "{f}/qubit_V.json"]),
     ("lyapunov-twoqubit", ["check-lyapunov", "--model", "{f}/twoqubit_dissipative.json",
@@ -75,6 +79,7 @@ RUNS = (
     ("lasalle-n32", ["check-lasalle", "--theorem", "8",
                      "--model", "{t}/synth-n32/synthesized_model.json", "--v", "{t}/n32.json"]),
     ("synth-2110", ["synthesize", "--v", "{t}/diag2110.json"]),
+    ("synth-indefinite", ["synthesize", "--v", "{t}/diag10m1.json"]),
     ("synth-3222100", ["synthesize", "--v", "{t}/diag3222100.json", "--pairs", "3:0,2:1"]),
     ("synth-h", ["synthesize", "--v", "{t}/diag3210.json", "--hamiltonian", "{t}/h4.json"]),
     ("synth-h-nocomp", ["synthesize", "--v", "{t}/diag3210.json", "--hamiltonian", "{t}/h4.json",
@@ -107,6 +112,10 @@ def write_targets(root: Path) -> None:
     operator("diag2110.json", np.diag([2.0, 1.0, 1.0, 0.0]))
     operator("diag3222100.json", np.diag([3.0, 2.0, 2.0, 2.0, 1.0, 0.0, 0.0]))
     operator("diag3210.json", np.diag([3.0, 2.0, 1.0, 0.0]))
+    operator("diag10m1.json", np.diag([1.0, 0.0, -1.0]))
+    vacuum = np.zeros((40, 40))
+    vacuum[0, 0] = 1.0
+    operator("vacuum40.json", vacuum)
     x = _random_matrix(np.random.default_rng(0), 4, 4)
     operator("h4.json", (x + x.conj().T) / 2)
     rng = np.random.default_rng(0)

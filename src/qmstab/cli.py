@@ -283,18 +283,14 @@ def cmd_analyze(run: _Run) -> None:
             ("min_eigenvalue",),
         )
 
+    # the verdict is the null space's; the commutant (null above its size
+    # cap) is evidence, since its dimension never exceeds the null dimension
     uni = uniqueness_check(model, tol=run.args.tol)
-    if uni.commutant_dimension is None:  # the commutant system is above its size cap
-        verdict, fields = report.unique, ()
-        extra = {"method": "liouvillian null dimension (commutant system above its size cap)"}
-    else:
-        verdict, fields = uni.verdict, ("commutant_dimension", "span_dimension")
-        extra = {"note": "a trivial commutant implies uniqueness only when a faithful invariant "
-                 "state exists (Frigerio 1978); a null dimension above 1 refutes it"}
     run.add_check(
-        "unique-invariant-state", "Theorem 3",
-        Verdict.FAILS if report.null_dimension > 1 else _UNIQUENESS_VERDICTS[verdict],
-        run.args.tol, uni, fields, null_dimension=report.null_dimension, **extra,
+        "unique-invariant-state", "Theorem 3", _UNIQUENESS_VERDICTS[report.unique], run.args.tol,
+        uni, ("commutant_dimension", "span_dimension"), null_dimension=report.null_dimension,
+        note="a trivial commutant implies uniqueness only when a faithful invariant state "
+        "exists (Frigerio 1978); a null dimension above 1 refutes it",
     )
 
     families = [("coordinate family", "coordinate")]
@@ -340,7 +336,7 @@ def cmd_simulate(run: _Run) -> None:
     )
 
     if v is not None and w is not None:
-        diag = lasalle_diagnostics(traj, v, w, c=run.args.c, d=run.args.d)
+        diag = lasalle_diagnostics(traj, v, w)
         run.add_check(
             "lasalle-diagnostics", "Theorem 5",
             Verdict.HOLDS if diag.conclusive else Verdict.INCONCLUSIVE, run.args.tol, diag,
@@ -421,14 +417,9 @@ def cmd_synthesize(run: _Run) -> None:
         compensate=not run.args.no_compensate,
     )
     result = synthesize_coupling(spec, tol=run.args.tol)
-    n = varr.shape[0]
-    model = ModelSpec(
-        h if h is not None else np.zeros((n, n), dtype=complex),
-        list(result.couplings) or [np.zeros((n, n), dtype=complex)],
-    )
     model_path = run.outdir / "synthesized_model.json"
-    save_model(model, model_path)
-    verification = verify_synthesis(result, model)
+    save_model(result.model, model_path)
+    verification = verify_synthesis(result, result.model)
     # the couplings live in the model file only; the entry names it and its digest
     run.add_check(
         "synthesis", "Appendix cases A/B/C", result.certificate.verdict, run.args.tol, result,

@@ -52,6 +52,13 @@ METHOD_EXPM = "expm_fixed"
 METHOD_RK = "rk_adaptive"
 METHOD_AUTO = "auto"
 
+# Relative slack of the pointwise mean bound; the tail is the final
+# _TAIL_FRACTION of the samples; <V> counts as monotone while no step rises
+# by more than _MONOTONE_SLACK times its largest magnitude.
+_MEAN_BOUND_SLACK = 1e-6
+_TAIL_FRACTION = 0.1
+_MONOTONE_SLACK = 1e-8
+
 # expm of the full Liouvillian is exact up to exponential accuracy but
 # scales as dim^6; it is paid once per call, for every column of the block.
 # Adaptive RK only needs sparse matvecs, but for each column, so the choice
@@ -325,12 +332,12 @@ class MeanBoundCheck:
     slack: float
 
 
-def mean_bound_check(traj: Trajectory, v, c: float, d: float, slack: float = 1e-6) -> MeanBoundCheck:
+def mean_bound_check(traj: Trajectory, v, c: float, d: float) -> MeanBoundCheck:
     if c <= 0:
         raise OperatorError("mean bound needs c > 0")
     series = expectation_series(traj, v)
     bound = np.exp(-c * traj.times) * series[0] + d / c
-    margin = slack * np.maximum(1.0, np.abs(bound))
+    margin = _MEAN_BOUND_SLACK * np.maximum(1.0, np.abs(bound))
     violation = series - bound
     worst = int(np.argmax(violation))
     verdict = Verdict.HOLDS if np.all(violation <= margin) else Verdict.FAILS
@@ -338,7 +345,7 @@ def mean_bound_check(traj: Trajectory, v, c: float, d: float, slack: float = 1e-
         verdict=verdict,
         max_violation=float(violation[worst]),
         worst_time=float(traj.times[worst]),
-        slack=slack,
+        slack=_MEAN_BOUND_SLACK,
     )
 
 
@@ -346,7 +353,7 @@ def mean_bound_check(traj: Trajectory, v, c: float, d: float, slack: float = 1e-
 class LaSalleDiagnostics:
     """Trajectory-level evidence for the invariance conclusions.
 
-    The final `tail_fraction` of the horizon is declared the tail; the
+    The final `_TAIL_FRACTION` of the horizon is declared the tail; the
     integral of <W> is a trapezoidal estimate plus an exponential-decay
     extrapolation beyond the horizon. Asymptotic statements only get a
     finite-horizon surrogate here, hence `conclusive` may be False.
@@ -362,25 +369,16 @@ class LaSalleDiagnostics:
     w_tail_estimate: float
     w_limit_estimate: float
     w_final: float
-    bound_check: MeanBoundCheck | None
     tail_start_index: int
     conclusive: bool
     notes: tuple[str, ...] = ()
 
 
-def lasalle_diagnostics(
-    traj: Trajectory,
-    v,
-    w,
-    c: float | None = None,
-    d: float | None = None,
-    tail_fraction: float = 0.1,
-    monotone_slack: float = 1e-8,
-) -> LaSalleDiagnostics:
+def lasalle_diagnostics(traj: Trajectory, v, w) -> LaSalleDiagnostics:
     v_series = expectation_series(traj, v)
     w_series = expectation_series(traj, w)
     n = len(traj.times)
-    tail_start = int(np.floor(n * (1.0 - tail_fraction)))
+    tail_start = int(np.floor(n * (1.0 - _TAIL_FRACTION)))
     notes: list[str] = []
     conclusive = True
     if n < 20 or n - tail_start < 4:
@@ -391,15 +389,11 @@ def lasalle_diagnostics(
     diffs = np.diff(v_series)
     vscale = max(1.0, float(np.abs(v_series).max()))
     v_violation = float(diffs.max()) if len(diffs) else 0.0
-    v_monotone = v_violation <= monotone_slack * vscale
+    v_monotone = v_violation <= _MONOTONE_SLACK * vscale
 
     w_clip = np.clip(w_series, 0.0, None)
     w_integral = float(np.trapezoid(w_clip, traj.times))
     w_tail = _tail_integral_estimate(traj.times[tail_start:], w_clip[tail_start:], notes)
-
-    bound = None
-    if c is not None and d is not None:
-        bound = mean_bound_check(traj, v, c, d)
 
     return LaSalleDiagnostics(
         v_series=v_series,
@@ -412,7 +406,6 @@ def lasalle_diagnostics(
         w_tail_estimate=w_tail,
         w_limit_estimate=float(w_series[tail_start:].mean()),
         w_final=float(w_series[-1]),
-        bound_check=bound,
         tail_start_index=tail_start,
         conclusive=conclusive,
         notes=tuple(notes),

@@ -197,9 +197,6 @@ class Superoperator:
     def dim(self) -> int:
         return int(round(np.sqrt(self.matrix.shape[0])))
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return unvec(self.matrix @ vec(x))
-
 
 def liouvillian(model: ModelSpec, side: str, max_dim: int = MAX_LIOUVILLIAN_DIM) -> Superoperator:
     """Sparse matrix realization of the generator on vectorized operators.

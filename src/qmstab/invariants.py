@@ -131,14 +131,12 @@ class ConnectivityScan:
 @dataclass(frozen=True)
 class UniquenessResult:
     """Result of `uniqueness_check`. `span_dimension` is the dimension of
-    the *-algebra generated by {H, Lk, Lk'}, None when it was not computed
-    (`stabilized` is then False); `words_used` is 0, since the commutant is
-    solved without forming words."""
+    the *-algebra generated by {H, Lk, Lk'}, None when it was not computed;
+    `words_used` is 0, since the commutant is solved without forming words."""
 
     verdict: str
     commutant_dimension: int | None
     span_dimension: int | None
-    stabilized: bool
     words_used: int
 
 
@@ -499,16 +497,16 @@ def uniqueness_check(model: ModelSpec, tol: float = 1e-9) -> UniquenessResult:
     gens = [model.hamiltonian, *model.couplings, *(dag(l) for l in model.couplings)]
     basis = _commutant(gens, tol)
     if basis is None:
-        return UniquenessResult(INCONCLUSIVE, None, None, False, 0)
+        return UniquenessResult(INCONCLUSIVE, None, None, 0)
     if len(basis) <= 1:  # I always commutes; a tol below rounding can lose it
-        return UniquenessResult(UNIQUE, 1, n * n, True, 0)
+        return UniquenessResult(UNIQUE, 1, n * n, 0)
     # a fixed generic draw keeps repeated runs bit-identical
     rng = np.random.default_rng(0)
     coef = rng.standard_normal((2, len(basis))) + 1j * rng.standard_normal((2, len(basis)))
     generic = [hermitian_part(np.tensordot(c, basis, axes=1)) for c in coef]
     double = _commutant(generic, tol)
     span_dim = None if double is None else len(double)
-    return UniquenessResult(NOT_UNIQUE, len(basis), span_dim, double is not None, 0)
+    return UniquenessResult(NOT_UNIQUE, len(basis), span_dim, 0)
 
 
 # ---------------------------------------------------------------------------

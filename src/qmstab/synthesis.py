@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generator import ModelSpec, generator_heisenberg
-from .lyapunov import (GroundConvergenceReport, LyapunovCertificate, check_theorem8,
-                       strict_certificate)
+from .lyapunov import (GroundConvergenceReport, LyapunovCertificate, _require_psd_input,
+                       _shifted_psd, check_theorem8, strict_certificate)
 from .operators import (
     DEGENERACY_TOL,
     PSD_TOL,
@@ -36,7 +36,6 @@ from .operators import (
     eigh,
     hermitian_part,
     max_abs,
-    psd_check,
     require_hermitian,
 )
 
@@ -81,17 +80,16 @@ class SynthesisSpec:
 class SynthesisResult:
     """Engineered couplings together with the resulting generator of V.
 
-    `blocks[(i, j)]` is the (i, j) eigenspace block of G(V) in the
-    descending-eigenvalue ordering recorded by `level_values` and
-    `basis_transform` (columns are the eigenbasis expressed in the user's
-    basis). `failed` marks results whose certificate did not hold; they
-    are returned for inspection, never silently accepted.
+    `model` is the assembled model whose G(V) is `generator_matrix`: the
+    given Hamiltonian (or zero) with the couplings, or one zero coupling
+    when there are none. `failed` marks results whose certificate did not
+    hold; they are returned for inspection, never silently accepted.
     """
 
     v: np.ndarray
+    model: ModelSpec
     couplings: tuple[np.ndarray, ...]
     generator_matrix: np.ndarray
-    blocks: dict
     level_values: tuple[float, ...]
     level_slices: tuple[tuple[int, int], ...]
     basis_transform: np.ndarray
@@ -99,6 +97,18 @@ class SynthesisResult:
     pair_cases: tuple[str, ...]
     failed: bool
     notes: tuple[str, ...] = ()
+
+    @property
+    def blocks(self) -> dict:
+        """`blocks[(i, j)]`: the (i, j) level block of G(V) in the recorded
+        eigenbasis (`basis_transform`, columns in the user's basis)."""
+        q = self.basis_transform
+        g = _frozen(dag(q) @ self.generator_matrix @ q)
+        return {
+            (i, j): g[si:ei, sj:ej]
+            for i, (si, ei) in enumerate(self.level_slices)
+            for j, (sj, ej) in enumerate(self.level_slices)
+        }
 
 
 def synthesize_coupling(spec: SynthesisSpec, tol: float = PSD_TOL) -> SynthesisResult:
@@ -196,18 +206,12 @@ def synthesize_coupling(spec: SynthesisSpec, tol: float = PSD_TOL) -> SynthesisR
         couplings.append(q @ l_eigen @ dag(q))
 
     h_user = spec.hamiltonian if spec.hamiltonian is not None else np.zeros((n, n), complex)
-    model_couplings = couplings if couplings else [np.zeros((n, n), dtype=complex)]
-    model = ModelSpec(h_user, model_couplings)
+    model = ModelSpec(h_user, couplings or [np.zeros((n, n), dtype=complex)])
     g = hermitian_part(generator_heisenberg(model, spec.v))
 
-    g_eigen = dag(q) @ g @ q
-    blocks = {}
-    for i, (si, ei) in enumerate(slices):
-        for j, (sj, ej) in enumerate(slices):
-            blocks[(i, j)] = _frozen(g_eigen[si:ei, sj:ej])
-
-    shift = max(0.0, -float(np.linalg.eigvalsh(spec.v)[0]))
-    certificate = strict_certificate(g, spec.v + shift * np.eye(n), tol, shift)
+    v_psd, shift, shift_notes = _shifted_psd(spec.v, tol)
+    notes += shift_notes
+    certificate = strict_certificate(g, v_psd, tol, shift)
     failed = certificate.verdict is not Verdict.HOLDS
     if failed:
         notes.append(
@@ -217,9 +221,9 @@ def synthesize_coupling(spec: SynthesisSpec, tol: float = PSD_TOL) -> SynthesisR
 
     return SynthesisResult(
         v=spec.v,
+        model=model,
         couplings=tuple(_frozen(c) for c in couplings),
         generator_matrix=_frozen(g),
-        blocks=blocks,
         level_values=tuple(float(x) for x in values),
         level_slices=slices,
         basis_transform=_frozen(q),
@@ -253,11 +257,11 @@ class CouplingFamily:
 @dataclass(frozen=True)
 class GroundCouplingResult:
     verdict: Verdict
-    m: np.ndarray | None
-    family: CouplingFamily | None
-    default_coupling: np.ndarray | None
-    factorization_residual: float | None
-    convergence: GroundConvergenceReport | None
+    m: np.ndarray | None = None
+    family: CouplingFamily | None = None
+    default_coupling: np.ndarray | None = None
+    factorization_residual: float | None = None
+    convergence: GroundConvergenceReport | None = None
     explanation: str = ""
 
 
@@ -273,9 +277,7 @@ def solve_ground_coupling(v, tol: float = PSD_TOL) -> GroundCouplingResult:
     """
     varr = require_hermitian(v)
     n = varr.shape[0]
-    report = psd_check(varr, tol)
-    if not report.holds:
-        raise OperatorError("ground-coupling synthesis needs V >= 0")
+    _require_psd_input("V", varr, tol)
 
     if max_abs(varr) <= tol:
         zero = np.zeros((n, n), dtype=complex)
@@ -285,7 +287,6 @@ def solve_ground_coupling(v, tol: float = PSD_TOL) -> GroundCouplingResult:
             family=CouplingFamily(fixed=_frozen(zero), free_basis=()),
             default_coupling=_frozen(zero),
             factorization_residual=0.0,
-            convergence=None,
             explanation="V = 0: M = 0 and every coupling solves the equation trivially",
         )
 
@@ -297,11 +298,6 @@ def solve_ground_coupling(v, tol: float = PSD_TOL) -> GroundCouplingResult:
     if k == 0:
         return GroundCouplingResult(
             verdict=Verdict.INCONCLUSIVE,
-            m=None,
-            family=None,
-            default_coupling=None,
-            factorization_residual=None,
-            convergence=None,
             explanation=(
                 "V is positive definite: its ground set is empty and no lowering "
                 "factorization exists"
@@ -312,11 +308,6 @@ def solve_ground_coupling(v, tol: float = PSD_TOL) -> GroundCouplingResult:
     if spread > DEGENERACY_TOL * vscale or p > k:
         return GroundCouplingResult(
             verdict=Verdict.INCONCLUSIVE,
-            m=None,
-            family=None,
-            default_coupling=None,
-            factorization_residual=None,
-            convergence=None,
             explanation=(
                 "unsupported pattern: the lowering factorization is implemented for "
                 "a single positive level whose rank does not exceed the kernel "
@@ -357,7 +348,6 @@ def solve_ground_coupling(v, tol: float = PSD_TOL) -> GroundCouplingResult:
         default_coupling=default,
         factorization_residual=residual,
         convergence=convergence,
-        explanation="",
     )
 
 
@@ -376,32 +366,22 @@ class SynthesisVerification:
 def verify_synthesis(
     result: SynthesisResult, model: ModelSpec, tol: float = 1e-10
 ) -> SynthesisVerification:
-    """Recompute G(V) from scratch for `model` and compare it blockwise
-    against the recorded synthesis blocks; re-run the certificate."""
+    """Recompute G(V) from scratch for `model` and compare it with the
+    recorded generator in the recorded eigenbasis; `first_mismatch` is the
+    first level block (row-major) off by more than `tol`. Re-runs the
+    certificate when every block matches."""
     g = hermitian_part(generator_heisenberg(model, result.v))
     q = result.basis_transform
-    g_eigen = dag(q) @ g @ q
-    worst = 0.0
-    first = None
-    for i, (si, ei) in enumerate(result.level_slices):
-        for j, (sj, ej) in enumerate(result.level_slices):
-            dev = max_abs(g_eigen[si:ei, sj:ej] - result.blocks[(i, j)])
-            if dev > worst:
-                worst = dev
-            if dev > tol and first is None:
-                first = (i, j)
-    if first is not None:
-        return SynthesisVerification(
-            verdict=Verdict.FAILS,
-            max_block_deviation=worst,
-            first_mismatch=first,
-            certificate=None,
-        )
+    deviation = np.abs(dag(q) @ (g - result.generator_matrix) @ q)
+    sizes = [stop - start for start, stop in result.level_slices]
+    level = np.repeat(np.arange(len(sizes)), sizes)
+    bad = np.argwhere(deviation > tol)
+    first = min(((int(level[r]), int(level[c])) for r, c in bad), default=None)
     recorded = result.certificate
-    cert = strict_certificate(g, recorded.v, recorded.tolerance, recorded.shift)
+    cert = None if first else strict_certificate(g, recorded.v, recorded.tolerance, recorded.shift)
     return SynthesisVerification(
-        verdict=cert.verdict,
-        max_block_deviation=worst,
-        first_mismatch=None,
+        verdict=Verdict.FAILS if first else cert.verdict,
+        max_block_deviation=max_abs(deviation),
+        first_mismatch=first,
         certificate=cert,
     )

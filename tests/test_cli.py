@@ -78,10 +78,9 @@ class TestAnalyze:
         assert state[0][0][0] == pytest.approx(0.5, abs=1e-9)
 
     def test_every_check_carries_anchor_and_tolerance(self, tmp_path):
-        # every subcommand and every entry kind but the uniqueness entry
-        # above the commutant size cap; flags are JSON booleans wherever
-        # they appear, and each entry has exactly the keys and value types
-        # of ENTRY_SCHEMA
+        # every subcommand and every entry kind; flags are JSON booleans
+        # wherever they appear, and each entry has exactly the keys and value
+        # types of ENTRY_SCHEMA
         model, v = str(FIXTURES / "qubit_decay.json"), str(FIXTURES / "qubit_V.json")
         invocations = [
             ["analyze", "--model", str(FIXTURES / "twolevel.json"), "--v", v],
@@ -151,9 +150,29 @@ class TestAnalyze:
         monkeypatch.setattr(qmstab.invariants, "_COMMUTANT_MAX_ENTRIES", 0)
         run(["analyze", "--model", str(FIXTURES / "twolevel.json")], tmp_path)
         unique = checks_by_name(read_report(tmp_path))["unique-invariant-state"]
-        assert "commutant_dimension" not in unique
-        assert unique["method"].startswith("liouvillian null dimension")
+        assert unique.keys() == {*ENTRY_COMMON, *ENTRY_SCHEMA["unique-invariant-state"]}
+        assert (unique["commutant_dimension"], unique["span_dimension"]) == (None, None)
         assert (unique["null_dimension"], unique["verdict"]) == (1, "holds")
+
+    def test_single_null_vector_from_partial_window_is_inconclusive(self, tmp_path, monkeypatch):
+        # one null vector from an Arnoldi window that may have missed more
+        # proves no uniqueness, whatever the commutant says
+        import qmstab.invariants
+
+        null_space = qmstab.invariants._null_space
+
+        def partial_window(m, tol_abs, max_null):
+            vecs, null_dim, method, _, notes = null_space(m, tol_abs, max_null)
+            assert null_dim == 1
+            return vecs, null_dim, qmstab.invariants.NULL_SPACE_ARNOLDI, False, notes
+
+        monkeypatch.setattr(qmstab.invariants, "_null_space", partial_window)
+        run(["analyze", "--model", str(FIXTURES / "twolevel.json")], tmp_path)
+        checks = checks_by_name(read_report(tmp_path))
+        assert checks["invariant-state-exists"]["exhaustive"] is False
+        unique = checks["unique-invariant-state"]
+        assert unique["commutant_dimension"] == 1
+        assert (unique["null_dimension"], unique["verdict"]) == (1, "inconclusive")
 
     def test_null_space_path_reported(self, tmp_path):
         run(["analyze", "--model", str(FIXTURES / "twolevel.json")], tmp_path)

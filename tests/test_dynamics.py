@@ -277,10 +277,10 @@ class TestLaSalleDiagnostics:
     def test_w_proportional_to_v_drives_ground(self, qubit_decay):
         # G(V) = -V here, so W = V qualifies and <V> must die out
         traj = evolve(qubit_decay, EXCITED, 30.0, n_points=3001)
-        diag = lasalle_diagnostics(traj, V_GROUND, V_GROUND, c=1.0, d=0.0)
+        diag = lasalle_diagnostics(traj, V_GROUND, V_GROUND)
         assert diag.v_monotone
         assert diag.w_limit_estimate < 1e-6
-        assert diag.bound_check.verdict is Verdict.HOLDS
+        assert mean_bound_check(traj, V_GROUND, 1.0, 0.0).verdict is Verdict.HOLDS
         # integral of <V> = e^{-t} over [0, inf) is 1, tail included
         assert diag.w_integral_estimate == pytest.approx(1.0, abs=1e-4)
 

@@ -209,3 +209,15 @@ def test_commutant_dimension_matches_dense_kron_kernel(gens):
     expected = int(np.sum(svals <= 1e-8 * max(np.linalg.norm(g) for g in gens)))
     event(f"commutant {expected} of {n * n}")
     assert len(_commutant(gens, 1e-9)) == expected
+
+
+@SETTINGS
+@given(commutant_generators())
+def test_null_dimension_bounds_commutant_dimension(gens):
+    # each projection in a nontrivial commutant commutes with H and every Lk,
+    # so both of its blocks carry a stationary state: the CLI can take the
+    # uniqueness verdict from the null space without contradicting the
+    # commutant
+    n_couplings = (len(gens) - 1) // 2
+    model = ModelSpec(gens[0], gens[1 : 1 + n_couplings])
+    assert steady_states(model).null_dimension >= len(_commutant(gens, 1e-9))

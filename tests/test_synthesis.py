@@ -50,6 +50,8 @@ class TestSynthesizeCoupling:
         assert result.pair_cases == ("A",)
         assert not result.failed
         assert np.abs(result.generator_matrix).max() < 1e-12
+        # the assembled model carries one zero coupling in place of none
+        assert len(result.model.couplings) == 1 and not result.model.couplings[0].any()
 
     def test_two_qubit_target(self, twoqubit_v):
         l = 1.0 / np.sqrt(2.0)
@@ -128,6 +130,19 @@ class TestSynthesizeCoupling:
             result.certificate.metrics["generator_max_eigenvalue"]
         )
 
+    def test_v_admitted_as_check_lyapunov_admits_it(self):
+        # the certify-n32 recipe target, V = AA' with A of shape 32 x 24, is
+        # PSD within tolerance though its smallest eigenvalue is a rounding
+        # error below 0: neither check shifts it; both shift an indefinite V
+        # by the same amount, with the same note
+        rng = np.random.default_rng([0, 1])
+        a = (rng.standard_normal((32, 24)) + 1j * rng.standard_normal((32, 24))) / np.sqrt(2)
+        for v, shift in ((a @ dag(a), 0.0), (np.diag([1.0, 0.0, -1.0]).astype(complex), 1.0)):
+            result = synthesize_coupling(SynthesisSpec(v=v))
+            direct = check_lyapunov(result.model, v)
+            assert result.certificate.shift == direct.shift == shift
+            assert set(direct.notes) <= set(result.notes)
+
     def test_levels_grouped_by_consecutive_gaps(self):
         # gaps of 0.6e-9 chain three eigenvalues into one level, although
         # the outer two are 1.2e-9 apart; synthesis and the spectral
@@ -154,6 +169,17 @@ class TestVerifySynthesis:
         verdict = verify_synthesis(result, tampered)
         assert verdict.verdict is Verdict.FAILS
         assert verdict.first_mismatch is not None
+
+    def test_first_mismatch_is_the_first_deviating_block(self):
+        # a Hamiltonian term between |1> (level 1 of the levels 3, 2, 0) and
+        # |3> (level 2) moves only blocks (1, 2) and (2, 1) of G(V), by 2 eps
+        v = np.diag([3.0, 2.0, 2.0, 0.0]).astype(complex)
+        result = synthesize_coupling(SynthesisSpec(v=v))
+        for eps, first in ((1e-3, (1, 2)), (1e-12, None)):
+            h = eps * (ket_bra(1, 3, 4) + ket_bra(3, 1, 4))
+            check = verify_synthesis(result, ModelSpec(h, result.model.couplings))
+            assert check.first_mismatch == first
+            assert check.max_block_deviation == pytest.approx(2 * eps, rel=1e-6)
 
     def test_case_c_blocks_verify(self):
         result = synthesize_coupling(SynthesisSpec(v=V_GROUND, hamiltonian=pauli("x")))
