@@ -38,7 +38,6 @@ from .generator import (
     vec,
 )
 from .lyapunov import (
-    CoercivityReport,
     GroundConvergenceReport,
     LyapunovCertificate,
     TailBound,
@@ -46,7 +45,6 @@ from .lyapunov import (
     check_lyapunov,
     check_theorem8,
     check_weak_lyapunov,
-    coercivity_assess,
     lyapunov_search,
     tightness_tail_bound,
 )
@@ -69,7 +67,6 @@ from .dynamics import (
     LaSalleDiagnostics,
     MeanBoundCheck,
     Trajectory,
-    conditioned_state,
     evolve,
     expectation_series,
     invariant_set_probe,

@@ -7,13 +7,16 @@ invariance analysis: monotone decrease of <V>, integrability and decay of
 sets.
 
 `evolve` and `invariant_set_probe` share one propagator. It builds the
-Liouvillian once per call and advances a dim^2 x k block of vectorized
-states, one column per initial state: `evolve` passes one column, the probe
-one per sample. Two methods:
+Liouvillian once per call and advances a block of states, one column per
+initial state: `evolve` passes one column, the probe one per sample. The
+block moves in real coordinates (`generator.real_form`), on the sectors
+where some column has weight, and the trace is the sum of the diagonal
+coordinates. Samples are mapped back through the Hermitian basis, which
+gives exactly conjugate entries, so `_checked_state` need not symmetrize.
 
-- `expm_fixed` computes the step exponential expm(L dt) once per call
-  (scaling and squaring) and advances the whole block by one dense product
-  per step.
+- `expm_fixed` computes each active sector's step exponential once per call
+  (scaling and squaring) and advances the block by one block-diagonal
+  product per step.
 - `rk_adaptive` runs embedded RK45 on each column with sparse matvecs.
 
 `expm_multiply` (Al-Mohy & Higham 2011) is not used: for one column of the
@@ -29,12 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sps
 from scipy.integrate import RK45
 
 from .generator import (
     SCHROEDINGER,
     ModelSpec,
     liouvillian,
+    real_form,
     state_matrix,
     unvec,
     vec,
@@ -43,7 +48,6 @@ from .operators import (
     DensityMatrix,
     OperatorError,
     Verdict,
-    hermitian_part,
     random_density,
     require_hermitian,
 )
@@ -59,17 +63,18 @@ _MEAN_BOUND_SLACK = 1e-6
 _TAIL_FRACTION = 0.1
 _MONOTONE_SLACK = 1e-8
 
-# expm of the full Liouvillian is exact up to exponential accuracy but
-# scales as dim^6; it is paid once per call, for every column of the block.
-# Adaptive RK only needs sparse matvecs, but for each column, so the choice
-# depends on the column count. scripts/time_propagators.py (20-sample probe
-# of H = N, L = a, t = 30; 2 CPUs, numpy 2.4, scipy 1.17; median of 3,
-# expm / RK): dim 16 0.24 / 2.29 s, 24 0.45 / 3.19 s, 30 1.16 / 4.22 s;
-# a later run on the same host, 1.5x slower at dim 40: 32 2.51 / 8.37 s,
-# 40 7.09 / 10.53 s, 48 16.34 / 13.32 s. Blocks of at least
-# _EXPM_BLOCK_COLUMNS columns take expm up to dim 40, the last measured dim
-# where it wins. One column (`simulate`) and smaller blocks, which RK
-# serves in a fraction of the 20-column time, keep the limit of 30.
+# expm is exact up to exponential accuracy but costs the cube of each sector's
+# size; it is paid once per call, for every column of the block. Adaptive RK
+# only needs sparse matvecs, but for each column, so the choice depends on
+# the column count. scripts/time_propagators.py (20-sample probe of H = N,
+# L = a, t = 30; 2 CPUs, numpy 2.4, scipy 1.17; median of 3, expm / RK), on
+# the complex dim^2 block: dim 16 0.24 / 2.29 s, 24 0.45 / 3.19 s, 30 1.16 /
+# 4.22 s; a later run, 1.5x slower at dim 40: 40 7.09 / 10.53 s, 48 16.34 /
+# 13.32 s. Blocks of at least _EXPM_BLOCK_COLUMNS columns take expm up to
+# dim 40, the last measured dim where it won; one column (`simulate`) and
+# smaller blocks keep 30. On real sectors: 24 0.08 / 1.21 s, 30 0.12 /
+# 1.50 s, 40 0.28 / 2.24 s. The limits still key on the model dimension;
+# choosing by sector size is the next step (ROADMAP.md, item 4).
 _EXPM_DIM_LIMIT = 30
 _EXPM_BLOCK_COLUMNS = 20
 _EXPM_BLOCK_DIM_LIMIT = 40
@@ -89,7 +94,9 @@ class IntegrationError(RuntimeError):
 @dataclass(frozen=True)
 class StepRecord:
     """What the propagator did. `max_trace_drift` is the largest |tr - 1|
-    seen at a step check, before any renormalization."""
+    seen at a step check, before any renormalization. `sectors` counts the
+    sectors of the real Liouvillian and `propagated_dim` the real coordinates
+    in the sectors that were propagated."""
 
     method: str
     accepted: int
@@ -97,6 +104,8 @@ class StepRecord:
     n_rhs_evals: int
     renormalizations: int
     max_trace_drift: float
+    sectors: int
+    propagated_dim: int
     dt: float | None = None
     rtol: float | None = None
     atol: float | None = None
@@ -156,9 +165,10 @@ def _propagate(
 ) -> tuple[np.ndarray, tuple[tuple[DensityMatrix, ...], ...], StepRecord]:
     """Evolve every state in `rhos` with one Liouvillian on one time grid.
 
-    The vectorized states are the columns of a dim^2 x k block. Returns the
-    grid, one tuple of checked states per input state, and the step record
-    summed over the columns.
+    The vectorized states are the columns of a dim^2 x k block, propagated in
+    real coordinates on the sectors they touch. Returns the grid, one tuple
+    of checked states per input state, and the step record summed over the
+    columns.
     """
     if t_final <= 0:
         raise OperatorError("t_final must be positive")
@@ -176,24 +186,65 @@ def _propagate(
     if method == METHOD_AUTO:
         method = _auto_method(model.dim, block.shape[1])
 
-    m = liouvillian(model, SCHROEDINGER).matrix
+    frame, x = _frame(liouvillian(model, SCHROEDINGER).matrix, block)
     times = np.linspace(0.0, float(t_final), n_points)
 
     if method == METHOD_EXPM:
-        raw, record = _evolve_expm(m, block, times, trace_tol)
+        raw, record = _evolve_expm(frame, x, times, trace_tol)
     elif method == METHOD_RK:
-        raw, record = _evolve_rk(m, block, times, rtol, atol, trace_tol)
+        raw, record = _evolve_rk(frame, x, times, rtol, atol, trace_tol)
     else:
         raise OperatorError(f"unknown integration method {method!r}")
 
     states = tuple(
         tuple(
-            _checked_state(t, unvec(x), trace_tol, positivity_tol)
-            for t, x in zip(times, column)
+            _checked_state(t, unvec(v), trace_tol, positivity_tol)
+            for t, v in zip(times, column)
         )
         for column in np.moveaxis(raw, -1, 0)
     )
     return times, states, record
+
+
+@dataclass(frozen=True)
+class _Frame:
+    """The real generator on the sectors that an initial block touches.
+
+    `basis` holds the Hermitian basis vectors of the kept coordinates, sector
+    after sector, so `matrix` is block diagonal with one block per `slices`
+    entry. The kept diagonal coordinates, `trace_rows`, sum to the trace.
+    `sectors` counts the sectors of the whole real Liouvillian.
+    """
+
+    basis: sps.csr_array
+    matrix: sps.csr_array
+    slices: tuple[slice, ...]
+    trace_rows: np.ndarray
+    sectors: int
+
+    def vectors(self, raw: np.ndarray) -> np.ndarray:
+        """Map samples (time, coordinate, column) back to vectorized states."""
+        n_t, size, k = raw.shape
+        out = self.basis @ raw.transpose(1, 0, 2).reshape(size, n_t * k)
+        return out.reshape(-1, n_t, k).transpose(1, 0, 2)
+
+    def record(self, **counts) -> StepRecord:
+        return StepRecord(sectors=self.sectors, propagated_dim=self.matrix.shape[0], **counts)
+
+
+def _frame(m, block: np.ndarray) -> tuple[_Frame, np.ndarray]:
+    """The frame of the sectors where some column of `block` has weight, and
+    the block's coordinates in it."""
+    basis, real, labels = real_form(m)
+    x = (basis.conj().T @ block).real
+    keep = np.flatnonzero(np.isin(labels, labels[np.any(x != 0, axis=1)]))
+    keep = keep[np.argsort(labels[keep], kind="stable")]
+    ends = np.cumsum(np.unique(labels[keep], return_counts=True)[1])
+    slices = tuple(slice(a, b) for a, b in zip((0, *ends[:-1]), ends))
+    n = int(round(np.sqrt(m.shape[0])))
+    diagonal = np.flatnonzero(np.isin(keep, np.arange(n) * (n + 1)))
+    frame = _Frame(basis[:, keep], real[keep][:, keep], slices, diagonal, int(labels.max()) + 1)
+    return frame, x[keep]
 
 
 def _checked_state(
@@ -201,11 +252,11 @@ def _checked_state(
 ) -> DensityMatrix:
     """Validate one sampled state with one eigendecomposition.
 
-    The lowest eigenvalue is computed again only when `from_matrix` rejects
-    the state, to report a positivity violation as an `IntegrationError`
-    naming `t`; any other rejection is re-raised.
+    The state is Hermitian by construction: T maps real coordinates to
+    exactly conjugate entries. The lowest eigenvalue is computed again only
+    when `from_matrix` rejects the state, to report a positivity violation
+    as an `IntegrationError` naming `t`; any other rejection is re-raised.
     """
-    x = hermitian_part(x)
     try:
         return DensityMatrix.from_matrix(
             x, trace_tol=max(10 * trace_tol, 1e-10), positivity_tol=positivity_tol
@@ -220,19 +271,19 @@ def _checked_state(
         raise
 
 
-def _evolve_expm(m, block, times, trace_tol):
-    """Advance the whole block by one precomputed step exponential per step;
-    only the columns whose trace drifts past `trace_tol` are renormalized."""
+def _evolve_expm(frame, x, times, trace_tol):
+    """Advance the whole block by one block-diagonal product per step, with
+    each active sector's step exponential computed once; only the columns
+    whose trace drifts past `trace_tol` are renormalized."""
     dt = float(times[1] - times[0])
-    propagator = sla.expm(m.toarray() * dt)
-    dim = int(round(np.sqrt(block.shape[0])))
-    y = block
+    blocks = [(sl, sla.expm(frame.matrix[sl, sl].toarray() * dt)) for sl in frame.slices]
+    y = x
     raw = [y]
     renorm = 0
     drift = 0.0
     for _ in times[1:]:
-        y = propagator @ y
-        tr = np.trace(y.reshape(dim, dim, -1, order="F")).real
+        y = np.concatenate([p @ y[sl] for sl, p in blocks])
+        tr = y[frame.trace_rows].sum(axis=0)
         off = np.abs(tr - 1.0)
         drift = max(drift, float(off.max()))
         bad = off > trace_tol
@@ -240,32 +291,26 @@ def _evolve_expm(m, block, times, trace_tol):
             y[:, bad] /= tr[bad]
             renorm += int(bad.sum())
         raw.append(y)
-    record = StepRecord(
+    record = frame.record(
         method=METHOD_EXPM,
-        accepted=(len(times) - 1) * block.shape[1],
+        accepted=(len(times) - 1) * x.shape[1],
         rejected_estimate=0,
         n_rhs_evals=0,
         renormalizations=renorm,
         max_trace_drift=drift,
         dt=dt,
     )
-    return np.stack(raw), record
+    return frame.vectors(np.stack(raw)), record
 
 
-def _evolve_rk(m, block, times, rtol, atol, trace_tol):
-    """RK45 on each column of the block in turn, with the one Liouvillian."""
+def _evolve_rk(frame, x, times, rtol, atol, trace_tol):
+    """RK45 on each column of the block in turn, with the one real generator."""
+    m = frame.matrix
     columns = []
     accepted = rejected = n_rhs = renorm = 0
     drift = 0.0
-    for y0 in block.T:
-        stepper = RK45(
-            lambda t, y: m @ y,
-            0.0,
-            y0,
-            t_bound=float(times[-1]),
-            rtol=rtol,
-            atol=atol,
-        )
+    for y0 in x.T:
+        stepper = RK45(lambda t, y: m @ y, 0.0, y0, float(times[-1]), rtol=rtol, atol=atol)
         raw = [stepper.y.copy()]
         next_idx = 1
         steps = 0
@@ -279,7 +324,7 @@ def _evolve_rk(m, block, times, rtol, atol, trace_tol):
             while next_idx < len(times) and times[next_idx] <= stepper.t + 1e-15:
                 raw.append(dense(times[next_idx]))
                 next_idx += 1
-            tr = float(np.trace(unvec(stepper.y)).real)
+            tr = float(stepper.y[frame.trace_rows].sum())
             drift = max(drift, abs(tr - 1.0))
             if abs(tr - 1.0) > trace_tol:
                 # RK45 reuses f, the derivative at y, as the next step's first
@@ -296,7 +341,7 @@ def _evolve_rk(m, block, times, rtol, atol, trace_tol):
         accepted += steps
         rejected += max(steps, (stepper.nfev - 1) // 6) - steps
         n_rhs += stepper.nfev
-    record = StepRecord(
+    record = frame.record(
         method=METHOD_RK,
         accepted=accepted,
         rejected_estimate=rejected,
@@ -306,7 +351,7 @@ def _evolve_rk(m, block, times, rtol, atol, trace_tol):
         rtol=rtol,
         atol=atol,
     )
-    return np.stack(columns, axis=-1), record
+    return frame.vectors(np.stack(columns, axis=-1)), record
 
 
 def expectation_series(traj: Trajectory, x) -> np.ndarray:
@@ -477,18 +522,3 @@ def invariant_set_probe(
         seed=seed,
         step_controller=record,
     )
-
-
-def conditioned_state(rho, projector) -> DensityMatrix:
-    """Classical post-processing: condition a state on a projector outcome.
-
-    Returns P rho P / tr(P rho P). This is a report transformation, not
-    dynamics.
-    """
-    arr = state_matrix(rho)
-    p = require_hermitian(projector)
-    out = p @ arr @ p
-    tr = float(np.trace(out).real)
-    if tr <= 1e-14:
-        raise OperatorError("projector outcome has vanishing probability")
-    return DensityMatrix.from_matrix(out / tr)

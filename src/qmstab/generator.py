@@ -8,6 +8,9 @@ and the vectorized Liouvillian for either picture.
 
 Vectorization is column-stacking (`order="F"`); the convention is fixed and
 covered by consistency tests, so no consumer depends on it implicitly.
+`real_form` rewrites a superoperator in an orthonormal basis of Hermitian
+matrices, where a Hermiticity-preserving map is a real matrix, and splits
+that matrix into its decoupled sectors.
 """
 
 from __future__ import annotations
@@ -223,3 +226,32 @@ def liouvillian(model: ModelSpec, side: str, max_dim: int = MAX_LIOUVILLIAN_DIM)
         m += kron(l.T, dag(l)) if side == HEISENBERG else kron(l.conj(), l)
         m -= 0.5 * (kron(eye, ldl) + kron(ldl.T, eye))
     return Superoperator(matrix=m, side=side)
+
+
+def real_form(m) -> tuple[sps.csr_array, sps.csr_array, np.ndarray]:
+    """A dim^2 x dim^2 superoperator in the Hermitian basis, and its sectors.
+
+    T is the sparse unitary whose columns are vec of E_ii, (E_ij + E_ji)/sqrt2
+    and i(E_ij - E_ji)/sqrt2 (i < j), placed at the column-stacked positions
+    of (i, i), (i, j) and (j, i). A map that preserves Hermiticity is real in
+    this basis (the coherence vector; Alicki & Lendi, Lect. Notes Phys. 717,
+    2007), so R = (T' M T).real loses only rounding. The weakly connected
+    components of R's nonzeros are decoupled sectors, weak symmetries that
+    are diagonal in the basis (Buca & Prosen, New J. Phys. 14, 073007, 2012).
+    Returns T, R and each coordinate's sector label.
+    """
+    # imported here: csgraph's extension modules add about 1 MB of resident
+    # memory, which runs that never propagate need not pay
+    from scipy.sparse.csgraph import connected_components
+
+    m = sps.csr_array(m)
+    n = int(round(np.sqrt(m.shape[0])))
+    i, j = np.triu_indices(n, 1)
+    diag, up, lo = np.arange(n) * (n + 1), i + j * n, j + i * n
+    s = np.full(i.size, np.sqrt(0.5))
+    t = sps.csr_array((np.concatenate([np.ones(n), s, s, 1j * s, -1j * s]),
+                       (np.r_[diag, up, lo, up, lo], np.r_[diag, up, up, lo, lo])), shape=m.shape)
+    r = sps.csr_array((t.conj().T @ m @ t).real)
+    r.eliminate_zeros()
+    _, labels = connected_components(r, directed=True, connection="weak")
+    return t, r, labels

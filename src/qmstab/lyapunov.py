@@ -1,11 +1,11 @@
 """Operator-inequality certificates for quantum Markov stability.
 
-Checks the Lyapunov conditions G(V) <= 0 and G(V) <= -cV + dI, coercivity
-of the spectrum, the tail projection bound implied by a mean bound on a
-coercive observable, the invariance-principle hypothesis pairs (tags t5-t7
-plus the relaxed form with a companion operator), the ground-set convergence
-conditions (tag t8 on the CLI), and a best-effort feasibility search for
-weak Lyapunov certificates over an operator basis.
+Checks the Lyapunov conditions G(V) <= 0 and G(V) <= -cV + dI, the tail
+projection bound implied by a mean bound on a coercive observable, the
+invariance-principle hypothesis pairs (tags t5-t7 plus the relaxed form with
+a companion operator), the ground-set convergence conditions (tag t8 on the
+CLI), and a best-effort feasibility search for weak Lyapunov certificates
+over an operator basis.
 
 All inequalities are certified through `psd_check` at a single relative
 tolerance (default 1e-9), overridable per call.
@@ -19,7 +19,6 @@ import numpy as np
 
 from .generator import ModelSpec, dissipation_functional, generator_heisenberg
 from .operators import (
-    DEGENERACY_TOL,
     PSD_TOL,
     EigWitness,
     OperatorError,
@@ -33,7 +32,6 @@ from .operators import (
     op_norm,
     psd_check,
     require_hermitian,
-    spectral_decompose,
 )
 
 MODE_STRICT = "strict"
@@ -146,67 +144,8 @@ def check_weak_lyapunov(
 
 
 # ---------------------------------------------------------------------------
-# Coercivity and tightness
+# Tightness
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GrowthEnvelope:
-    """Affine lower envelope k(i) = slope*i + intercept, slope > 0."""
-
-    slope: float
-    intercept: float
-
-    def __call__(self, i) -> np.ndarray:
-        return self.slope * np.asarray(i, dtype=float) + self.intercept
-
-
-@dataclass(frozen=True)
-class CoercivityReport:
-    """Monotone-growth pattern of a finite spectrum.
-
-    Coercivity proper is an infinite-spectrum notion; a finite matrix can
-    only exhibit the pattern, so `truncated` is always True and the report
-    is the finite shadow of the hypothesis, not a proof of it.
-    """
-
-    spectral: SpectralDecomposition
-    monotone_from: int | None
-    growth_witness: GrowthEnvelope | None
-    truncated: bool = True
-
-    @property
-    def coercive_pattern(self) -> bool:
-        return self.growth_witness is not None
-
-
-def coercivity_assess(v, degeneracy_tol: float = DEGENERACY_TOL) -> CoercivityReport:
-    """Report the largest strictly-increasing tail of the sorted spectrum.
-
-    `monotone_from` is the first index i0 (into the multiplicity-expanded
-    ascending spectrum) past which consecutive eigenvalues strictly
-    increase; the fitted envelope satisfies v_i >= k(i) for all i >= i0.
-    A constant tail (e.g. V = I) has no growth pattern.
-    """
-    varr = require_hermitian(v)
-    _require_psd_input("V", varr, PSD_TOL)
-    sd = spectral_decompose(varr, degeneracy_tol)
-    w = sd.expanded_eigenvalues()
-    n = len(w)
-    gaps = np.diff(w)
-    i0 = n - 1
-    while i0 > 0 and gaps[i0 - 1] > degeneracy_tol:
-        i0 -= 1
-    if i0 > n - 2:
-        return CoercivityReport(spectral=sd, monotone_from=None, growth_witness=None)
-    tail = np.arange(i0, n)
-    slope = float(gaps[i0:].min())
-    intercept = float((w[tail] - slope * tail).min())
-    return CoercivityReport(
-        spectral=sd,
-        monotone_from=int(i0),
-        growth_witness=GrowthEnvelope(slope=slope, intercept=intercept),
-    )
-
 
 @dataclass(frozen=True)
 class TailBound:

@@ -316,6 +316,22 @@ class TestSimulate:
         assert code == 0
         assert (tmp_path / "series_v.svg").read_text().startswith("<svg")
 
+    def test_step_controller_reports_sectors(self, tmp_path):
+        # qubit_decay's real Liouvillian has 3 sectors; the excited state
+        # touches only the population sector of 2 coordinates
+        code = run(
+            [
+                "simulate",
+                "--model", str(FIXTURES / "qubit_decay.json"),
+                "--rho0", str(FIXTURES / "qubit_excited.json"),
+                "--t-final", "1",
+            ],
+            tmp_path,
+        )
+        assert code == 0
+        rec = checks_by_name(read_report(tmp_path))["trace-preservation"]["step_controller"]
+        assert (rec["sectors"], rec["propagated_dim"]) == (3, 2)
+
 
 class TestSynthesizeCommand:
     def test_writes_model_file(self, tmp_path):

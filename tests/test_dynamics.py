@@ -10,7 +10,6 @@ from qmstab import (
     OperatorError,
     Verdict,
     check_lyapunov,
-    conditioned_state,
     evolve,
     expectation_series,
     generator_heisenberg,
@@ -23,7 +22,7 @@ from qmstab import (
     number_operator,
     random_density,
 )
-from qmstab.generator import SCHROEDINGER, unvec, vec
+from qmstab.generator import SCHROEDINGER, real_form, unvec, vec
 from qmstab.operators import hermitian_part
 
 from conftest import oscillator
@@ -90,30 +89,47 @@ class TestEvolve:
 
 class TestBlockPropagator:
     def test_evolve_matches_reference_loop_bit_for_bit(self, twoqubit, rng):
-        # the per-state expm loop, with trace_tol = 0 so renormalization runs
+        # the per-state loop in real sector coordinates, with trace_tol = 0
+        # so renormalization runs; a random state touches every sector
         rho0 = random_density(4, rng)
         traj = evolve(twoqubit, rho0, 5.0, method="expm_fixed", n_points=21, trace_tol=0.0)
-        m = liouvillian(twoqubit, SCHROEDINGER).matrix.toarray()
-        propagator = sla.expm(m * float(traj.times[1] - traj.times[0]))
-        y = vec(rho0).astype(complex)
-        expected = [unvec(y).copy()]
+        dt = float(traj.times[1] - traj.times[0])
+        m = liouvillian(twoqubit, SCHROEDINGER).matrix
+        basis, real, labels = real_form(m)
+        order = np.argsort(labels, kind="stable")
+        r = real[order][:, order].toarray()
+        ends = np.cumsum(np.bincount(labels))
+        sectors = [slice(a, b) for a, b in zip(np.r_[0, ends[:-1]], ends)]
+        propagators = [sla.expm(r[s, s] * dt) for s in sectors]
+        diagonal = np.isin(order, [0, 5, 10, 15])
+        y = (basis.conj().T @ vec(rho0)).real[order][:, None]
+        expected = [y]
         for _ in traj.times[1:]:
-            y = propagator @ y
-            tr = np.trace(unvec(y)).real
-            if abs(tr - 1.0) > 0.0:
+            y = np.concatenate([p @ y[s] for s, p in zip(sectors, propagators)])
+            tr = y[diagonal].sum(axis=0)
+            if abs(tr[0] - 1.0) > 0.0:
                 y = y / tr
-            expected.append(unvec(y).copy())
+            expected.append(y)
+        # the complex dim^2 loop that the real one replaced
+        propagator = sla.expm(m.toarray() * dt)
+        z = vec(rho0).astype(complex)
+        complex_expected = [unvec(z).copy()]
+        for _ in traj.times[1:]:
+            z = propagator @ z
+            z = z / np.trace(unvec(z)).real
+            complex_expected.append(unvec(z).copy())
         assert traj.step_controller.renormalizations > 0
-        for state, x in zip(traj.states, expected):
-            assert np.array_equal(state.matrix, hermitian_part(x))
+        for state, x, c in zip(traj.states, expected, complex_expected):
+            assert np.array_equal(state.matrix, unvec(basis[:, order] @ x))
+            assert np.abs(state.matrix - hermitian_part(c)).max() <= 1e-13
 
     def test_drifting_column_is_renormalized_alone(self, twoqubit, rng):
         # column 0 drifts by 1e-12, inside trace_tol; column 1 has trace 2
         m = liouvillian(twoqubit, SCHROEDINGER).matrix
         y = (1.0 + 1e-12) * vec(random_density(4, rng)).astype(complex)
         times = np.linspace(0.0, 5.0, 11)
-        raw, record = dyn._evolve_expm(m, np.column_stack([y, 2.0 * y]), times, 1e-11)
-        untouched, _ = dyn._evolve_expm(m, np.column_stack([y, y]), times, 1e-11)
+        raw, record = dyn._evolve_expm(*dyn._frame(m, np.column_stack([y, 2.0 * y])), times, 1e-11)
+        untouched, _ = dyn._evolve_expm(*dyn._frame(m, np.column_stack([y, y])), times, 1e-11)
         assert record.renormalizations == 1
         assert record.accepted == 2 * 10
         assert record.max_trace_drift == pytest.approx(1.0)
@@ -156,7 +172,7 @@ class TestBlockPropagator:
         m = -0.5 * sp.identity(9, dtype=complex, format="csr")
         y0 = vec(random_density(3, rng)).astype(complex)
         raw, record = dyn._evolve_rk(
-            m, y0[:, None], np.linspace(0.0, 10.0, 11), 1e-9, 1e-12, 1e-11
+            *dyn._frame(m, y0[:, None]), np.linspace(0.0, 10.0, 11), 1e-9, 1e-12, 1e-11
         )
         assert record.renormalizations == record.accepted
         assert record.accepted < 500
@@ -192,6 +208,19 @@ class TestBlockPropagator:
         probe = invariant_set_probe(qubit_decay, V_GROUND, samples=20, t_final=2.0)
         assert probe.step_controller.method == "expm_fixed"
         assert evolve(qubit_decay, EXCITED, 2.0).step_controller.method == "rk_adaptive"
+
+    def test_step_record_counts_sectors_and_propagated_coordinates(self):
+        # the vacuum lies in one of the oscillator's two sectors; random
+        # samples touch all 24 sectors of H = N, L = a
+        rec = evolve(oscillator(20), vacuum(20), 1.0, n_points=5).step_controller
+        assert (rec.sectors, rec.propagated_dim) == (2, 200)
+        n = 24
+        damped = ModelSpec(number_operator(n), [ladder_lowering(n)])
+        rec = invariant_set_probe(damped, number_operator(n), t_final=1.0).step_controller
+        assert (rec.sectors, rec.propagated_dim) == (24, 576)
+        trivial = ModelSpec(np.zeros((1, 1)), [np.zeros((1, 1))])
+        rec = evolve(trivial, np.ones((1, 1)), 1.0, n_points=3).step_controller
+        assert (rec.sectors, rec.propagated_dim) == (1, 1)
 
     def test_positivity_violation_names_time(self, qubit_decay):
         with pytest.raises(IntegrationError, match="t = 0"):
@@ -324,16 +353,3 @@ class TestInvariantSetProbe:
         p2 = invariant_set_probe(qubit_decay, V_GROUND, samples=5, t_final=5.0, seed=3)
         np.testing.assert_array_equal(p1.final_values, p2.final_values)
 
-
-class TestConditioning:
-    def test_projects_onto_first_qubit_ground(self, twoqubit, rng):
-        traj = evolve(twoqubit, random_density(4, rng), 40.0)
-        p = np.kron(np.diag([0.0, 1.0]), np.eye(2)).astype(complex)
-        post = conditioned_state(traj.final_state, p)
-        assert np.trace(post.matrix).real == pytest.approx(1.0)
-        assert np.abs(post.matrix[:2, :2]).max() < 1e-10
-
-    def test_zero_probability_rejected(self, qubit_decay):
-        traj = evolve(qubit_decay, np.diag([0.0, 1.0]).astype(complex), 10.0)
-        with pytest.raises(OperatorError, match="vanishing"):
-            conditioned_state(traj.final_state, ket_bra(0, 0, 2))

@@ -9,7 +9,6 @@ from qmstab import (
     check_lyapunov,
     check_theorem8,
     check_weak_lyapunov,
-    coercivity_assess,
     generator_heisenberg,
     ket_bra,
     lyapunov_search,
@@ -101,26 +100,6 @@ class TestWeakLyapunov:
     def test_rejects_bad_constants(self, twolevel):
         with pytest.raises(OperatorError):
             check_weak_lyapunov(twolevel, np.eye(2), c=0.0, d=1.0)
-
-
-class TestCoercivity:
-    def test_number_operator_pattern(self):
-        report = coercivity_assess(number_operator(12))
-        assert report.monotone_from == 0
-        assert report.growth_witness.slope == pytest.approx(1.0)
-        assert report.growth_witness.intercept == pytest.approx(0.0)
-        assert report.truncated is True
-        w = np.arange(12)
-        assert np.all(w >= report.growth_witness(np.arange(12)) - 1e-12)
-
-    def test_identity_has_no_growth_tail(self):
-        report = coercivity_assess(np.eye(4, dtype=complex))
-        assert not report.coercive_pattern
-        assert report.monotone_from is None
-
-    def test_flat_start(self):
-        report = coercivity_assess(np.diag([0.0, 0.0, 1.0, 2.0, 3.0]).astype(complex))
-        assert report.monotone_from == 1
 
 
 class TestTailBound:

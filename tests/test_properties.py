@@ -1,5 +1,5 @@
-"""Randomized properties of the sparse Liouvillian, its null space and the
-commutant solve.
+"""Randomized properties of the sparse Liouvillian, its real form in the
+Hermitian basis, the propagators, its null space and the commutant solve.
 
 Models are drawn over dims 1-10 with random, zero and near-degenerate
 Hamiltonians and couplings; commutant generators over dims 1-6 with
@@ -9,6 +9,7 @@ so every run checks the same models.
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 from hypothesis import event, given, settings
@@ -18,6 +19,7 @@ from qmstab import (
     HEISENBERG,
     SCHROEDINGER,
     ModelSpec,
+    evolve,
     generator_heisenberg,
     generator_schroedinger,
     liouvillian,
@@ -27,6 +29,7 @@ from qmstab import (
     unvec,
     vec,
 )
+from qmstab.generator import real_form
 from qmstab.invariants import (
     NULL_SPACE_ARNOLDI,
     NULL_SPACE_DENSE,
@@ -125,6 +128,42 @@ def test_oscillator_liouvillian_is_sparse(n):
     m = liouvillian(oscillator(n), SCHROEDINGER).matrix
     assert sps.issparse(m)
     assert m.nnz <= 12 * n * n  # a dense assembly would hold n**4 entries
+
+
+@SETTINGS
+@given(models())
+def test_real_form_is_a_unitary_change_of_basis_into_sectors(drawn):
+    model, _ = drawn
+    m = liouvillian(model, SCHROEDINGER).matrix
+    t, real, labels = real_form(m)
+    assert np.abs((t.conj().T @ t - sps.identity(t.shape[0])).data).max(initial=0.0) <= 1e-15
+    full = t.conj().T @ m @ t
+    # near-degenerate draws cancel O(1) terms down to 1e-7, so the rounding
+    # in the imaginary part is measured against at least 1
+    assert max_abs(full.imag.data) <= 1e-12 * max(1.0, max_abs(full.data))
+    coo = real.tocoo()
+    assert np.array_equal(labels[coo.row], labels[coo.col])
+    event(f"{labels.max() + 1} sectors")
+
+
+@SETTINGS
+@given(models())
+def test_real_sector_propagators_match_the_complex_expm_loop(drawn):
+    # both sides renormalize every step (trace_tol = 0)
+    model, rng = drawn
+    rho0 = random_density(model.dim, rng)
+    times = np.linspace(0.0, 2.0, 5)
+    propagator = sla.expm(liouvillian(model, SCHROEDINGER).matrix.toarray() * times[1])
+    z = vec(rho0)
+    expected = [rho0]
+    for _ in times[1:]:
+        z = propagator @ z
+        z = z / np.trace(unvec(z)).real
+        expected.append(unvec(z))
+    for method, tol in (("expm_fixed", 1e-13), ("rk_adaptive", 1e-10)):
+        traj = evolve(model, rho0, 2.0, method=method, n_points=5, trace_tol=0.0)
+        for state, x in zip(traj.states, expected):
+            assert np.abs(state.matrix - x).max() <= tol
 
 
 def test_arnoldi_non_convergence_falls_back_to_dense():
