@@ -241,7 +241,8 @@ def real_form(m) -> tuple[sps.csr_array, sps.csr_array, np.ndarray]:
     Returns T, R and each coordinate's sector label.
     """
     # imported here: csgraph's extension modules add about 1 MB of resident
-    # memory, which runs that never propagate need not pay
+    # memory, which runs that build no Liouvillian (synthesis, Lyapunov and
+    # LaSalle checks) need not pay
     from scipy.sparse.csgraph import connected_components
 
     m = sps.csr_array(m)

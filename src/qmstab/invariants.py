@@ -1,11 +1,11 @@
 """Invariant states and their classification.
 
 Computes the stationary states of a model from the null space of the
-Schroedinger-side Liouvillian and classifies them: faithfulness (full-rank
-support), subharmonicity of support projections, the connectivity condition
-P L'(I-P) L P != 0 linking a projection to its complement, and a uniqueness
-test through commutant triviality of the algebra generated by the
-Hamiltonian and the couplings.
+Schroedinger-side Liouvillian in its real form (`generator.real_form`) and
+classifies them: faithfulness (full-rank support), subharmonicity of support
+projections, the connectivity condition P L'(I-P) L P != 0 linking a
+projection to its complement, and a uniqueness test through commutant
+triviality of the algebra generated by the Hamiltonian and the couplings.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .generator import (
     generator_heisenberg,
     generator_schroedinger,
     liouvillian,
+    real_form,
     unvec,
 )
 from .operators import (
@@ -50,8 +51,8 @@ NULL_SPACE_ARNOLDI = "splu-arnoldi"
 # Dense eigendecomposition of the full Liouvillian is used up to this
 # dimension; above it the null space is found by shift-inverted Arnoldi on a
 # sparse LU. Dims 1-2 must stay dense because ARPACK needs k < dim^2 - 1;
-# the crossover itself is measured by scripts/time_null_space.py (numbers in
-# README "Numerical notes").
+# scripts/time_null_space.py puts the crossover on the real form at 9-10,
+# a gap of 1-3 ms below it (numbers in README "Numerical notes").
 _DENSE_EIG_DIM = 8
 # Up to this dimension dense eig takes under a second, so it answers whenever
 # the Arnoldi window is not exhaustive or ARPACK stalls (eigenvalues clustered
@@ -76,9 +77,9 @@ class InvariantStateReport:
     """Stationary set of a model.
 
     `states` spans the stationary face found; `null_dimension` is the
-    Liouvillian kernel dimension before cleanup. A state whose cleanup
-    moved it by more than 10x the tolerance is flagged unreliable rather
-    than silently accepted. `null_space_method` names the kernel solver
+    kernel dimension of the real Liouvillian before cleanup. A state whose
+    cleanup moved it by more than 10x the tolerance is flagged unreliable
+    rather than silently accepted. `null_space_method` names the kernel solver
     whose answer is reported; `exhaustive` is False when its Arnoldi window
     may have missed null vectors, making `null_dimension` a lower bound
     (only above dim 24, where no dense fallback runs).
@@ -157,45 +158,58 @@ def _validate_projection(p, dim: int, allow_trivial: bool = False) -> np.ndarray
 # Stationary states
 # ---------------------------------------------------------------------------
 
+def _real_span(v: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """Orthonormal real basis of the eigenvectors `v[:, mask]` of a real
+    matrix, which span their eigenspace through their real and imaginary
+    parts, and its dimension."""
+    null = v[:, mask]
+    u = np.linalg.svd(np.hstack([null.real, null.imag]), full_matrices=False)[0]
+    return u[:, : null.shape[1]], null.shape[1]
+
+
 def _null_space_dense(m: sps.csr_array, tol_abs: float):
-    """Null vectors and kernel dimension by dense eigendecomposition."""
+    """Null space basis and dimension by dense eigendecomposition."""
     w, v = np.linalg.eig(m.toarray())
-    mask = np.abs(w) <= tol_abs
-    return v[:, mask], int(mask.sum())
+    return _real_span(v, np.abs(w) <= tol_abs)
 
 
 def _null_space_arnoldi(
     m: sps.csr_array, tol_abs: float, max_null: int, maxiter: int | None = None
 ):
-    """Null vectors by shift-inverted Arnoldi close to zero.
+    """Null space basis of a real matrix by shift-inverted Arnoldi near zero.
 
     m - sigma I is factored once by sparse LU (`splu`, CSC) and its solve
-    drives ARPACK, which returns the `max_null` eigenvalues nearest sigma.
-    The window is exhaustive when its farthest eigenvalue lies outside the
-    disc |w - sigma| <= sigma + tol_abs, which holds every eigenvalue within
-    tol_abs of zero; otherwise further null vectors may exist. Raises
-    ArpackNoConvergence when ARPACK does not converge within `maxiter`
-    restarts (None: its default), as when the spectrum clusters near sigma.
+    drives ARPACK for the `max_null` eigenvalues nearest sigma. Krylov
+    methods see the copies of a repeated eigenvalue only through rounding,
+    so a second run finds the nearest eigenvalue left once the null vectors
+    found are deflated. The window is exhaustive when that one lies outside
+    the disc |w - sigma| <= sigma + tol_abs, which holds every eigenvalue
+    within tol_abs of zero. Raises ArpackNoConvergence when ARPACK does not
+    converge within `maxiter` restarts (None: its default), as when the
+    spectrum clusters near sigma.
     """
     n2 = m.shape[0]
-    k = min(max_null, n2 - 2)
     sigma = max(10 * tol_abs, 1e-8)
-    lu = spla.splu(sps.csc_array(m - sigma * sps.identity(n2, dtype=complex)))
-    op = spla.LinearOperator(m.shape, matvec=lu.solve, dtype=complex)
+    lu = spla.splu(sps.csc_array(m - sigma * sps.identity(n2)))
     # a fixed generic start vector keeps repeated runs bit-identical
-    rng = np.random.default_rng(0)
-    v0 = rng.standard_normal(n2) + 1j * rng.standard_normal(n2)
-    w_inv, v = spla.eigs(op, k=k, which="LM", v0=v0, maxiter=maxiter)
-    w = sigma + 1.0 / w_inv
-    mask = np.abs(w) <= tol_abs
-    exhaustive = bool(np.abs(w - sigma).max() > sigma + tol_abs)
-    return v[:, mask], int(mask.sum()), exhaustive
+    v0 = np.random.default_rng(0).standard_normal(n2)
+    op = spla.LinearOperator(m.shape, matvec=lu.solve, dtype=float)
+    w_inv, v = spla.eigs(op, k=min(max_null, n2 - 2), which="LM", v0=v0, maxiter=maxiter)
+    basis, null_dim = _real_span(v, np.abs(sigma + 1.0 / w_inv) <= tol_abs)
+
+    def deflated(x):  # the basis spans an invariant subspace: Schur deflation
+        y = lu.solve(x - basis @ (basis.T @ x))
+        return y - basis @ (basis.T @ y)
+
+    rest = spla.LinearOperator(m.shape, matvec=deflated, dtype=float)
+    w_inv = spla.eigs(rest, k=1, which="LM", v0=v0, maxiter=maxiter, return_eigenvectors=False)
+    return basis, null_dim, bool(abs(1.0 / w_inv[0]) > sigma + tol_abs)
 
 
 def _null_space(m: sps.csr_array, tol_abs: float, max_null: int):
-    """Null vectors of the Liouvillian matrix and the kernel dimension.
+    """Orthonormal null space basis and dimension of a real Liouvillian.
 
-    Returns (vectors, null_dim, method, exhaustive, notes): dense
+    Returns (basis, null_dim, method, exhaustive, notes): dense
     eigendecomposition up to `_DENSE_EIG_DIM`, shift-inverted Arnoldi on a
     sparse LU above it. Up to `_DENSE_FALLBACK_DIM`, an Arnoldi window that
     is not exhaustive or does not converge is replaced by the exact dense
@@ -238,17 +252,20 @@ def _orthonormal_append(basis: list[np.ndarray], x: np.ndarray, floor: float) ->
 
 
 def steady_states(model: ModelSpec, tol: float = 1e-9) -> InvariantStateReport:
-    """Stationary states from the Liouvillian null space.
+    """Stationary states from the null space of the real Liouvillian.
 
-    Each null vector is devectorized, hermitized, eigenvalue-clipped at
-    -tol and renormalized to unit trace. Degenerate stationary spaces are
-    returned as a basis of states with the `not_unique` verdict.
+    The kernel of R = T' M T (`generator.real_form`) is solved whole (per
+    sector, ARPACK stalls on mid-size sectors). T maps its real orthonormal
+    basis to Hermitian matrices, each eigenvalue-clipped at -tol and
+    renormalized to unit trace; tolerances scale with the 1-norm of M.
+    Degenerate stationary spaces are returned as a basis of states with the
+    `not_unique` verdict.
     """
-    n = model.dim
     m = liouvillian(model, SCHROEDINGER).matrix
     scale = float(spla.norm(m, 1))  # induced 1-norm
     tol_abs = tol * max(1.0, scale)
-    null_vecs, null_dim, method, exhaustive, null_notes = _null_space(m, tol_abs, max_null=8)
+    t, r, _ = real_form(m)
+    basis, null_dim, method, exhaustive, null_notes = _null_space(r, tol_abs, max_null=8)
     notes = list(null_notes)
     if null_dim == 0:
         raise InvariantAnalysisError(
@@ -261,25 +278,16 @@ def steady_states(model: ModelSpec, tol: float = 1e-9) -> InvariantStateReport:
             "missed more; null_dimension is a lower bound"
         )
 
-    # The null space is adjoint-closed, so hermitian parts of null vectors
-    # span the same space.
-    basis: list[np.ndarray] = []
-    for j in range(null_vecs.shape[1]):
-        x = unvec(null_vecs[:, j])
-        for y in (hermitian_part(x), (x - dag(x)) / 2j):
-            if max_abs(y) > 1e-14:
-                _orthonormal_append(basis, y, 1e-10)
-    basis = basis[:null_dim]
-
     candidates: list[tuple[np.ndarray, float]] = []
-    for y in basis:
-        w, v = np.linalg.eigh(y)
+    for y in (unvec(x) for x in (t @ basis).T):
         tr = float(np.trace(y).real)
-        if w[0] >= -tol_abs and abs(tr) > tol:
-            ysigned = y if tr > 0 else -y
-            clipped = v @ np.diag(np.clip(w if tr > 0 else -w, 0.0, None)) @ dag(v)
-            cleanup = max_abs(clipped / np.trace(clipped).real - ysigned / abs(tr))
-            candidates.append((clipped / np.trace(clipped).real, cleanup))
+        if tr < 0:  # the sign of a basis direction is arbitrary
+            y, tr = -y, -tr
+        w, v = np.linalg.eigh(y)
+        if w[0] >= -tol_abs and tr > tol:
+            clipped = v @ np.diag(np.clip(w, 0.0, None)) @ dag(v)
+            rho = clipped / np.trace(clipped).real
+            candidates.append((rho, max_abs(rho - y / tr)))
         else:
             # Traceless or indefinite direction: its positive and negative
             # parts are stationary individually (the stationary set is a
@@ -322,25 +330,14 @@ def steady_states(model: ModelSpec, tol: float = 1e-9) -> InvariantStateReport:
             f"dimension {null_dim}"
         )
 
-    faith = []
-    supports = []
-    for dm in states:
-        res = faithfulness_check(dm, tol)
-        faith.append(res.faithful)
-        supports.append(res.support)
-
-    if null_dim == 1 and exhaustive:
-        unique = UNIQUE
-    elif null_dim > 1:
-        unique = NOT_UNIQUE
-    else:
-        unique = INCONCLUSIVE
+    faith = [faithfulness_check(dm, tol) for dm in states]
+    unique = NOT_UNIQUE if null_dim > 1 else UNIQUE if exhaustive else INCONCLUSIVE
 
     return InvariantStateReport(
         states=tuple(states),
         null_dimension=null_dim,
-        faithful=tuple(faith),
-        support_projections=tuple(supports),
+        faithful=tuple(f.faithful for f in faith),
+        support_projections=tuple(f.support for f in faith),
         unique=unique,
         residuals=tuple(residuals),
         cleanup_distances=tuple(cleanups),

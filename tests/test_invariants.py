@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qmstab.invariants as invariants
 from qmstab import (
     ModelSpec,
     OperatorError,
@@ -52,6 +53,22 @@ class TestSteadyStates:
         first, second = steady_states(model), steady_states(model)
         assert (first.null_space_method, first.exhaustive) == ("splu-arnoldi", True)
         assert first.states[0].matrix.tobytes() == second.states[0].matrix.tobytes()
+
+    def test_cleanup_does_not_depend_on_the_sign_of_the_null_basis(self, monkeypatch):
+        # the solver fixes no sign; a direction with negative trace must be
+        # cleaned up and measured like its positive twin, not split silently
+        solve = invariants._null_space
+        model = oscillator(12)
+        reports = []
+        for sign in (1.0, -1.0):
+            def signed(*args, s=sign, **kwargs):
+                basis, *rest = solve(*args, **kwargs)
+                return (s * basis, *rest)
+
+            monkeypatch.setattr(invariants, "_null_space", signed)
+            reports.append(steady_states(model))
+        assert reports[0].cleanup_distances == reports[1].cleanup_distances
+        assert reports[0].states[0].matrix.tobytes() == reports[1].states[0].matrix.tobytes()
 
     def test_degenerate_null_space(self, dephasing):
         report = steady_states(dephasing)

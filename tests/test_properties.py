@@ -114,8 +114,9 @@ def test_dense_and_splu_null_spaces_agree(drawn):
     model, _ = drawn
     m = liouvillian(model, SCHROEDINGER).matrix
     tol_abs = 1e-9 * max(1.0, float(spla.norm(m, 1)))
-    _, dense_dim = _null_space_dense(m, tol_abs)
-    _, null_dim, method, exhaustive, notes = _null_space(m, tol_abs, max_null=8)
+    real = real_form(m)[1]
+    _, dense_dim = _null_space_dense(real, tol_abs)
+    _, null_dim, method, exhaustive, notes = _null_space(real, tol_abs, max_null=8)
     event(f"{method}, {len(notes)} fallback notes")
     assert (null_dim, exhaustive) == (dense_dim, True)
     if method == NULL_SPACE_ARNOLDI:
@@ -174,9 +175,10 @@ def test_arnoldi_non_convergence_falls_back_to_dense():
     model = ModelSpec(h, [_operator("near_degenerate", 9, rng, hermitian=False)])
     m = liouvillian(model, SCHROEDINGER).matrix
     tol_abs = 1e-9 * max(1.0, float(spla.norm(m, 1)))
+    real = real_form(m)[1]
     with pytest.raises(spla.ArpackNoConvergence):
-        _null_space_arnoldi(m, tol_abs, max_null=8, maxiter=_FALLBACK_MAXITER)
-    _, null_dim, method, exhaustive, notes = _null_space(m, tol_abs, max_null=8)
+        _null_space_arnoldi(real, tol_abs, max_null=8, maxiter=_FALLBACK_MAXITER)
+    _, null_dim, method, exhaustive, notes = _null_space(real, tol_abs, max_null=8)
     assert (null_dim, method, exhaustive) == (9, NULL_SPACE_DENSE, True)
     assert "did not converge" in notes[0]
 
@@ -190,12 +192,46 @@ def test_window_crowded_near_the_shift_is_not_exhaustive():
     model = ModelSpec(h, [_operator("zero", 9, rng, hermitian=False)])
     m = liouvillian(model, SCHROEDINGER).matrix
     tol_abs = 1e-9 * max(1.0, float(spla.norm(m, 1)))
-    _, arnoldi_dim, exhaustive = _null_space_arnoldi(m, tol_abs, max_null=8)
+    real = real_form(m)[1]
+    _, arnoldi_dim, exhaustive = _null_space_arnoldi(real, tol_abs, max_null=8)
     assert arnoldi_dim < 9
     assert not exhaustive
-    _, null_dim, method, exhaustive, notes = _null_space(m, tol_abs, max_null=8)
+    _, null_dim, method, exhaustive, notes = _null_space(real, tol_abs, max_null=8)
     assert (null_dim, method, exhaustive) == (9, NULL_SPACE_DENSE, True)
     assert "not exhaustive" in notes[0]
+
+
+def test_repeated_null_eigenvalue_missed_by_the_window_is_not_exhaustive():
+    # near-degenerate H without dissipation: every |e_i><e_i| is stationary,
+    # so 0 is a 9-fold eigenvalue, of which real Arnoldi finds only a few
+    # copies (4 here); the rest of the window holds eigenvalues just outside
+    # the disc, so only the deflated rerun shows that null vectors were missed
+    rng = np.random.default_rng(1117)
+    model = ModelSpec(_operator("near_degenerate", 9, rng, hermitian=True), [np.zeros((9, 9))])
+    m = liouvillian(model, SCHROEDINGER).matrix
+    tol_abs = 1e-9 * max(1.0, float(spla.norm(m, 1)))
+    real = real_form(m)[1]
+    _, arnoldi_dim, exhaustive = _null_space_arnoldi(real, tol_abs, max_null=8)
+    assert arnoldi_dim < 9
+    assert not exhaustive
+    _, null_dim, method, exhaustive, notes = _null_space(real, tol_abs, max_null=8)
+    assert (null_dim, method, exhaustive) == (9, NULL_SPACE_DENSE, True)
+    assert "not exhaustive" in notes[0]
+
+
+@SETTINGS
+@given(models())
+def test_steady_states_lie_in_the_complex_liouvillian_kernel(drawn):
+    # reference: dense eig of the complex dim^2 x dim^2 Liouvillian
+    model, _ = drawn
+    m = liouvillian(model, SCHROEDINGER).matrix
+    tol_abs = 1e-9 * max(1.0, float(spla.norm(m, 1)))
+    null_dim = int((np.abs(np.linalg.eigvals(m.toarray())) <= tol_abs).sum())
+    report = steady_states(model)
+    assert (report.null_dimension, report.exhaustive) == (null_dim, True)
+    for state in report.states:
+        assert max_abs(m @ vec(state.matrix)) <= 1e-9
+    event(f"null dimension {null_dim}, {report.null_space_method}")
 
 
 def test_kernel_wider_than_the_arnoldi_window_is_found_whole():
