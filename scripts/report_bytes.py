@@ -11,7 +11,8 @@ digests cover exactly the bytes that the determinism contract fixes.
 The list covers every subcommand on `fixtures/` plus seeded `synthesize`
 targets: the `certify-n32` recipe, degenerate and indefinite diagonal
 targets and a Hamiltonian with and without compensation. `simulate-osc40`
-is the one `simulate` run above dim 30, so it takes `rk_adaptive`. The inputs come from this
+takes `rk_adaptive`: its vacuum sector's cost ratio (`dynamics._cost_ratio`)
+is about 6e4, above `_EXPM_COST_RATIO`. The inputs come from this
 script's own checkout, so two trees see identical files. To compare two
 trees:
 

@@ -48,11 +48,11 @@ def median_time(model: ModelSpec, dense_limit: int, repeats: int) -> tuple[float
     return statistics.median(times), report.null_space_method
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--dims", type=int, nargs="+", default=[6, 8, 10, 12, 24])
     ap.add_argument("--repeats", type=int, default=7)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     default = inv._DENSE_EIG_DIM
     steady_states(random_model(4))  # load BLAS/LAPACK before timing
     print("dim  model       dense_s  splu_s  (method actually used)")

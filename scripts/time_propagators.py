@@ -1,11 +1,21 @@
-"""Time invariant_set_probe with the expm_fixed and the rk_adaptive propagator.
+"""Time the expm_fixed and the rk_adaptive propagator against `auto`'s cost ratio.
 
-Prints one row per dimension: the median wall time over `--repeats` probes
-of the damped oscillator H = N, L = a with V = N (20 seeded samples to
-t = 30, as in the `small-n24` benchmark workload), once with each method.
-These numbers set the limits in `dynamics._auto_method`.
+For each dimension n in `--dims`, three model families are propagated with
+each method, median wall time over `--repeats` calls:
 
-    PYTHONPATH=src python3 scripts/time_propagators.py [--dims 16 24 30 40]
+- `probe`: the damped oscillator H = N, L = a with a block of 20 seeded
+  random states to t = 30 (33 points), the `small-n24` probe's shape;
+- `vacuum`: the oscillator H = N, L = a + a'/2 from the vacuum to t = 20
+  (41 points), the `osc-n60` `simulate` shape;
+- `random`: a seeded dense random model (Hermitian H, two complex Gaussian
+  couplings) from one seeded random state to t = 5 (201 points).
+
+Each row prints the largest active sector, the cost ratio that
+`dynamics._auto_method` compares with `_EXPM_COST_RATIO`, both times and
+`auto`'s pick, starred when it is more than 1.5x slower than the other
+method. These rows set `_EXPM_COST_RATIO`.
+
+    PYTHONPATH=src python3 scripts/time_propagators.py [--dims 12 24 30 36] [--repeats 3]
 """
 
 from __future__ import annotations
@@ -14,30 +24,66 @@ import argparse
 import statistics
 import time
 
-from qmstab import ModelSpec, invariant_set_probe, ladder_lowering, number_operator
+import numpy as np
+
+from qmstab import ModelSpec, ladder_lowering, number_operator, random_density
+from qmstab import dynamics as dyn
+from qmstab.generator import SCHROEDINGER, liouvillian, vec
 
 
-def median_time(n: int, method: str, repeats: int) -> tuple[float, float]:
-    model = ModelSpec(number_operator(n), [ladder_lowering(n)])
+def _random_model(n: int, rng) -> ModelSpec:
+    def gaussian():
+        return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+
+    x = gaussian()
+    return ModelSpec((x + x.conj().T) / 2, [gaussian(), gaussian()])
+
+
+def family(name: str, n: int) -> tuple[ModelSpec, list, float, int]:
+    """The model, initial states, t_final and point count of one row."""
+    rng = np.random.default_rng(3)
+    a = ladder_lowering(n)
+    if name == "probe":
+        model = ModelSpec(number_operator(n), [a])
+        return model, [random_density(n, rng) for _ in range(20)], 30.0, 33
+    if name == "vacuum":
+        vacuum = np.zeros((n, n), dtype=complex)
+        vacuum[0, 0] = 1.0
+        return ModelSpec(number_operator(n), [a + 0.5 * a.conj().T]), [vacuum], 20.0, 41
+    return _random_model(n, rng), [random_density(n, rng)], 5.0, 201
+
+
+def median_time(row: tuple, method: str, repeats: int) -> float:
+    model, rhos, t_final, n_points = row
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        probe = invariant_set_probe(model, number_operator(n), seed=3, method=method)
+        dyn._propagate(model, rhos, t_final, method, n_points)
         times.append(time.perf_counter() - t0)
-    return statistics.median(times), probe.max_final
+    return statistics.median(times)
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--dims", type=int, nargs="+", default=[16, 24, 30, 40])
+    ap.add_argument("--dims", type=int, nargs="+", default=[12, 24, 30, 36])
     ap.add_argument("--repeats", type=int, default=3)
-    args = ap.parse_args()
-    median_time(4, "expm_fixed", 1)  # load BLAS/LAPACK before timing
-    print("dim  expm_s  rk_s    max_final (expm / rk)")
-    for n in args.dims:
-        expm, expm_final = median_time(n, "expm_fixed", args.repeats)
-        rk, rk_final = median_time(n, "rk_adaptive", args.repeats)
-        print(f"{n:3d}  {expm:6.3f}  {rk:6.3f}  {expm_final:.3e} / {rk_final:.3e}", flush=True)
+    args = ap.parse_args(argv)
+    median_time(family("vacuum", 4), dyn.METHOD_EXPM, 1)  # load BLAS/LAPACK before timing
+    print("family  dim  sector  ratio    expm_s  rk_s    auto")
+    for name in ("probe", "vacuum", "random"):
+        for n in args.dims:
+            row = family(name, n)
+            block = np.column_stack([vec(rho) for rho in row[1]]).astype(complex)
+            frame, _ = dyn._frame(liouvillian(row[0], SCHROEDINGER).matrix, block)
+            ratio = dyn._cost_ratio(frame, block.shape[1])
+            largest = max(sl.stop - sl.start for sl in frame.slices)
+            expm = median_time(row, dyn.METHOD_EXPM, args.repeats)
+            rk = median_time(row, dyn.METHOD_RK, args.repeats)
+            pick = dyn._auto_method(frame, block.shape[1])
+            picked, other = (expm, rk) if pick == dyn.METHOD_EXPM else (rk, expm)
+            flag = " *" if picked > 1.5 * other else ""
+            print(f"{name:6s}  {n:3d}  {largest:6d}  {ratio:7.1e}  {expm:6.3f}  {rk:6.3f}"
+                  f"  {pick}{flag}", flush=True)
 
 
 if __name__ == "__main__":

@@ -19,9 +19,10 @@ gives exactly conjugate entries, so `_checked_state` need not symmetrize.
   product per step.
 - `rk_adaptive` runs embedded RK45 on each column with sparse matvecs.
 
-`expm_multiply` (Al-Mohy & Higham 2011) is not used: for one column of the
-n = 60 oscillator it was no faster than RK45 (1.6 s against 1.4-2.5 s), and
-at n = 128 it took 14 s.
+`expm_multiply` (Al-Mohy & Higham 2011) on the active sectors wins neither
+case: the n = 60 oscillator from the vacuum to t = 20 took 0.63-0.72 s
+against RK45's 0.41-0.55 s, the n = 24 probe block 0.36-0.43 s against
+`expm_fixed`'s 0.08-0.14 s.
 
 Time is dimensionless, in units of the model's rate constants.
 """
@@ -62,29 +63,6 @@ METHOD_AUTO = "auto"
 _MEAN_BOUND_SLACK = 1e-6
 _TAIL_FRACTION = 0.1
 _MONOTONE_SLACK = 1e-8
-
-# expm is exact up to exponential accuracy but costs the cube of each sector's
-# size; it is paid once per call, for every column of the block. Adaptive RK
-# only needs sparse matvecs, but for each column, so the choice depends on
-# the column count. scripts/time_propagators.py (20-sample probe of H = N,
-# L = a, t = 30; 2 CPUs, numpy 2.4, scipy 1.17; median of 3, expm / RK), on
-# the complex dim^2 block: dim 16 0.24 / 2.29 s, 24 0.45 / 3.19 s, 30 1.16 /
-# 4.22 s; a later run, 1.5x slower at dim 40: 40 7.09 / 10.53 s, 48 16.34 /
-# 13.32 s. Blocks of at least _EXPM_BLOCK_COLUMNS columns take expm up to
-# dim 40, the last measured dim where it won; one column (`simulate`) and
-# smaller blocks keep 30. On real sectors: 24 0.08 / 1.21 s, 30 0.12 /
-# 1.50 s, 40 0.28 / 2.24 s. The limits still key on the model dimension;
-# choosing by sector size is the next step (ROADMAP.md, item 4).
-_EXPM_DIM_LIMIT = 30
-_EXPM_BLOCK_COLUMNS = 20
-_EXPM_BLOCK_DIM_LIMIT = 40
-
-
-def _auto_method(dim: int, columns: int) -> str:
-    """The propagator `auto` picks for a block of `columns` states."""
-    limit = _EXPM_BLOCK_DIM_LIMIT if columns >= _EXPM_BLOCK_COLUMNS else _EXPM_DIM_LIMIT
-    return METHOD_EXPM if dim <= limit else METHOD_RK
-
 
 class IntegrationError(RuntimeError):
     """The integrator could not continue (step underflow or a positivity
@@ -183,10 +161,9 @@ def _propagate(
         columns.append(vec(rho))
     block = np.column_stack(columns).astype(complex)
 
-    if method == METHOD_AUTO:
-        method = _auto_method(model.dim, block.shape[1])
-
     frame, x = _frame(liouvillian(model, SCHROEDINGER).matrix, block)
+    if method == METHOD_AUTO:
+        method = _auto_method(frame, block.shape[1])
     times = np.linspace(0.0, float(t_final), n_points)
 
     if method == METHOD_EXPM:
@@ -245,6 +222,27 @@ def _frame(m, block: np.ndarray) -> tuple[_Frame, np.ndarray]:
     diagonal = np.flatnonzero(np.isin(keep, np.arange(n) * (n + 1)))
     frame = _Frame(basis[:, keep], real[keep][:, keep], slices, diagonal, int(labels.max()) + 1)
     return frame, x[keep]
+
+
+# expm pays one dense exponential per active sector of s coordinates, about
+# s^3, once for the block; RK45 pays per stage one sparse matvec and vector
+# updates, about nnz + rows, per column. `auto` takes expm up to one ratio of
+# the two. scripts/time_propagators.py (2 CPUs, numpy 2.4, scipy 1.17): on the
+# oscillator from the vacuum expm wins up to n = 30 (ratio 2.0e4) and RK45
+# from n = 36 (4.1e4), within 1.25x either way between; the probe blocks
+# (ratio <= 32) and dense random models (<= 1.3e3) take expm, 2-25x faster.
+_EXPM_COST_RATIO = 30_000
+
+
+def _cost_ratio(frame: _Frame, columns: int) -> float:
+    """expm's cost for `columns` states in `frame`, in units of one RK45 stage."""
+    cubes = sum((sl.stop - sl.start) ** 3 for sl in frame.slices)
+    return cubes / (columns * (frame.matrix.nnz + frame.matrix.shape[0]))
+
+
+def _auto_method(frame: _Frame, columns: int) -> str:
+    """The propagator `auto` picks for a block of `columns` states."""
+    return METHOD_EXPM if _cost_ratio(frame, columns) <= _EXPM_COST_RATIO else METHOD_RK
 
 
 def _checked_state(
@@ -506,6 +504,8 @@ def invariant_set_probe(
 
     All samples are drawn first and propagated together as one block.
     """
+    if samples < 1:
+        raise OperatorError("need at least one sample")
     varr = require_hermitian(v)
     rng = np.random.default_rng(seed)
     rhos = [random_density(model.dim, rng) for _ in range(samples)]

@@ -371,6 +371,12 @@ class TestProbe:
         assert rec["accepted"] == 5 * 32  # 5 samples, 33 sample points each
         assert 0.0 <= rec["max_trace_drift"] <= 1e-11
 
+    def test_no_samples_is_an_input_error(self, tmp_path, capsys):
+        args = ["probe-invariant-set", "--model", str(FIXTURES / "qubit_decay.json"),
+                "--v", str(FIXTURES / "qubit_V.json"), "--samples", "0"]
+        assert run(args, tmp_path) == 65
+        assert "at least one sample" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_usage_error(self, capsys):

@@ -195,19 +195,35 @@ class TestBlockPropagator:
         invariant_set_probe(qubit_decay, V_GROUND, samples=3, t_final=2.0, n_points=11)
         assert len(calls) == 3 * (11 + 1)
 
-    def test_auto_method_by_dimension_and_columns(self):
-        # one column keeps expm up to dim 30; a probe-sized block up to 40
-        assert dyn._auto_method(30, 1) == "expm_fixed"
-        assert dyn._auto_method(31, 1) == "rk_adaptive"
-        assert dyn._auto_method(40, 19) == "rk_adaptive"
-        assert dyn._auto_method(40, 20) == "expm_fixed"
-        assert dyn._auto_method(41, 20) == "rk_adaptive"
+    @staticmethod
+    def _auto(model, rhos):
+        block = np.column_stack([vec(rho) for rho in rhos]).astype(complex)
+        frame, _ = dyn._frame(liouvillian(model, SCHROEDINGER).matrix, block)
+        return dyn._auto_method(frame, block.shape[1])
 
-    def test_auto_method_counts_the_block_columns(self, qubit_decay, monkeypatch):
-        monkeypatch.setattr(dyn, "_EXPM_DIM_LIMIT", 1)
-        probe = invariant_set_probe(qubit_decay, V_GROUND, samples=20, t_final=2.0)
-        assert probe.step_controller.method == "expm_fixed"
-        assert evolve(qubit_decay, EXCITED, 2.0).step_controller.method == "rk_adaptive"
+    def test_auto_method_weighs_columns_against_sector_cost(self, rng):
+        # both 800-coordinate sectors of the n = 40 oscillator: RK45 per
+        # column wins for one state, one expm for the block wins for five
+        rhos = [random_density(40, rng) for _ in range(5)]
+        assert self._auto(oscillator(40), rhos[:1]) == "rk_adaptive"
+        assert self._auto(oscillator(40), rhos) == "expm_fixed"
+
+    def test_auto_method_by_sector_size_not_dimension(self, rng):
+        # 60 small sectors of H = N, L = a at n = 60, and one dense sector
+        # of a random dim-36 model: both above any dimension limit
+        n = 60
+        damped = ModelSpec(number_operator(n), [ladder_lowering(n)])
+        assert self._auto(damped, [random_density(n, rng) for _ in range(20)]) == "expm_fixed"
+        x, y, z = (rng.standard_normal((3, 36, 36)) + 1j * rng.standard_normal((3, 36, 36)))
+        dense = ModelSpec(x + x.conj().T, [y, z])
+        assert self._auto(dense, [random_density(36, rng)]) == "expm_fixed"
+
+    def test_auto_method_on_a_zero_generator(self):
+        # no nonzeros: the rows keep RK45's cost positive
+        trivial = ModelSpec(np.zeros((1, 1)), [np.zeros((1, 1))])
+        assert self._auto(trivial, [np.ones((1, 1))]) == "expm_fixed"
+        zero = ModelSpec(np.zeros((4, 4)), [np.zeros((4, 4))])
+        assert self._auto(zero, [np.eye(4) / 4]) == "expm_fixed"
 
     def test_step_record_counts_sectors_and_propagated_coordinates(self):
         # the vacuum lies in one of the oscillator's two sectors; random
@@ -353,3 +369,7 @@ class TestInvariantSetProbe:
         p2 = invariant_set_probe(qubit_decay, V_GROUND, samples=5, t_final=5.0, seed=3)
         np.testing.assert_array_equal(p1.final_values, p2.final_values)
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_needs_a_sample(self, qubit_decay, samples):
+        with pytest.raises(OperatorError, match="at least one sample"):
+            invariant_set_probe(qubit_decay, V_GROUND, samples=samples)
