@@ -133,10 +133,10 @@ def digest(path: Path, tmp: str) -> str:
     return hashlib.sha256(text.replace(tmp, "<tmp>").encode()).hexdigest()
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=".", help="qmstab checkout whose src/ is imported")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve() / "src"))
     from qmstab.cli import main as qmstab_main
 

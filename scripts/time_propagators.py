@@ -28,7 +28,7 @@ import numpy as np
 
 from qmstab import ModelSpec, ladder_lowering, number_operator, random_density
 from qmstab import dynamics as dyn
-from qmstab.generator import SCHROEDINGER, liouvillian, vec
+from qmstab.generator import liouvillian, vec
 
 
 def _random_model(n: int, rng) -> ModelSpec:
@@ -74,7 +74,7 @@ def main(argv: list[str] | None = None) -> None:
         for n in args.dims:
             row = family(name, n)
             block = np.column_stack([vec(rho) for rho in row[1]]).astype(complex)
-            frame, _ = dyn._frame(liouvillian(row[0], SCHROEDINGER).matrix, block)
+            frame, _ = dyn._frame(liouvillian(row[0]), block)
             ratio = dyn._cost_ratio(frame, block.shape[1])
             largest = max(sl.stop - sl.start for sl in frame.slices)
             expm = median_time(row, dyn.METHOD_EXPM, args.repeats)

@@ -24,8 +24,6 @@ from .operators import (
     spectral_decompose,
 )
 from .generator import (
-    HEISENBERG,
-    SCHROEDINGER,
     ModelSpec,
     Superoperator,
     dissipation_functional,

@@ -137,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-final", type=float, required=True)
     p.add_argument("--v", help="observable V for a series and diagnostics")
     p.add_argument("--w", help="observable W for a series and diagnostics")
-    p.add_argument("--c", type=float, help="rate for the mean-bound check")
-    p.add_argument("--d", type=float, help="offset for the mean-bound check")
+    p.add_argument("--c", type=float, help="rate for the mean-bound check (with --v and --d)")
+    p.add_argument("--d", type=float, help="offset for the mean-bound check (with --v and --c)")
     p.add_argument("--method", choices=("auto", "expm_fixed", "rk_adaptive"), default="auto")
     p.add_argument("--points", type=int, default=201, help="number of sample times")
     common(p)
@@ -305,6 +305,9 @@ def cmd_analyze(run: _Run) -> None:
 
 
 def cmd_simulate(run: _Run) -> None:
+    bound_args = (run.args.v, run.args.c, run.args.d)
+    if bound_args[1:] != (None, None) and None in bound_args:
+        raise FormatError("the mean bound needs --v, --c and --d together")
     model = _load_model_arg(run)
     rho0 = DensityMatrix.from_matrix(_load_operator_arg(run, "rho0", "rho0"))
     traj = evolve(
@@ -343,7 +346,7 @@ def cmd_simulate(run: _Run) -> None:
             ("v_monotone", "v_monotone_max_violation", "v_sup", "w_integral_estimate",
              "w_limit_estimate", "w_final", "notes"),
         )
-    if v is not None and run.args.c is not None and run.args.d is not None:
+    if run.args.c is not None:
         bound = mean_bound_check(traj, v, run.args.c, run.args.d)
         run.add_check(
             "mean-bound", "Eq. (1)", bound.verdict, 1e-6, bound, ("max_violation", "worst_time")

@@ -9,7 +9,7 @@ sets.
 `evolve` and `invariant_set_probe` share one propagator. It builds the
 Liouvillian once per call and advances a block of states, one column per
 initial state: `evolve` passes one column, the probe one per sample. The
-block moves in real coordinates (`generator.real_form`), on the sectors
+block moves in real coordinates (`generator.liouvillian`), on the sectors
 where some column has weight, and the trace is the sum of the diagonal
 coordinates. Samples are mapped back through the Hermitian basis, which
 gives exactly conjugate entries, so `_checked_state` need not symmetrize.
@@ -36,15 +36,7 @@ import scipy.linalg as sla
 import scipy.sparse as sps
 from scipy.integrate import RK45
 
-from .generator import (
-    SCHROEDINGER,
-    ModelSpec,
-    liouvillian,
-    real_form,
-    state_matrix,
-    unvec,
-    vec,
-)
+from .generator import ModelSpec, Superoperator, liouvillian, state_matrix, unvec, vec
 from .operators import (
     DensityMatrix,
     OperatorError,
@@ -161,7 +153,7 @@ def _propagate(
         columns.append(vec(rho))
     block = np.column_stack(columns).astype(complex)
 
-    frame, x = _frame(liouvillian(model, SCHROEDINGER).matrix, block)
+    frame, x = _frame(liouvillian(model), block)
     if method == METHOD_AUTO:
         method = _auto_method(frame, block.shape[1])
     times = np.linspace(0.0, float(t_final), n_points)
@@ -209,18 +201,18 @@ class _Frame:
         return StepRecord(sectors=self.sectors, propagated_dim=self.matrix.shape[0], **counts)
 
 
-def _frame(m, block: np.ndarray) -> tuple[_Frame, np.ndarray]:
-    """The frame of the sectors where some column of `block` has weight, and
-    the block's coordinates in it."""
-    basis, real, labels = real_form(m)
-    x = (basis.conj().T @ block).real
+def _frame(lv: Superoperator, block: np.ndarray) -> tuple[_Frame, np.ndarray]:
+    """The frame of the sectors of `lv` where some column of `block` has
+    weight, and the block's coordinates in it."""
+    labels = lv.sectors
+    x = (lv.basis.conj().T @ block).real
     keep = np.flatnonzero(np.isin(labels, labels[np.any(x != 0, axis=1)]))
     keep = keep[np.argsort(labels[keep], kind="stable")]
     ends = np.cumsum(np.unique(labels[keep], return_counts=True)[1])
     slices = tuple(slice(a, b) for a, b in zip((0, *ends[:-1]), ends))
-    n = int(round(np.sqrt(m.shape[0])))
-    diagonal = np.flatnonzero(np.isin(keep, np.arange(n) * (n + 1)))
-    frame = _Frame(basis[:, keep], real[keep][:, keep], slices, diagonal, int(labels.max()) + 1)
+    diagonal = np.flatnonzero(np.isin(keep, np.arange(lv.dim) * (lv.dim + 1)))
+    frame = _Frame(lv.basis[:, keep], lv.matrix[keep][:, keep], slices, diagonal,
+                   int(labels.max()) + 1)
     return frame, x[keep]
 
 

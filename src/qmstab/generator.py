@@ -1,16 +1,15 @@
-"""Lindblad generators and their sparse superoperator matrices.
+"""Lindblad generators and the real matrix of the generator on states.
 
 Builds the Heisenberg-picture generator G(X) = -i[X,H] + L(X) with
 dissipator L(X) = sum_k (Lk' X Lk - 1/2 {Lk' Lk, X}), its Schroedinger
-(predual) counterpart acting on states, the dissipation functional
-D(X) = G(X'X) - G(X')X - X'G(X), the per-coupling diffusion coefficients,
-and the vectorized Liouvillian for either picture.
+(predual) counterpart G* acting on states, the dissipation functional
+D(X) = G(X'X) - G(X')X - X'G(X) and the per-coupling diffusion
+coefficients. `liouvillian` gives the one superoperator matrix: G* in an
+orthonormal basis of Hermitian matrices, where it is real, split into its
+decoupled sectors. The Heisenberg picture is its transpose.
 
 Vectorization is column-stacking (`order="F"`); the convention is fixed and
 covered by consistency tests, so no consumer depends on it implicitly.
-`real_form` rewrites a superoperator in an orthonormal basis of Hermitian
-matrices, where a Hermiticity-preserving map is a real matrix, and splits
-that matrix into its decoupled sectors.
 """
 
 from __future__ import annotations
@@ -31,12 +30,10 @@ from .operators import (
     require_hermitian,
 )
 
-HEISENBERG = "heisenberg"
-SCHROEDINGER = "schroedinger"
-
-# Liouvillians are stored sparse, so the cap no longer guards their storage;
-# it bounds the dim^2 x dim^2 problems handed to the null-space LU and the
-# propagators, which are measured only up to dim 60.
+# The cap bounds the dim^2 x dim^2 problems handed to the null-space LU and
+# the propagators. At the cap, `steady_states` of the sparse oscillator
+# H = N, L = a + a'/2 (n = 128) takes 1.6-1.8 s at 130 MB peak RSS (2 CPUs);
+# a model with dense couplings has n^4 nonzeros and needs far more memory.
 MAX_LIOUVILLIAN_DIM = 128
 
 _SUPEROP_TOL = 1e-9
@@ -167,86 +164,62 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Superoperator:
-    """dim^2 x dim^2 CSR matrix acting on column-stacked operators.
+    """The Schroedinger generator G* as a real matrix on coherence vectors.
 
-    Any matrix, dense or sparse, is accepted and stored as CSR. The
-    Heisenberg side annihilates vec(I) (unitality); the Schroedinger side
-    satisfies vec(I)' M = 0 (trace preservation). Both are validated at
-    construction by a sparse matvec.
+    `basis` is the sparse unitary T whose columns are vec of E_ii,
+    (E_ij + E_ji)/sqrt2 and i(E_ij - E_ji)/sqrt2 (i < j), placed at the
+    column-stacked positions of (i, i), (i, j) and (j, i). `matrix` is the
+    real CSR matrix R with vec(G*(X)) = T R T' vec(X). Since
+    tr(G*(rho) X) = tr(rho G(X)), the Heisenberg generator G is R^T in the
+    same basis. `sectors` labels each coordinate with its decoupled sector;
+    `norm` is the induced 1-norm of the complex M = T R T', the scale of
+    every null-space tolerance.
     """
 
+    basis: sps.csr_array
     matrix: sps.csr_array
-    side: str
-
-    def __post_init__(self):
-        m = sps.csr_array(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        n = int(round(np.sqrt(m.shape[0])))
-        vec_id = vec(np.eye(n, dtype=complex))
-        scale = max(1.0, max_abs(m.data))
-        if self.side == HEISENBERG:
-            residual = max_abs(m @ vec_id)
-        elif self.side == SCHROEDINGER:
-            residual = max_abs(m.conj().T @ vec_id)
-        else:
-            raise OperatorError(f"unknown superoperator side {self.side!r}")
-        if residual > _SUPEROP_TOL * scale:
-            raise OperatorError(
-                f"{self.side} superoperator violates its structural identity "
-                f"(residual {residual:.3e})"
-            )
+    sectors: np.ndarray
+    norm: float
 
     @property
     def dim(self) -> int:
         return int(round(np.sqrt(self.matrix.shape[0])))
 
 
-def liouvillian(model: ModelSpec, side: str, max_dim: int = MAX_LIOUVILLIAN_DIM) -> Superoperator:
-    """Sparse matrix realization of the generator on vectorized operators.
+def liouvillian(model: ModelSpec) -> Superoperator:
+    """The Schroedinger generator of `model` in the Hermitian basis.
 
-    With column stacking, vec(A X B) = kron(B^T, A) vec(X).
-    """
-    n = model.dim
-    if n > max_dim:
-        raise OperatorError(f"dimension {n} exceeds the Liouvillian cap {max_dim}")
-    if side not in (HEISENBERG, SCHROEDINGER):
-        raise OperatorError(f"unknown superoperator side {side!r}")
-
-    def kron(a, b):
-        return sps.kron(sps.csr_array(a), sps.csr_array(b), format="csr")
-
-    eye = sps.identity(n, dtype=complex, format="csr")
-    h = model.hamiltonian
-    # Heisenberg:     G(X) = -i(XH - HX) + sum Lk' X Lk - 1/2 {Lk'Lk, X}
-    # Schroedinger: G*(rho) = -i(H rho - rho H) + sum Lk rho Lk' - 1/2 {Lk'Lk, rho}
-    commutator = kron(h.T, eye) - kron(eye, h)  # vec(XH - HX)
-    m = -1j * commutator if side == HEISENBERG else 1j * commutator
-    for l in model.couplings:
-        ldl = dag(l) @ l
-        m += kron(l.T, dag(l)) if side == HEISENBERG else kron(l.conj(), l)
-        m -= 0.5 * (kron(eye, ldl) + kron(ldl.T, eye))
-    return Superoperator(matrix=m, side=side)
-
-
-def real_form(m) -> tuple[sps.csr_array, sps.csr_array, np.ndarray]:
-    """A dim^2 x dim^2 superoperator in the Hermitian basis, and its sectors.
-
-    T is the sparse unitary whose columns are vec of E_ii, (E_ij + E_ji)/sqrt2
-    and i(E_ij - E_ji)/sqrt2 (i < j), placed at the column-stacked positions
-    of (i, i), (i, j) and (j, i). A map that preserves Hermiticity is real in
-    this basis (the coherence vector; Alicki & Lendi, Lect. Notes Phys. 717,
-    2007), so R = (T' M T).real loses only rounding. The weakly connected
-    components of R's nonzeros are decoupled sectors, weak symmetries that
-    are diagonal in the basis (Buca & Prosen, New J. Phys. 14, 073007, 2012).
-    Returns T, R and each coordinate's sector label.
+    M is assembled in CSR from column-stacked Kronecker products,
+    vec(A X B) = kron(B^T, A) vec(X), and rotated once: a map that preserves
+    Hermiticity is real in the Hermitian basis (the coherence vector; Alicki
+    & Lendi, Lect. Notes Phys. 717, 2007), so R = (T' M T).real loses only
+    rounding. The weakly connected components of R's nonzeros are decoupled
+    sectors, weak symmetries that are diagonal in the basis (Buca & Prosen,
+    New J. Phys. 14, 073007, 2012). The diagonal coordinates sum to the
+    trace, so their rows of R must sum to zero (trace preservation).
     """
     # imported here: csgraph's extension modules add about 1 MB of resident
     # memory, which runs that build no Liouvillian (synthesis, Lyapunov and
     # LaSalle checks) need not pay
     from scipy.sparse.csgraph import connected_components
 
-    m = sps.csr_array(m)
-    n = int(round(np.sqrt(m.shape[0])))
+    n = model.dim
+    if n > MAX_LIOUVILLIAN_DIM:
+        raise OperatorError(f"dimension {n} exceeds the Liouvillian cap {MAX_LIOUVILLIAN_DIM}")
+
+    def kron(a, b):
+        return sps.kron(sps.csr_array(a), sps.csr_array(b), format="csr")
+
+    eye = sps.identity(n, dtype=complex, format="csr")
+    h = model.hamiltonian
+    # G*(rho) = -i(H rho - rho H) + sum Lk rho Lk' - 1/2 {Lk'Lk, rho}
+    m = 1j * (kron(h.T, eye) - kron(eye, h))
+    for l in model.couplings:
+        ldl = dag(l) @ l
+        m += kron(l.conj(), l)
+        m -= 0.5 * (kron(eye, ldl) + kron(ldl.T, eye))
+    norm = float(abs(m).sum(axis=0).max())  # induced 1-norm
+
     i, j = np.triu_indices(n, 1)
     diag, up, lo = np.arange(n) * (n + 1), i + j * n, j + i * n
     s = np.full(i.size, np.sqrt(0.5))
@@ -254,5 +227,8 @@ def real_form(m) -> tuple[sps.csr_array, sps.csr_array, np.ndarray]:
                        (np.r_[diag, up, lo, up, lo], np.r_[diag, up, up, lo, lo])), shape=m.shape)
     r = sps.csr_array((t.conj().T @ m @ t).real)
     r.eliminate_zeros()
+    residual = max_abs(r[diag].sum(axis=0))
+    if residual > _SUPEROP_TOL * max(1.0, norm):
+        raise OperatorError(f"Liouvillian does not preserve the trace (residual {residual:.3e})")
     _, labels = connected_components(r, directed=True, connection="weak")
-    return t, r, labels
+    return Superoperator(t, r, labels, norm)

@@ -1,7 +1,7 @@
 """Invariant states and their classification.
 
-Computes the stationary states of a model from the null space of the
-Schroedinger-side Liouvillian in its real form (`generator.real_form`) and
+Computes the stationary states of a model from the null space of the real
+Schroedinger-side Liouvillian (`generator.liouvillian`) and
 classifies them: faithfulness (full-rank support), subharmonicity of support
 projections, the connectivity condition P L'(I-P) L P != 0 linking a
 projection to its complement, and a uniqueness test through commutant
@@ -17,12 +17,10 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from .generator import (
-    SCHROEDINGER,
     ModelSpec,
     generator_heisenberg,
     generator_schroedinger,
     liouvillian,
-    real_form,
     unvec,
 )
 from .operators import (
@@ -54,6 +52,12 @@ NULL_SPACE_ARNOLDI = "splu-arnoldi"
 # scripts/time_null_space.py puts the crossover on the real form at 9-10,
 # a gap of 1-3 ms below it (numbers in README "Numerical notes").
 _DENSE_EIG_DIM = 8
+# Shift-inverted Arnoldi asks ARPACK for this many eigenvalues nearest the
+# shift: 100-150 LU solves on the `osc-n60` and `small-n24` models, and room
+# for every null vector of a model with up to 8 stationary directions. The
+# deflated rerun in `_null_space_arnoldi` says when a wider kernel, or a
+# repeated null eigenvalue, was not held whole.
+_NULL_WINDOW = 8
 # Up to this dimension dense eig takes under a second, so it answers whenever
 # the Arnoldi window is not exhaustive or ARPACK stalls (eigenvalues clustered
 # at the tolerance scale). ARPACK then gets only _FALLBACK_MAXITER restarts,
@@ -173,13 +177,11 @@ def _null_space_dense(m: sps.csr_array, tol_abs: float):
     return _real_span(v, np.abs(w) <= tol_abs)
 
 
-def _null_space_arnoldi(
-    m: sps.csr_array, tol_abs: float, max_null: int, maxiter: int | None = None
-):
+def _null_space_arnoldi(m: sps.csr_array, tol_abs: float, maxiter: int | None = None):
     """Null space basis of a real matrix by shift-inverted Arnoldi near zero.
 
     m - sigma I is factored once by sparse LU (`splu`, CSC) and its solve
-    drives ARPACK for the `max_null` eigenvalues nearest sigma. Krylov
+    drives ARPACK for the `_NULL_WINDOW` eigenvalues nearest sigma. Krylov
     methods see the copies of a repeated eigenvalue only through rounding,
     so a second run finds the nearest eigenvalue left once the null vectors
     found are deflated. The window is exhaustive when that one lies outside
@@ -194,7 +196,7 @@ def _null_space_arnoldi(
     # a fixed generic start vector keeps repeated runs bit-identical
     v0 = np.random.default_rng(0).standard_normal(n2)
     op = spla.LinearOperator(m.shape, matvec=lu.solve, dtype=float)
-    w_inv, v = spla.eigs(op, k=min(max_null, n2 - 2), which="LM", v0=v0, maxiter=maxiter)
+    w_inv, v = spla.eigs(op, k=min(_NULL_WINDOW, n2 - 2), which="LM", v0=v0, maxiter=maxiter)
     basis, null_dim = _real_span(v, np.abs(sigma + 1.0 / w_inv) <= tol_abs)
 
     def deflated(x):  # the basis spans an invariant subspace: Schur deflation
@@ -206,7 +208,7 @@ def _null_space_arnoldi(
     return basis, null_dim, bool(abs(1.0 / w_inv[0]) > sigma + tol_abs)
 
 
-def _null_space(m: sps.csr_array, tol_abs: float, max_null: int):
+def _null_space(m: sps.csr_array, tol_abs: float):
     """Orthonormal null space basis and dimension of a real Liouvillian.
 
     Returns (basis, null_dim, method, exhaustive, notes): dense
@@ -222,7 +224,7 @@ def _null_space(m: sps.csr_array, tol_abs: float, max_null: int):
     fallback = n2 <= _DENSE_FALLBACK_DIM**2
     maxiter = _FALLBACK_MAXITER if fallback else None
     try:
-        vecs, null_dim, exhaustive = _null_space_arnoldi(m, tol_abs, max_null, maxiter)
+        vecs, null_dim, exhaustive = _null_space_arnoldi(m, tol_abs, maxiter)
     except spla.ArpackNoConvergence as exc:
         if not fallback:
             raise InvariantAnalysisError(
@@ -233,7 +235,7 @@ def _null_space(m: sps.csr_array, tol_abs: float, max_null: int):
     else:
         if exhaustive or not fallback:
             return vecs, null_dim, NULL_SPACE_ARNOLDI, exhaustive, ()
-        reason = f"window of {max_null} was not exhaustive"
+        reason = f"window of {_NULL_WINDOW} was not exhaustive"
     note = f"shift-inverted Arnoldi {reason}; dense eig gave the null space"
     return (*_null_space_dense(m, tol_abs), NULL_SPACE_DENSE, True, (note,))
 
@@ -254,18 +256,17 @@ def _orthonormal_append(basis: list[np.ndarray], x: np.ndarray, floor: float) ->
 def steady_states(model: ModelSpec, tol: float = 1e-9) -> InvariantStateReport:
     """Stationary states from the null space of the real Liouvillian.
 
-    The kernel of R = T' M T (`generator.real_form`) is solved whole (per
-    sector, ARPACK stalls on mid-size sectors). T maps its real orthonormal
-    basis to Hermitian matrices, each eigenvalue-clipped at -tol and
-    renormalized to unit trace; tolerances scale with the 1-norm of M.
+    The kernel of R (`generator.liouvillian`) is solved whole (per sector,
+    ARPACK stalls on mid-size sectors). The Hermitian basis T maps its real
+    orthonormal basis to Hermitian matrices, each eigenvalue-clipped at -tol
+    and renormalized to unit trace; tolerances scale with the 1-norm of the
+    complex Liouvillian.
     Degenerate stationary spaces are returned as a basis of states with the
     `not_unique` verdict.
     """
-    m = liouvillian(model, SCHROEDINGER).matrix
-    scale = float(spla.norm(m, 1))  # induced 1-norm
-    tol_abs = tol * max(1.0, scale)
-    t, r, _ = real_form(m)
-    basis, null_dim, method, exhaustive, null_notes = _null_space(r, tol_abs, max_null=8)
+    lv = liouvillian(model)
+    tol_abs = tol * max(1.0, lv.norm)
+    basis, null_dim, method, exhaustive, null_notes = _null_space(lv.matrix, tol_abs)
     notes = list(null_notes)
     if null_dim == 0:
         raise InvariantAnalysisError(
@@ -279,7 +280,7 @@ def steady_states(model: ModelSpec, tol: float = 1e-9) -> InvariantStateReport:
         )
 
     candidates: list[tuple[np.ndarray, float]] = []
-    for y in (unvec(x) for x in (t @ basis).T):
+    for y in (unvec(x) for x in (lv.basis @ basis).T):
         tr = float(np.trace(y).real)
         if tr < 0:  # the sign of a basis direction is arbitrary
             y, tr = -y, -tr
@@ -342,7 +343,7 @@ def steady_states(model: ModelSpec, tol: float = 1e-9) -> InvariantStateReport:
         residuals=tuple(residuals),
         cleanup_distances=tuple(cleanups),
         reliable=tuple(reliable),
-        liouvillian_norm=scale,
+        liouvillian_norm=lv.norm,
         tolerance=tol,
         null_space_method=method,
         exhaustive=exhaustive,
@@ -391,6 +392,8 @@ def _resolve_family(model: ModelSpec, family) -> list[tuple[str, np.ndarray]]:
         eye = np.eye(n, dtype=complex)
         return [(f"|{i}><{i}|", np.outer(eye[:, i], eye[:, i].conj())) for i in range(n)]
     if isinstance(family, np.ndarray):
+        if family.shape != (n, n):
+            raise OperatorError(f"operator shape {family.shape} does not match dimension {n}")
         sd = spectral_decompose(family)
         return [
             (f"eigenspace[{i}] (value {sd.eigenvalues[i]:.6g})", np.asarray(p))

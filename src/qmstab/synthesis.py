@@ -185,23 +185,19 @@ def synthesize_coupling(spec: SynthesisSpec, tol: float = PSD_TOL) -> SynthesisR
                 # cancel the Hamiltonian cross term between the pair:
                 # the off-diagonal generator block is
                 #   (1/2)(v_lo - v_hi) L00' L01 + i (v_hi - v_lo) H01,
-                # so L00' L01 = 2i H01 removes it.
+                # so L00' L01 = 2i H01 removes it; solve X E = 2i H01 for
+                # X = L00' by least squares.
                 case = CASE_COMPENSATED
-                if d_lo == 1 and d_hi == 1:
-                    comp = -2j * np.conj(h_block[0, 0]) / np.conj(spec.coupling_magnitude)
-                    l_eigen[ls, ls] = comp
-                else:
-                    # solve X E = 2i H01 for X = L00' by least squares
-                    e_block = l_eigen[ls:le, hs:he]
-                    x_t, *_ = np.linalg.lstsq(e_block.T, (2j * h_block).T, rcond=None)
-                    l00_dag = x_t.T
-                    residual = max_abs(l00_dag @ e_block - 2j * h_block)
-                    l_eigen[ls:le, ls:le] = dag(l00_dag)
-                    if residual > 1e-9 * max(1.0, max_abs(h_block)):
-                        notes.append(
-                            f"pair ({hi_pos}, {lo_pos}): Hamiltonian cross term only "
-                            f"partially compensated (residual {residual:.3e})"
-                        )
+                e_block = l_eigen[ls:le, hs:he]
+                x_t, *_ = np.linalg.lstsq(e_block.T, (2j * h_block).T, rcond=None)
+                l00_dag = x_t.T
+                residual = max_abs(l00_dag @ e_block - 2j * h_block)
+                l_eigen[ls:le, ls:le] = dag(l00_dag)
+                if residual > 1e-9 * max(1.0, max_abs(h_block)):
+                    notes.append(
+                        f"pair ({hi_pos}, {lo_pos}): Hamiltonian cross term only "
+                        f"partially compensated (residual {residual:.3e})"
+                    )
         cases.append(case)
         couplings.append(q @ l_eigen @ dag(q))
 

@@ -31,6 +31,12 @@ def dephasing():
     return ModelSpec(pauli("z"), [pauli("z")])
 
 
+def complex_form(basis, real):
+    """The column-stacked superoperator T R T' as a dense complex array, for
+    a real matrix R in the Hermitian basis T (`liouvillian(model).basis`)."""
+    return (basis @ real @ basis.conj().T).toarray()
+
+
 def oscillator(n, alpha=1.0, beta=0.5, omega=1.0):
     a = ladder_lowering(n)
     return ModelSpec(omega * number_operator(n), [alpha * a + beta * a.conj().T])

@@ -161,8 +161,8 @@ class TestAnalyze:
 
         null_space = qmstab.invariants._null_space
 
-        def partial_window(m, tol_abs, max_null):
-            vecs, null_dim, method, _, notes = null_space(m, tol_abs, max_null)
+        def partial_window(m, tol_abs):
+            vecs, null_dim, method, _, notes = null_space(m, tol_abs)
             assert null_dim == 1
             return vecs, null_dim, qmstab.invariants.NULL_SPACE_ARNOLDI, False, notes
 
@@ -332,6 +332,17 @@ class TestSimulate:
         rec = checks_by_name(read_report(tmp_path))["trace-preservation"]["step_controller"]
         assert (rec["sectors"], rec["propagated_dim"]) == (3, 2)
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--c", "1"], ["--c", "1", "--d", "0"], ["--v", "{V}", "--c", "1"], ["--d", "0"]],
+    )
+    def test_partial_mean_bound_flags_are_an_input_error(self, tmp_path, capsys, extra):
+        args = ["simulate", "--model", str(FIXTURES / "qubit_decay.json"),
+                "--rho0", str(FIXTURES / "qubit_excited.json"), "--t-final", "1",
+                *(a.format(V=FIXTURES / "qubit_V.json") for a in extra)]
+        assert run(args, tmp_path) == 65
+        assert "needs --v, --c and --d together" in capsys.readouterr().err
+
 
 class TestSynthesizeCommand:
     def test_writes_model_file(self, tmp_path):
@@ -385,6 +396,12 @@ class TestExitCodes:
 
     def test_missing_file(self, tmp_path, capsys):
         assert run(["analyze", "--model", str(tmp_path / "nope.json")], tmp_path) == 65
+
+    def test_operator_of_the_wrong_size(self, tmp_path, capsys):
+        args = ["analyze", "--model", str(FIXTURES / "twoqubit.json"),
+                "--v", str(FIXTURES / "qubit_V.json")]
+        assert run(args, tmp_path) == 65
+        assert "does not match dimension 4" in capsys.readouterr().err
 
     def test_malformed_model(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

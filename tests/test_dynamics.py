@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -22,10 +24,10 @@ from qmstab import (
     number_operator,
     random_density,
 )
-from qmstab.generator import SCHROEDINGER, real_form, unvec, vec
+from qmstab.generator import unvec, vec
 from qmstab.operators import hermitian_part
 
-from conftest import oscillator
+from conftest import complex_form, oscillator
 
 EXCITED = np.diag([1.0, 0.0]).astype(complex)
 V_GROUND = np.diag([1.0, 0.0]).astype(complex)
@@ -94,8 +96,8 @@ class TestBlockPropagator:
         rho0 = random_density(4, rng)
         traj = evolve(twoqubit, rho0, 5.0, method="expm_fixed", n_points=21, trace_tol=0.0)
         dt = float(traj.times[1] - traj.times[0])
-        m = liouvillian(twoqubit, SCHROEDINGER).matrix
-        basis, real, labels = real_form(m)
+        lv = liouvillian(twoqubit)
+        basis, real, labels = lv.basis, lv.matrix, lv.sectors
         order = np.argsort(labels, kind="stable")
         r = real[order][:, order].toarray()
         ends = np.cumsum(np.bincount(labels))
@@ -111,7 +113,7 @@ class TestBlockPropagator:
                 y = y / tr
             expected.append(y)
         # the complex dim^2 loop that the real one replaced
-        propagator = sla.expm(m.toarray() * dt)
+        propagator = sla.expm(complex_form(basis, real) * dt)
         z = vec(rho0).astype(complex)
         complex_expected = [unvec(z).copy()]
         for _ in traj.times[1:]:
@@ -125,11 +127,11 @@ class TestBlockPropagator:
 
     def test_drifting_column_is_renormalized_alone(self, twoqubit, rng):
         # column 0 drifts by 1e-12, inside trace_tol; column 1 has trace 2
-        m = liouvillian(twoqubit, SCHROEDINGER).matrix
+        lv = liouvillian(twoqubit)
         y = (1.0 + 1e-12) * vec(random_density(4, rng)).astype(complex)
         times = np.linspace(0.0, 5.0, 11)
-        raw, record = dyn._evolve_expm(*dyn._frame(m, np.column_stack([y, 2.0 * y])), times, 1e-11)
-        untouched, _ = dyn._evolve_expm(*dyn._frame(m, np.column_stack([y, y])), times, 1e-11)
+        raw, record = dyn._evolve_expm(*dyn._frame(lv, np.column_stack([y, 2.0 * y])), times, 1e-11)
+        untouched, _ = dyn._evolve_expm(*dyn._frame(lv, np.column_stack([y, y])), times, 1e-11)
         assert record.renormalizations == 1
         assert record.accepted == 2 * 10
         assert record.max_trace_drift == pytest.approx(1.0)
@@ -166,13 +168,14 @@ class TestBlockPropagator:
         assert len(calls) == 1
 
     def test_rk_renormalization_rescales_cached_derivative(self, rng):
-        # M = -I/2 only shrinks the trace, so every step renormalizes; with
+        # R = -I/2 only shrinks the trace, so every step renormalizes; with
         # a stale derivative the controller shrinks the step (7200 accepted
         # steps against 87 with the derivative rescaled)
-        m = -0.5 * sp.identity(9, dtype=complex, format="csr")
+        zero = liouvillian(ModelSpec(np.zeros((3, 3)), [np.zeros((3, 3))]))
+        lv = dataclasses.replace(zero, matrix=-0.5 * sp.identity(9, format="csr"))
         y0 = vec(random_density(3, rng)).astype(complex)
         raw, record = dyn._evolve_rk(
-            *dyn._frame(m, y0[:, None]), np.linspace(0.0, 10.0, 11), 1e-9, 1e-12, 1e-11
+            *dyn._frame(lv, y0[:, None]), np.linspace(0.0, 10.0, 11), 1e-9, 1e-12, 1e-11
         )
         assert record.renormalizations == record.accepted
         assert record.accepted < 500
@@ -198,7 +201,7 @@ class TestBlockPropagator:
     @staticmethod
     def _auto(model, rhos):
         block = np.column_stack([vec(rho) for rho in rhos]).astype(complex)
-        frame, _ = dyn._frame(liouvillian(model, SCHROEDINGER).matrix, block)
+        frame, _ = dyn._frame(liouvillian(model), block)
         return dyn._auto_method(frame, block.shape[1])
 
     def test_auto_method_weighs_columns_against_sector_cost(self, rng):

@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
+import qmstab.generator as generator
 from qmstab import (
-    HEISENBERG,
-    SCHROEDINGER,
     ModelSpec,
     OperatorError,
-    Superoperator,
     Verdict,
     dissipation_functional,
     dissipator,
@@ -25,7 +23,7 @@ from qmstab import (
 )
 from qmstab.operators import dag, random_matrix
 
-from conftest import oscillator, random_model
+from conftest import complex_form, oscillator, random_model
 
 SM = pauli("minus")
 SP = pauli("plus")
@@ -176,34 +174,42 @@ class TestDiffusion:
 
 class TestLiouvillian:
     def test_heisenberg_annihilates_identity(self, twolevel):
-        sup = liouvillian(twolevel, HEISENBERG)
-        assert np.abs(sup.matrix @ vec(np.eye(2))).max() < 1e-12
+        # R^T is the Heisenberg generator, and G(I) = 0
+        lv = liouvillian(twolevel)
+        identity = (lv.basis.conj().T @ vec(np.eye(2))).real
+        assert np.abs(lv.matrix.T @ identity).max() < 1e-12
 
     def test_flip_model_mixed_state_in_null_space(self, twolevel):
-        sup = liouvillian(twolevel, SCHROEDINGER)
-        assert np.abs(sup.matrix @ vec(np.eye(2) / 2)).max() < 1e-12
+        lv = liouvillian(twolevel)
+        mixed = (lv.basis.conj().T @ vec(np.eye(2) / 2)).real
+        assert np.abs(lv.matrix @ mixed).max() < 1e-12
 
     def test_matches_elementwise_generators(self, rng):
         model = random_model(4, rng, n_couplings=2)
-        sup_h = liouvillian(model, HEISENBERG)
-        sup_s = liouvillian(model, SCHROEDINGER)
+        lv = liouvillian(model)
+        schroedinger = complex_form(lv.basis, lv.matrix)
+        heisenberg = complex_form(lv.basis, lv.matrix.T)
         for _ in range(50):
             x = random_matrix(4, rng)
             assert np.abs(
-                unvec(sup_h.matrix @ vec(x)) - generator_heisenberg(model, x)
+                unvec(heisenberg @ vec(x)) - generator_heisenberg(model, x)
             ).max() < 1e-10
             assert np.abs(
-                unvec(sup_s.matrix @ vec(x)) - generator_schroedinger(model, x)
+                unvec(schroedinger @ vec(x)) - generator_schroedinger(model, x)
             ).max() < 1e-10
 
-    def test_dimension_cap(self, twoqubit):
+    def test_dimension_cap(self):
+        n = generator.MAX_LIOUVILLIAN_DIM + 1
+        model = ModelSpec(np.zeros((n, n)), [np.zeros((n, n))])
         with pytest.raises(OperatorError, match="cap"):
-            liouvillian(twoqubit, HEISENBERG, max_dim=3)
+            liouvillian(model)
 
-    def test_side_invariant_enforced(self, twolevel):
-        m = liouvillian(twolevel, SCHROEDINGER).matrix
-        with pytest.raises(OperatorError, match="structural"):
-            Superoperator(matrix=m + np.eye(4), side=SCHROEDINGER)
+    def test_side_invariant_enforced(self, twolevel, monkeypatch):
+        # with L' = 0 the anticommutator term drops, and L rho L' alone
+        # does not preserve the trace
+        monkeypatch.setattr(generator, "dag", np.zeros_like)
+        with pytest.raises(OperatorError, match="trace"):
+            liouvillian(twolevel)
 
 
 class TestModelSpec:

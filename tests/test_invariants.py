@@ -142,6 +142,10 @@ class TestConnectivity:
         scan = connectivity_scan(twolevel, np.diag([1.0, 0.0]).astype(complex))
         assert scan.all_connected
 
+    def test_scan_family_of_the_wrong_size_rejected(self, twoqubit):
+        with pytest.raises(OperatorError, match="does not match dimension 4"):
+            connectivity_scan(twoqubit, np.diag([1.0, 0.0]).astype(complex))
+
     def test_block_model_counterexample(self):
         # two decoupled qubits in a 2 + 2 block split: block projections
         # are not connected to their complement

@@ -81,14 +81,18 @@ class TestSynthesizeCoupling:
 
     @pytest.mark.parametrize("h", [pauli("x"), pauli("y"), 0.7 * pauli("x") + 0.2 * pauli("y")])
     def test_case_c_cancels_hamiltonian_cross_term(self, h):
-        result = synthesize_coupling(SynthesisSpec(v=V_GROUND, hamiltonian=h))
-        assert result.pair_cases == ("C",)
-        assert abs(result.blocks[(0, 1)][0, 0]) < 1e-10
-        assert result.certificate.verdict is Verdict.HOLDS
-        # the generator in the user basis is still the pure drain
-        np.testing.assert_allclose(
-            result.generator_matrix, np.diag([-1.0, 0.0]), atol=1e-10
-        )
+        # a real and a complex l of modulus 1: the drain is -|l|^2 either way
+        for mag in (1.0, 0.6 + 0.8j):
+            result = synthesize_coupling(
+                SynthesisSpec(v=V_GROUND, hamiltonian=h, coupling_magnitude=mag)
+            )
+            assert result.pair_cases == ("C",)
+            assert abs(result.blocks[(0, 1)][0, 0]) < 1e-10
+            assert result.certificate.verdict is Verdict.HOLDS
+            # the generator in the user basis is still the pure drain
+            np.testing.assert_allclose(
+                result.generator_matrix, np.diag([-1.0, 0.0]), atol=1e-10
+            )
 
     def test_case_c_off_reproduces_coherent_cross_block(
         self, twoqubit_v, twoqubit_hamiltonian
