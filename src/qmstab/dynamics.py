@@ -210,7 +210,8 @@ def _frame(lv: Superoperator, block: np.ndarray) -> tuple[_Frame, np.ndarray]:
     keep = keep[np.argsort(labels[keep], kind="stable")]
     ends = np.cumsum(np.unique(labels[keep], return_counts=True)[1])
     slices = tuple(slice(a, b) for a, b in zip((0, *ends[:-1]), ends))
-    diagonal = np.flatnonzero(np.isin(keep, np.arange(lv.dim) * (lv.dim + 1)))
+    n = lv.dim
+    diagonal = np.flatnonzero(np.isin(keep, np.arange(n) * (n + 1)))
     frame = _Frame(lv.basis[:, keep], lv.matrix[keep][:, keep], slices, diagonal,
                    int(labels.max()) + 1)
     return frame, x[keep]

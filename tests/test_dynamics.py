@@ -112,7 +112,7 @@ class TestBlockPropagator:
             if abs(tr[0] - 1.0) > 0.0:
                 y = y / tr
             expected.append(y)
-        # the complex dim^2 loop that the real one replaced
+        # the complex dim^2 loop that the real one replaced, on T R T'
         propagator = sla.expm(complex_form(basis, real) * dt)
         z = vec(rho0).astype(complex)
         complex_expected = [unvec(z).copy()]
