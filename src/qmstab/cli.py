@@ -421,7 +421,7 @@ def cmd_synthesize(run: _Run) -> None:
     )
     result = synthesize_coupling(spec, tol=run.args.tol)
     model_path = run.outdir / "synthesized_model.json"
-    save_model(result.model, model_path)
+    save_model(result.model, model_path, factors=result.factors or None)
     verification = verify_synthesis(result, result.model)
     # the couplings live in the model file only; the entry names it and its digest
     run.add_check(

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sps
-from scipy.integrate import RK45
 
 from .generator import ModelSpec, Superoperator, liouvillian, state_matrix, unvec, vec
 from .operators import (
@@ -296,6 +295,9 @@ def _evolve_expm(frame, x, times, trace_tol):
 
 def _evolve_rk(frame, x, times, rtol, atol, trace_tol):
     """RK45 on each column of the block in turn, with the one real generator."""
+    # imported here: scipy.integrate costs every other process ~0.3 s at start-up
+    from scipy.integrate import RK45
+
     m = frame.matrix
     columns = []
     accepted = rejected = n_rhs = renorm = 0

@@ -1,10 +1,11 @@
 """File formats: model and operator JSON, report JSON, CSV and SVG series.
 
 Complex numbers are stored as two-element [re, im] arrays, a complex matrix
-as an array of rows. Reports are emitted with sorted keys and a fixed
-indentation so identical runs produce byte-identical files; the timestamp
-lives in a separate `meta` object that comparisons exclude. All files are
-written atomically (temp file + rename).
+as an array of rows; a model's coupling may also be stored as two factors,
+{"left": A, "right": B} for L = A B'. Reports are emitted with sorted keys
+and a fixed indentation so identical runs produce byte-identical files; the
+timestamp lives in a separate `meta` object that comparisons exclude. All
+files are written atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .generator import ModelSpec
-from .operators import OperatorError, Verdict
+from .operators import OperatorError, Verdict, dag
 
 
 class FormatError(ValueError):
@@ -37,7 +38,7 @@ def complex_matrix_to_json(a: np.ndarray) -> list:
     return np.stack((arr.real, arr.imag), -1).tolist()
 
 
-def complex_matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
+def complex_matrix_from_json(obj, what: str = "matrix", square: bool = True) -> np.ndarray:
     try:
         pairs = np.asarray(obj)
     except ValueError as exc:  # ragged nesting
@@ -49,7 +50,7 @@ def complex_matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
             f"{what}: expected an array of rows of [re, im] pairs, "
             f"got shape {pairs.shape} and dtype {pairs.dtype}"
         )
-    if pairs.shape[0] != pairs.shape[1]:
+    if square and pairs.shape[0] != pairs.shape[1]:
         raise FormatError(f"{what}: expected a square matrix, got shape {pairs.shape[:2]}")
     return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
 
@@ -58,15 +59,46 @@ def complex_matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
 # Model files
 # ---------------------------------------------------------------------------
 
-def model_to_json(model: ModelSpec, labels: list[str] | None = None) -> dict:
+def model_to_json(model: ModelSpec, labels: list[str] | None = None, factors=None) -> dict:
+    """`factors`, when given, holds one `(left, right)` pair per coupling,
+    L = left @ right', and the couplings are written in that form."""
+    if factors is None:
+        couplings = [complex_matrix_to_json(l) for l in model.couplings]
+    else:
+        couplings = [
+            {"left": complex_matrix_to_json(left), "right": complex_matrix_to_json(right)}
+            for left, right in factors
+        ]
     doc = {
         "dim": model.dim,
         "hamiltonian": complex_matrix_to_json(model.hamiltonian),
-        "couplings": [complex_matrix_to_json(l) for l in model.couplings],
+        "couplings": couplings,
     }
     if labels is not None:
         doc["labels"] = list(labels)
     return doc
+
+
+def _coupling_from_json(obj, dim: int, what: str) -> np.ndarray:
+    """A dense matrix, or {"left": dim x r, "right": dim x r} meaning
+    left @ right' with 1 <= r <= dim."""
+    if not isinstance(obj, dict):
+        return complex_matrix_from_json(obj, what)
+    if sorted(obj) != ["left", "right"]:
+        raise FormatError(
+            f"{what}: a factored coupling has exactly the keys 'left' and 'right', "
+            f"got {sorted(obj)}"
+        )
+    left, right = (
+        complex_matrix_from_json(obj[key], f"{what}.{key}", square=False)
+        for key in ("left", "right")
+    )
+    if left.shape != right.shape or left.shape[0] != dim or not 1 <= left.shape[1] <= dim:
+        raise FormatError(
+            f"{what}: left and right must both be {dim} x r with 1 <= r <= {dim}, "
+            f"got {left.shape} and {right.shape}"
+        )
+    return left @ dag(right)
 
 
 def model_from_json(doc) -> tuple[ModelSpec, list[str] | None]:
@@ -76,20 +108,22 @@ def model_from_json(doc) -> tuple[ModelSpec, list[str] | None]:
         if key not in doc:
             raise FormatError(f"model file is missing the {key!r} field")
     dim = doc["dim"]
+    if type(dim) is not int:  # bool is an int subclass, and 2.0 == 2
+        raise FormatError(f"dim must be a JSON integer, got {dim!r}")
     h = complex_matrix_from_json(doc["hamiltonian"], "hamiltonian")
-    if not isinstance(doc["couplings"], list) or not doc["couplings"]:
-        raise FormatError("couplings must be a nonempty array of complex matrices")
-    ls = [
-        complex_matrix_from_json(l, f"couplings[{i}]") for i, l in enumerate(doc["couplings"])
-    ]
     if h.shape[0] != dim:
         raise FormatError(f"hamiltonian is {h.shape[0]}x{h.shape[0]} but dim = {dim}")
+    if not isinstance(doc["couplings"], list) or not doc["couplings"]:
+        raise FormatError("couplings must be a nonempty array of complex matrices")
+    ls = [_coupling_from_json(l, dim, f"couplings[{i}]") for i, l in enumerate(doc["couplings"])]
     try:
         model = ModelSpec(h, ls)
     except OperatorError as exc:
         raise FormatError(str(exc)) from exc
     labels = doc.get("labels")
-    if labels is not None and (not isinstance(labels, list) or len(labels) != dim):
+    if labels is not None and not (
+        isinstance(labels, list) and len(labels) == dim and all(type(x) is str for x in labels)
+    ):
         raise FormatError("labels must list one string per basis vector")
     return model, labels
 
@@ -103,8 +137,8 @@ def load_model(path) -> tuple[ModelSpec, list[str] | None]:
     return model_from_json(doc)
 
 
-def save_model(model: ModelSpec, path, labels: list[str] | None = None) -> None:
-    write_json(model_to_json(model, labels), path)
+def save_model(model: ModelSpec, path, labels: list[str] | None = None, factors=None) -> None:
+    write_json(model_to_json(model, labels, factors), path)
 
 
 def load_operator(path, what: str = "operator") -> np.ndarray:

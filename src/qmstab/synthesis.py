@@ -82,13 +82,18 @@ class SynthesisResult:
 
     `model` is the assembled model whose G(V) is `generator_matrix`: the
     given Hamiltonian (or zero) with the couplings, or one zero coupling
-    when there are none. `failed` marks results whose certificate did not
-    hold; they are returned for inspection, never silently accepted.
+    when there are none. `factors` holds one exact `(left, right)` pair per
+    coupling, L = left @ right'; each coupling is built from its pair by
+    that product, as the model reader builds a factored coupling, so a
+    saved and reloaded model is bit-identical. `failed` marks results
+    whose certificate did not hold; they are returned for inspection,
+    never silently accepted.
     """
 
     v: np.ndarray
     model: ModelSpec
     couplings: tuple[np.ndarray, ...]
+    factors: tuple[tuple[np.ndarray, np.ndarray], ...]
     generator_matrix: np.ndarray
     level_values: tuple[float, ...]
     level_slices: tuple[tuple[int, int], ...]
@@ -123,7 +128,7 @@ def synthesize_coupling(spec: SynthesisSpec, tol: float = PSD_TOL) -> SynthesisR
     n_levels = len(values)
     notes: list[str] = []
     cases: list[str] = []
-    couplings: list[np.ndarray] = []
+    factors: list[tuple[np.ndarray, np.ndarray]] = []
 
     if spec.pair_selection is None:
         # adjacent pairs, each higher level coupled one step down; indices
@@ -174,6 +179,7 @@ def synthesize_coupling(spec: SynthesisSpec, tol: float = PSD_TOL) -> SynthesisR
                 f"({d_hi} vs {d_lo}); {hops} lowering channel(s) emitted"
             )
         case = CASE_LOWERING
+        rows = slice(ls, ls + hops)
         if h_eigen is not None and spec.compensate:
             h_block = h_eigen[ls:le, hs:he]
             if max_abs(h_block) <= tol:
@@ -188,6 +194,7 @@ def synthesize_coupling(spec: SynthesisSpec, tol: float = PSD_TOL) -> SynthesisR
                 # so L00' L01 = 2i H01 removes it; solve X E = 2i H01 for
                 # X = L00' by least squares.
                 case = CASE_COMPENSATED
+                rows = slice(ls, le)
                 e_block = l_eigen[ls:le, hs:he]
                 x_t, *_ = np.linalg.lstsq(e_block.T, (2j * h_block).T, rcond=None)
                 l00_dag = x_t.T
@@ -199,7 +206,10 @@ def synthesize_coupling(spec: SynthesisSpec, tol: float = PSD_TOL) -> SynthesisR
                         f"partially compensated (residual {residual:.3e})"
                     )
         cases.append(case)
-        couplings.append(q @ l_eigen @ dag(q))
+        # only `rows` of l_eigen are nonzero, so q l_eigen q' = left right'
+        left = np.ascontiguousarray(q[:, rows])  # the row-major layout the reader gives
+        factors.append((_frozen(left), _frozen(q @ dag(l_eigen[rows, :]))))
+    couplings = [left @ dag(right) for left, right in factors]
 
     h_user = spec.hamiltonian if spec.hamiltonian is not None else np.zeros((n, n), complex)
     model = ModelSpec(h_user, couplings or [np.zeros((n, n), dtype=complex)])
@@ -219,6 +229,7 @@ def synthesize_coupling(spec: SynthesisSpec, tol: float = PSD_TOL) -> SynthesisR
         v=spec.v,
         model=model,
         couplings=tuple(_frozen(c) for c in couplings),
+        factors=tuple(factors),
         generator_matrix=_frozen(g),
         level_values=tuple(float(x) for x in values),
         level_slices=slices,

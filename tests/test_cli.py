@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -360,6 +364,22 @@ class TestSynthesizeCommand:
         assert entry["model_file"] == "synthesized_model.json"
         data = (tmp_path / "synthesized_model.json").read_bytes()
         assert entry["model_sha256"] == hashlib.sha256(data).hexdigest()
+
+    def test_model_file_holds_factored_couplings(self, tmp_path):
+        v = str(FIXTURES / "twoqubit_V.json")
+        assert run(["synthesize", "--v", v], tmp_path / "synth") == 0
+        model = tmp_path / "synth" / "synthesized_model.json"
+        couplings = json.loads(model.read_text())["couplings"]
+        assert couplings and all(sorted(c) == ["left", "right"] for c in couplings)
+        assert run(["check-lyapunov", "--model", str(model), "--v", v], tmp_path / "check") == 0
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # only rk_adaptive needs scipy.integrate; every process would pay its import
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, qmstab.cli; assert 'scipy.integrate' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, check=True)
 
 
 class TestProbe:

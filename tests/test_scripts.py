@@ -23,6 +23,7 @@ def _load(name):
     [
         ("time_propagators", ["--dims", "4", "--repeats", "1"]),
         ("time_null_space", ["--dims", "3", "--repeats", "1"]),
+        ("time_serialize", ["--dim", "4", "--rank", "3", "--repeats", "1"]),
     ],
 )
 def test_timing_script_runs(name, argv, capsys):

@@ -3,7 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from qmstab import ModelSpec, Verdict, pauli, psd_check
+from qmstab import (
+    ModelSpec,
+    SynthesisSpec,
+    Verdict,
+    check_lyapunov,
+    pauli,
+    psd_check,
+    synthesize_coupling,
+)
+from qmstab.cli import main as cli_main
 from qmstab.serialize import (
     FormatError,
     complex_matrix_from_json,
@@ -112,6 +121,74 @@ class TestModelFiles:
         np.testing.assert_array_equal(load_operator(tmp_path / "op.json"), a)
         (tmp_path / "bare.json").write_text(json.dumps(complex_matrix_to_json(a)))
         np.testing.assert_array_equal(load_operator(tmp_path / "bare.json"), a)
+
+    @pytest.mark.parametrize("dim", [2.0, True, "2"], ids=["float", "bool", "string"])
+    def test_dim_must_be_an_integer(self, dim):
+        n = 1 if dim is True else 2
+        doc = model_to_json(ModelSpec(np.eye(n), [np.eye(n)]))
+        doc["dim"] = dim
+        with pytest.raises(FormatError, match="dim must be a JSON integer"):
+            model_from_json(doc)
+
+    @pytest.mark.parametrize("labels", [[1, 2], ["a", None]], ids=["integers", "null"])
+    def test_labels_must_be_strings(self, labels):
+        doc = model_to_json(ModelSpec(pauli("z"), [pauli("x")]), labels)
+        with pytest.raises(FormatError, match="labels"):
+            model_from_json(doc)
+
+
+def _factored(left, right) -> dict:
+    return {"left": complex_matrix_to_json(left), "right": complex_matrix_to_json(right)}
+
+
+class TestFactoredCouplings:
+    def test_synthesized_model_reloads_bit_identical(self, tmp_path):
+        # the certify-n32 recipe target, V = AA' with A of shape 32 x 24
+        rng = np.random.default_rng([0, 1])
+        a = (rng.standard_normal((32, 24)) + 1j * rng.standard_normal((32, 24))) / np.sqrt(2)
+        v = a @ a.conj().T
+        result = synthesize_coupling(SynthesisSpec(v=v))
+        path = tmp_path / "synthesized_model.json"
+        save_model(result.model, path, factors=result.factors)
+        assert path.stat().st_size <= 110_000
+        model, _ = load_model(path)
+        assert len(model.couplings) == len(result.model.couplings) == 24
+        for loaded, built in zip(model.couplings, result.model.couplings):
+            assert np.array_equal(loaded, built)
+        expected = result.certificate.metrics["generator_max_eigenvalue"]
+        assert check_lyapunov(model, v).metrics["generator_max_eigenvalue"] == expected
+
+    def test_mixed_dense_and_factored_load(self, rng):
+        left, right = rng.standard_normal((3, 2)), rng.standard_normal((3, 2)) + 1j
+        dense = rng.standard_normal((3, 3))
+        doc = model_to_json(ModelSpec(np.eye(3), [dense]))
+        doc["couplings"].append(_factored(left, right))
+        model, _ = model_from_json(json.loads(json.dumps(doc)))
+        np.testing.assert_array_equal(model.couplings[0], dense)
+        np.testing.assert_array_equal(model.couplings[1], left @ right.conj().T)
+
+    @pytest.mark.parametrize(
+        "coupling",
+        [
+            {"left": complex_matrix_to_json(np.ones((2, 1)))},
+            {**_factored(np.ones((2, 1)), np.ones((2, 1))), "scale": [1.0, 0.0]},
+            _factored(np.ones((2, 1)), np.ones((2, 2))),
+            _factored(np.ones((3, 1)), np.ones((3, 1))),
+            _factored(np.ones((2, 0)), np.ones((2, 0))),
+            _factored(np.ones((2, 3)), np.ones((2, 3))),
+        ],
+        ids=[
+            "missing-right", "extra-key", "different-r", "rows-not-dim", "r-zero", "r-above-dim",
+        ],
+    )
+    def test_rejects_malformed_factors(self, coupling, tmp_path, capsys):
+        doc = model_to_json(ModelSpec(pauli("z"), [pauli("x")]))
+        doc["couplings"] = [coupling]
+        with pytest.raises(FormatError, match=r"couplings\[0\]"):
+            model_from_json(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["analyze", "--model", str(path), "--out", str(tmp_path / "out")]) == 65
 
 
 class TestSeries:

@@ -156,6 +156,17 @@ class TestSynthesizeCoupling:
         assert result.level_slices == ((0, 1), (1, 4))
         assert len(spectral_decompose(v).eigenvalues) == 2
 
+    def test_factors_rebuild_couplings(self):
+        # L = left right' exactly, with r = hops in case B and r = d_lo in case C
+        v = np.diag([2.0, 1.0, 1.0, 0.0]).astype(complex)
+        h = random_hermitian(4, np.random.default_rng(0))
+        for hamiltonian, cases, ranks in ((None, ("B", "B"), [1, 1]), (h, ("C", "C"), [2, 1])):
+            result = synthesize_coupling(SynthesisSpec(v=v, hamiltonian=hamiltonian))
+            assert result.pair_cases == cases
+            assert [left.shape for left, _ in result.factors] == [(4, r) for r in ranks]
+            for coupling, (left, right) in zip(result.couplings, result.factors, strict=True):
+                assert np.array_equal(coupling, left @ dag(right))
+
 
 class TestVerifySynthesis:
     def test_round_trip(self, twoqubit_v):
