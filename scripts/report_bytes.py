@@ -88,7 +88,7 @@ RUNS = (
     ("lyapunov-fails", ["check-lyapunov", "--model", "{t}/synth-h-nocomp/synthesized_model.json",
                         "--v", "{t}/diag3210.json"]),
     ("probe-qubit", ["probe-invariant-set", "--model", "{f}/qubit_decay.json",
-                     "--v", "{f}/qubit_V.json", "--samples", "5", "--seed", "3"]),
+                     "--v", "{f}/qubit_V.json", "--seed", "3"]),
 )
 
 

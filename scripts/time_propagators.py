@@ -1,10 +1,11 @@
 """Time the expm_fixed and the rk_adaptive propagator against `auto`'s cost ratio.
 
 For each dimension n in `--dims`, three model families are propagated with
-each method, median wall time over `--repeats` calls:
+each method through `evolve` (`probe` through `invariant_set_probe`), median
+wall time over `--repeats` calls:
 
-- `probe`: the damped oscillator H = N, L = a with a block of 20 seeded
-  random states to t = 30 (33 points), the `small-n24` probe's shape;
+- `probe`: the damped oscillator H = N, L = a with the observable V = N
+  propagated under R^T to t = 30 (33 points), the `small-n24` probe;
 - `vacuum`: the oscillator H = N, L = a + a'/2 from the vacuum to t = 20
   (41 points), the `osc-n60` `simulate` shape;
 - `random`: a seeded dense random model (Hermitian H, two complex Gaussian
@@ -39,26 +40,29 @@ def _random_model(n: int, rng) -> ModelSpec:
     return ModelSpec((x + x.conj().T) / 2, [gaussian(), gaussian()])
 
 
-def family(name: str, n: int) -> tuple[ModelSpec, list, float, int]:
-    """The model, initial states, t_final and point count of one row."""
+def family(name: str, n: int) -> tuple[ModelSpec, np.ndarray, float, int]:
+    """The model, the initial state (the observable for `probe`), t_final and
+    point count of one row."""
     rng = np.random.default_rng(3)
     a = ladder_lowering(n)
     if name == "probe":
-        model = ModelSpec(number_operator(n), [a])
-        return model, [random_density(n, rng) for _ in range(20)], 30.0, 33
+        return ModelSpec(number_operator(n), [a]), number_operator(n), 30.0, 33
     if name == "vacuum":
         vacuum = np.zeros((n, n), dtype=complex)
         vacuum[0, 0] = 1.0
-        return ModelSpec(number_operator(n), [a + 0.5 * a.conj().T]), [vacuum], 20.0, 41
-    return _random_model(n, rng), [random_density(n, rng)], 5.0, 201
+        return ModelSpec(number_operator(n), [a + 0.5 * a.conj().T]), vacuum, 20.0, 41
+    return _random_model(n, rng), random_density(n, rng), 5.0, 201
 
 
-def median_time(row: tuple, method: str, repeats: int) -> float:
-    model, rhos, t_final, n_points = row
+def median_time(name: str, row: tuple, method: str, repeats: int) -> float:
+    model, x, t_final, n_points = row
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        dyn._propagate(model, rhos, t_final, method, n_points)
+        if name == "probe":
+            dyn.invariant_set_probe(model, x, t_final, method=method, n_points=n_points)
+        else:
+            dyn.evolve(model, x, t_final, method=method, n_points=n_points)
         times.append(time.perf_counter() - t0)
     return statistics.median(times)
 
@@ -68,18 +72,21 @@ def main(argv: list[str] | None = None) -> None:
     ap.add_argument("--dims", type=int, nargs="+", default=[12, 24, 30, 36])
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args(argv)
-    median_time(family("vacuum", 4), dyn.METHOD_EXPM, 1)  # load BLAS/LAPACK before timing
+    # load BLAS/LAPACK and scipy.integrate before timing, not in the first cell
+    for method in (dyn.METHOD_EXPM, dyn.METHOD_RK):
+        median_time("vacuum", family("vacuum", 4), method, 1)
     print("family  dim  sector  ratio    expm_s  rk_s    auto")
     for name in ("probe", "vacuum", "random"):
         for n in args.dims:
             row = family(name, n)
-            block = np.column_stack([vec(rho) for rho in row[1]]).astype(complex)
-            frame, _ = dyn._frame(liouvillian(row[0]), block)
-            ratio = dyn._cost_ratio(frame, block.shape[1])
+            lv = liouvillian(row[0])
+            matrix = lv.matrix.T.tocsr() if name == "probe" else lv.matrix
+            frame, _ = dyn._frame(lv, matrix, vec(row[1])[:, None])
+            ratio = dyn._cost_ratio(frame, 1)
             largest = max(sl.stop - sl.start for sl in frame.slices)
-            expm = median_time(row, dyn.METHOD_EXPM, args.repeats)
-            rk = median_time(row, dyn.METHOD_RK, args.repeats)
-            pick = dyn._auto_method(frame, block.shape[1])
+            expm = median_time(name, row, dyn.METHOD_EXPM, args.repeats)
+            rk = median_time(name, row, dyn.METHOD_RK, args.repeats)
+            pick = dyn._auto_method(frame, 1)
             picked, other = (expm, rk) if pick == dyn.METHOD_EXPM else (rk, expm)
             flag = " *" if picked > 1.5 * other else ""
             print(f"{name:6s}  {n:3d}  {largest:6d}  {ratio:7.1e}  {expm:6.3f}  {rk:6.3f}"

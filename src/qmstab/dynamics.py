@@ -3,16 +3,18 @@
 Integrates the state evolution generated by the Schroedinger-side
 Liouvillian and provides the trajectory-level diagnostics used by the
 invariance analysis: monotone decrease of <V>, integrability and decay of
-<W>, the exponential mean bound, and probing of convergence onto ground
-sets.
+<W>, the exponential mean bound, and the worst case of <V> over all initial
+states, which probes convergence onto ground sets.
 
 `evolve` and `invariant_set_probe` share one propagator. It builds the
-Liouvillian once per call and advances a block of states, one column per
-initial state: `evolve` passes one column, the probe one per sample. The
-block moves in real coordinates (`generator.liouvillian`), on the sectors
-where some column has weight, and the trace is the sum of the diagonal
-coordinates. Samples are mapped back through the Hermitian basis, which
-gives exactly conjugate entries, so `_checked_state` need not symmetrize.
+Liouvillian once per call and advances a block of real coordinate vectors
+(`generator.liouvillian`) under the generator it is given, on the sectors
+where some column has weight. `evolve` moves one state under R, and the
+trace, the sum of the diagonal coordinates, is renormalized when it drifts.
+The probe moves the observable V under R^T, the Heisenberg generator,
+which preserves the identity, not the trace, so nothing is renormalized.
+Vectors are mapped back through the Hermitian basis, which gives exactly
+conjugate entries, so `_checked_state` need not symmetrize.
 
 - `expm_fixed` computes each active sector's step exponential once per call
   (scaling and squaring) and advances the block by one block-diagonal
@@ -21,8 +23,8 @@ gives exactly conjugate entries, so `_checked_state` need not symmetrize.
 
 `expm_multiply` (Al-Mohy & Higham 2011) on the active sectors wins neither
 case: the n = 60 oscillator from the vacuum to t = 20 took 0.63-0.72 s
-against RK45's 0.41-0.55 s, the n = 24 probe block 0.36-0.43 s against
-`expm_fixed`'s 0.08-0.14 s.
+against RK45's 0.41-0.55 s, a block of 20 states of H = N, L = a at n = 24
+0.36-0.43 s against `expm_fixed`'s 0.08-0.14 s.
 
 Time is dimensionless, in units of the model's rate constants.
 """
@@ -35,12 +37,11 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sps
 
-from .generator import ModelSpec, Superoperator, liouvillian, state_matrix, unvec, vec
+from .generator import ModelSpec, Superoperator, _check_dim, liouvillian, state_matrix, unvec, vec
 from .operators import (
     DensityMatrix,
     OperatorError,
     Verdict,
-    random_density,
     require_hermitian,
 )
 
@@ -63,9 +64,10 @@ class IntegrationError(RuntimeError):
 @dataclass(frozen=True)
 class StepRecord:
     """What the propagator did. `max_trace_drift` is the largest |tr - 1|
-    seen at a step check, before any renormalization. `sectors` counts the
-    sectors of the real Liouvillian and `propagated_dim` the real coordinates
-    in the sectors that were propagated."""
+    seen at a step check, before any renormalization; an observable's run
+    checks no trace, so it and `renormalizations` read 0. `sectors` counts
+    the sectors of the real Liouvillian and `propagated_dim` the real
+    coordinates in the sectors that were propagated."""
 
     method: str
     accepted: int
@@ -115,44 +117,40 @@ def evolve(
     largest drift recorded); a sampled state with an eigenvalue below
     -positivity_tol aborts the run with a diagnostic.
     """
-    times, states, record = _propagate(
-        model, [rho0], t_final, method, n_points, rtol, atol, trace_tol, positivity_tol
+    rho = state_matrix(rho0)
+    DensityMatrix.from_matrix(rho)  # validate the initial state
+    if rho.shape != (model.dim, model.dim):
+        raise OperatorError("initial state dimension does not match the model")
+    lv = liouvillian(model)
+    times, raw, record = _propagate(
+        lv, lv.matrix, vec(rho)[:, None], t_final, method, n_points, rtol, atol, trace_tol
     )
-    return Trajectory(times=times, states=states[0], step_controller=record)
+    states = tuple(
+        _checked_state(t, unvec(v), trace_tol, positivity_tol) for t, v in zip(times, raw[:, :, 0])
+    )
+    return Trajectory(times=times, states=states, step_controller=record)
 
 
 def _propagate(
-    model: ModelSpec,
-    rhos,
-    t_final: float,
-    method: str,
-    n_points: int,
-    rtol: float = 1e-9,
-    atol: float = 1e-12,
-    trace_tol: float = 1e-11,
-    positivity_tol: float = 1e-8,
-) -> tuple[np.ndarray, tuple[tuple[DensityMatrix, ...], ...], StepRecord]:
-    """Evolve every state in `rhos` with one Liouvillian on one time grid.
+    lv: Superoperator, matrix, block: np.ndarray, t_final: float, method: str, n_points: int,
+    rtol: float = 1e-9, atol: float = 1e-12, trace_tol: float | None = None,
+) -> tuple[np.ndarray, np.ndarray, StepRecord]:
+    """Evolve the columns of `block`, vectorized operators, under `matrix`:
+    R (`lv.matrix`) for states, R^T for observables.
 
-    The vectorized states are the columns of a dim^2 x k block, propagated in
-    real coordinates on the sectors they touch. Returns the grid, one tuple
-    of checked states per input state, and the step record summed over the
-    columns.
+    Returns the uniform grid of `n_points` times in [0, t_final], the samples
+    (time, vectorized operator, column) and the step record summed over the
+    columns. A column's trace is renormalized when it drifts past
+    `trace_tol`; None, for observables, checks no trace.
     """
-    if t_final <= 0:
-        raise OperatorError("t_final must be positive")
+    # past 1/eps times the fastest time scale 1/norm, t_final cannot resolve
+    # that scale; far past it expm overflows, and RK45 never finishes
+    if not (0 < t_final < np.inf and t_final * lv.norm * np.finfo(float).eps <= 1):
+        raise OperatorError(f"t_final must be positive and finite, at most 1/eps times "
+                            f"1/{lv.norm:.3g}, the fastest time scale; got {float(t_final):g}")
     if n_points < 2:
         raise OperatorError("need at least two sample points")
-    columns = []
-    for rho0 in rhos:
-        rho = state_matrix(rho0)
-        DensityMatrix.from_matrix(rho)  # validate the initial state
-        if rho.shape != (model.dim, model.dim):
-            raise OperatorError("initial state dimension does not match the model")
-        columns.append(vec(rho))
-    block = np.column_stack(columns).astype(complex)
-
-    frame, x = _frame(liouvillian(model), block)
+    frame, x = _frame(lv, matrix, block)
     if method == METHOD_AUTO:
         method = _auto_method(frame, block.shape[1])
     times = np.linspace(0.0, float(t_final), n_points)
@@ -163,20 +161,13 @@ def _propagate(
         raw, record = _evolve_rk(frame, x, times, rtol, atol, trace_tol)
     else:
         raise OperatorError(f"unknown integration method {method!r}")
-
-    states = tuple(
-        tuple(
-            _checked_state(t, unvec(v), trace_tol, positivity_tol)
-            for t, v in zip(times, column)
-        )
-        for column in np.moveaxis(raw, -1, 0)
-    )
-    return times, states, record
+    return times, raw, record
 
 
 @dataclass(frozen=True)
 class _Frame:
-    """The real generator on the sectors that an initial block touches.
+    """A real generator, R or R^T, on the sectors that an initial block
+    touches; both have the sectors of `Superoperator.sectors`.
 
     `basis` holds the Hermitian basis vectors of the kept coordinates, sector
     after sector, so `matrix` is block diagonal with one block per `slices`
@@ -191,7 +182,7 @@ class _Frame:
     sectors: int
 
     def vectors(self, raw: np.ndarray) -> np.ndarray:
-        """Map samples (time, coordinate, column) back to vectorized states."""
+        """Map samples (time, coordinate, column) back to vectorized operators."""
         n_t, size, k = raw.shape
         out = self.basis @ raw.transpose(1, 0, 2).reshape(size, n_t * k)
         return out.reshape(-1, n_t, k).transpose(1, 0, 2)
@@ -200,9 +191,9 @@ class _Frame:
         return StepRecord(sectors=self.sectors, propagated_dim=self.matrix.shape[0], **counts)
 
 
-def _frame(lv: Superoperator, block: np.ndarray) -> tuple[_Frame, np.ndarray]:
-    """The frame of the sectors of `lv` where some column of `block` has
-    weight, and the block's coordinates in it."""
+def _frame(lv: Superoperator, matrix, block: np.ndarray) -> tuple[_Frame, np.ndarray]:
+    """The frame of `matrix`, R or R^T, on the sectors of `lv` where some
+    column of `block` has weight, and the block's coordinates in it."""
     labels = lv.sectors
     x = (lv.basis.conj().T @ block).real
     keep = np.flatnonzero(np.isin(labels, labels[np.any(x != 0, axis=1)]))
@@ -211,7 +202,7 @@ def _frame(lv: Superoperator, block: np.ndarray) -> tuple[_Frame, np.ndarray]:
     slices = tuple(slice(a, b) for a, b in zip((0, *ends[:-1]), ends))
     n = lv.dim
     diagonal = np.flatnonzero(np.isin(keep, np.arange(n) * (n + 1)))
-    frame = _Frame(lv.basis[:, keep], lv.matrix[keep][:, keep], slices, diagonal,
+    frame = _Frame(lv.basis[:, keep], matrix[keep][:, keep], slices, diagonal,
                    int(labels.max()) + 1)
     return frame, x[keep]
 
@@ -221,8 +212,9 @@ def _frame(lv: Superoperator, block: np.ndarray) -> tuple[_Frame, np.ndarray]:
 # updates, about nnz + rows, per column. `auto` takes expm up to one ratio of
 # the two. scripts/time_propagators.py (2 CPUs, numpy 2.4, scipy 1.17): on the
 # oscillator from the vacuum expm wins up to n = 30 (ratio 2.0e4) and RK45
-# from n = 36 (4.1e4), within 1.25x either way between; the probe blocks
-# (ratio <= 32) and dense random models (<= 1.3e3) take expm, 2-25x faster.
+# from n = 36 (4.1e4), within 1.25x either way between; the probe's one
+# observable (ratio <= 440) and dense random models (<= 1.3e3) take expm,
+# 2-6x faster.
 _EXPM_COST_RATIO = 30_000
 
 
@@ -264,7 +256,7 @@ def _checked_state(
 def _evolve_expm(frame, x, times, trace_tol):
     """Advance the whole block by one block-diagonal product per step, with
     each active sector's step exponential computed once; only the columns
-    whose trace drifts past `trace_tol` are renormalized."""
+    whose trace drifts past `trace_tol` (unless None) are renormalized."""
     dt = float(times[1] - times[0])
     blocks = [(sl, sla.expm(frame.matrix[sl, sl].toarray() * dt)) for sl in frame.slices]
     y = x
@@ -273,13 +265,14 @@ def _evolve_expm(frame, x, times, trace_tol):
     drift = 0.0
     for _ in times[1:]:
         y = np.concatenate([p @ y[sl] for sl, p in blocks])
-        tr = y[frame.trace_rows].sum(axis=0)
-        off = np.abs(tr - 1.0)
-        drift = max(drift, float(off.max()))
-        bad = off > trace_tol
-        if bad.any():
-            y[:, bad] /= tr[bad]
-            renorm += int(bad.sum())
+        if trace_tol is not None:
+            tr = y[frame.trace_rows].sum(axis=0)
+            off = np.abs(tr - 1.0)
+            drift = max(drift, float(off.max()))
+            bad = off > trace_tol
+            if bad.any():
+                y[:, bad] /= tr[bad]
+                renorm += int(bad.sum())
         raw.append(y)
     record = frame.record(
         method=METHOD_EXPM,
@@ -294,7 +287,8 @@ def _evolve_expm(frame, x, times, trace_tol):
 
 
 def _evolve_rk(frame, x, times, rtol, atol, trace_tol):
-    """RK45 on each column of the block in turn, with the one real generator."""
+    """RK45 on each column of the block in turn, with the frame's generator;
+    a trace that drifts past `trace_tol` (unless None) is renormalized."""
     # imported here: scipy.integrate costs every other process ~0.3 s at start-up
     from scipy.integrate import RK45
 
@@ -317,6 +311,8 @@ def _evolve_rk(frame, x, times, rtol, atol, trace_tol):
             while next_idx < len(times) and times[next_idx] <= stepper.t + 1e-15:
                 raw.append(dense(times[next_idx]))
                 next_idx += 1
+            if trace_tol is None:
+                continue
             tr = float(stepper.y[frame.trace_rows].sum())
             drift = max(drift, abs(tr - 1.0))
             if abs(tr - 1.0) > trace_tol:
@@ -469,51 +465,56 @@ def _tail_integral_estimate(t: np.ndarray, w: np.ndarray, notes: list[str]) -> f
 
 @dataclass(frozen=True)
 class InvariantSetProbe:
-    """Monte-Carlo probe of convergence onto the ground set of V.
+    """The worst case of <V> - lambda_min(V) over every initial state.
 
-    `step_controller` sums the step, rhs and renormalization counts over the
-    samples and keeps the largest trace drift of any of them.
+    V(t) = e^{tG}(V) is the Heisenberg evolution, sampled on the uniform
+    grid of [0, t_final]. Since tr(rho(t) V) = tr(rho V(t)), the largest <V>
+    that any initial state reaches at t is lambda_max(V(t)), so
+    `worst_case[i]` = lambda_max(V(t_i)) - lambda_min(V) is 0 exactly when
+    every state lies in the ground set of V at t_i. `t_below_threshold` is
+    the first sampled time where it is at most `threshold`, or None.
     """
 
     verdict: Verdict
-    final_values: np.ndarray
-    max_final: float
-    threshold: float
-    samples: int
+    worst_case: np.ndarray
+    worst_final: float
     t_final: float
-    seed: int
+    t_below_threshold: float | None
+    threshold: float
     step_controller: StepRecord
 
 
 def invariant_set_probe(
     model: ModelSpec,
     v,
-    samples: int = 20,
     t_final: float = 30.0,
     threshold: float = 1e-5,
-    seed: int = 0,
     method: str = METHOD_AUTO,
     n_points: int = 33,
 ) -> InvariantSetProbe:
-    """Integrate from seeded random initial states and report max final <V>.
+    """Propagate V once under the Heisenberg generator R^T and report the
+    worst case over all initial states at `n_points` times.
 
-    All samples are drawn first and propagated together as one block.
+    The verdict holds when the worst case at t_final is at most `threshold`,
+    which must be finite and non-negative.
     """
-    if samples < 1:
-        raise OperatorError("need at least one sample")
+    if not 0 <= threshold < np.inf:
+        raise OperatorError(f"threshold must be finite and non-negative; got {float(threshold):g}")
     varr = require_hermitian(v)
-    rng = np.random.default_rng(seed)
-    rhos = [random_density(model.dim, rng) for _ in range(samples)]
-    _, states, record = _propagate(model, rhos, t_final, method, n_points)
-    finals = np.array([float(np.trace(s[-1].matrix @ varr).real) for s in states])
-    max_final = float(finals.max())
+    _check_dim(model, varr)
+    lv = liouvillian(model)
+    times, raw, record = _propagate(lv, lv.matrix.T.tocsr(), vec(varr)[:, None], t_final,
+                                    method, n_points)
+    # each reshaped sample is V(t) transposed, which has V(t)'s spectrum
+    spectra = np.linalg.eigvalsh(raw[:, :, 0].reshape(-1, model.dim, model.dim))
+    worst = spectra[:, -1] - spectra[0, 0]
+    below = times[worst <= threshold]
     return InvariantSetProbe(
-        verdict=Verdict.HOLDS if max_final <= threshold else Verdict.FAILS,
-        final_values=finals,
-        max_final=max_final,
+        verdict=Verdict.HOLDS if worst[-1] <= threshold else Verdict.FAILS,
+        worst_case=worst,
+        worst_final=float(worst[-1]),
+        t_final=float(t_final),
+        t_below_threshold=float(below[0]) if below.size else None,
         threshold=threshold,
-        samples=samples,
-        t_final=t_final,
-        seed=seed,
         step_controller=record,
     )

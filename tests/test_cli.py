@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +64,7 @@ ENTRY_SCHEMA = {
     },
     "synthesis-verification": {"max_block_deviation": float},
     "invariant-set-probe": {
-        "max_final": float, "final_values": list, "samples": int, "t_final": float,
+        "worst_case": list, "worst_final": float, "t_final": float, "t_below_threshold": float,
         "step_controller": dict,
     },
 }
@@ -96,7 +97,7 @@ class TestAnalyze:
             ["check-lasalle", "--theorem", "5", "--model", model, "--v", v, "--w", v],
             ["check-lasalle", "--theorem", "8", "--model", model, "--v", v],
             ["synthesize", "--v", v],
-            ["probe-invariant-set", "--model", model, "--v", v, "--samples", "2"],
+            ["probe-invariant-set", "--model", model, "--v", v],
         ]
         commands, flags, entries = set(), set(), set()
         for i, args in enumerate(invocations):
@@ -389,24 +390,34 @@ class TestProbe:
                 "probe-invariant-set",
                 "--model", str(FIXTURES / "qubit_decay.json"),
                 "--v", str(FIXTURES / "qubit_V.json"),
-                "--samples", "5",
                 "--t-final", "30",
             ],
             tmp_path,
         )
         assert code == 0
         entry = checks_by_name(read_report(tmp_path))["invariant-set-probe"]
-        assert entry["max_final"] <= 1e-5
+        assert len(entry["worst_case"]) == 33
+        assert entry["worst_case"][0] == pytest.approx(1.0)
+        assert entry["worst_final"] == entry["worst_case"][-1] <= 1e-5
+        assert 0.0 < entry["t_below_threshold"] <= 30.0
         rec = entry["step_controller"]
         assert rec["method"] == "expm_fixed"
-        assert rec["accepted"] == 5 * 32  # 5 samples, 33 sample points each
-        assert 0.0 <= rec["max_trace_drift"] <= 1e-11
+        assert rec["accepted"] == 32  # one observable, 33 sample points
+        assert rec["renormalizations"] == 0 and rec["max_trace_drift"] == 0.0
 
-    def test_no_samples_is_an_input_error(self, tmp_path, capsys):
-        args = ["probe-invariant-set", "--model", str(FIXTURES / "qubit_decay.json"),
-                "--v", str(FIXTURES / "qubit_V.json"), "--samples", "0"]
-        assert run(args, tmp_path) == 65
-        assert "at least one sample" in capsys.readouterr().err
+    def test_bad_time_or_threshold_is_an_input_error(self, tmp_path, capsys):
+        # rejected by name before any propagation, without a numpy warning
+        model, v = str(FIXTURES / "qubit_decay.json"), str(FIXTURES / "qubit_V.json")
+        probe = ["probe-invariant-set", "--model", model, "--v", v]
+        simulate = ["simulate", "--model", model, "--rho0", str(FIXTURES / "qubit_excited.json")]
+        cases = [(cmd + ["--t-final", t], "t_final")
+                 for cmd in (probe, simulate) for t in ("nan", "inf", "1e300", "0", "-1")]
+        cases += [(probe + ["--threshold", x], "threshold") for x in ("nan", "inf", "-1")]
+        for i, (args, name) in enumerate(cases):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run(args, tmp_path / str(i)) == 65, args
+            assert f"qmstab: {name} must be" in capsys.readouterr().err, args
 
 
 class TestExitCodes:
@@ -435,7 +446,6 @@ class TestDeterminism:
             "probe-invariant-set",
             "--model", str(FIXTURES / "qubit_decay.json"),
             "--v", str(FIXTURES / "qubit_V.json"),
-            "--samples", "4",
             "--t-final", "30",
             "--seed", "42",
         ]

@@ -130,8 +130,12 @@ class TestBlockPropagator:
         lv = liouvillian(twoqubit)
         y = (1.0 + 1e-12) * vec(random_density(4, rng)).astype(complex)
         times = np.linspace(0.0, 5.0, 11)
-        raw, record = dyn._evolve_expm(*dyn._frame(lv, np.column_stack([y, 2.0 * y])), times, 1e-11)
-        untouched, _ = dyn._evolve_expm(*dyn._frame(lv, np.column_stack([y, y])), times, 1e-11)
+        raw, record = dyn._evolve_expm(
+            *dyn._frame(lv, lv.matrix, np.column_stack([y, 2.0 * y])), times, 1e-11
+        )
+        untouched, _ = dyn._evolve_expm(
+            *dyn._frame(lv, lv.matrix, np.column_stack([y, y])), times, 1e-11
+        )
         assert record.renormalizations == 1
         assert record.accepted == 2 * 10
         assert record.max_trace_drift == pytest.approx(1.0)
@@ -142,18 +146,33 @@ class TestBlockPropagator:
 
     @pytest.mark.parametrize("method", ["expm_fixed", "rk_adaptive"])
     def test_probe_matches_per_sample_evolve(self, method):
+        # on H = N, L = a, V(t) = e^{-t} N: the state that starts on the top
+        # level |n-1> reaches the worst case (n - 1) e^{-t} at every time.
+        # RK45's rtol 1e-9 is relative to V's scale, its spread n - 1 = 7.
         n = 8
         model = ModelSpec(number_operator(n), [ladder_lowering(n)])
-        probe = invariant_set_probe(
-            model, number_operator(n), samples=5, t_final=30.0, seed=4, method=method
+        probe = invariant_set_probe(model, number_operator(n), t_final=30.0, method=method)
+        top = np.zeros((n, n))
+        top[-1, -1] = 1.0
+        traj = evolve(model, top, 30.0, method=method, n_points=33)
+        expected = expectation_series(traj, number_operator(n))
+        np.testing.assert_allclose(probe.worst_case, expected, rtol=0, atol=1e-10 * (n - 1))
+        np.testing.assert_allclose(
+            probe.worst_case, (n - 1) * np.exp(-traj.times), rtol=0, atol=1e-10 * (n - 1)
         )
-        rng = np.random.default_rng(4)
-        expected = []
-        for _ in range(5):
-            traj = evolve(model, random_density(n, rng), 30.0, method=method, n_points=33)
-            expected.append(np.trace(traj.final_state.matrix @ number_operator(n)).real)
-        np.testing.assert_allclose(probe.final_values, expected, rtol=0, atol=1e-10)
         assert probe.step_controller.method == method
+
+    def test_probe_methods_agree_without_renormalizing(self):
+        # R^T preserves the identity, not the trace: no column is rescaled
+        n = 8
+        model = ModelSpec(number_operator(n), [ladder_lowering(n)])
+        expm, rk = (
+            invariant_set_probe(model, number_operator(n), method=method)
+            for method in ("expm_fixed", "rk_adaptive")
+        )
+        np.testing.assert_allclose(rk.worst_case, expm.worst_case, rtol=0, atol=1e-10 * (n - 1))
+        for rec in (expm.step_controller, rk.step_controller):
+            assert (rec.renormalizations, rec.max_trace_drift) == (0, 0.0)
 
     @pytest.mark.parametrize("method", ["expm_fixed", "rk_adaptive"])
     def test_one_liouvillian_per_probe(self, qubit_decay, monkeypatch, method):
@@ -164,7 +183,7 @@ class TestBlockPropagator:
             return liouvillian(*args, **kwargs)
 
         monkeypatch.setattr(dyn, "liouvillian", counting)
-        invariant_set_probe(qubit_decay, V_GROUND, samples=6, t_final=5.0, method=method)
+        invariant_set_probe(qubit_decay, V_GROUND, t_final=5.0, method=method)
         assert len(calls) == 1
 
     def test_rk_renormalization_rescales_cached_derivative(self, rng):
@@ -174,9 +193,8 @@ class TestBlockPropagator:
         zero = liouvillian(ModelSpec(np.zeros((3, 3)), [np.zeros((3, 3))]))
         lv = dataclasses.replace(zero, matrix=-0.5 * sp.identity(9, format="csr"))
         y0 = vec(random_density(3, rng)).astype(complex)
-        raw, record = dyn._evolve_rk(
-            *dyn._frame(lv, y0[:, None]), np.linspace(0.0, 10.0, 11), 1e-9, 1e-12, 1e-11
-        )
+        frame, x = dyn._frame(lv, lv.matrix, y0[:, None])
+        raw, record = dyn._evolve_rk(frame, x, np.linspace(0.0, 10.0, 11), 1e-9, 1e-12, 1e-11)
         assert record.renormalizations == record.accepted
         assert record.accepted < 500
         assert record.max_trace_drift > 1e-11
@@ -195,13 +213,15 @@ class TestBlockPropagator:
         evolve(qubit_decay, EXCITED, 2.0, n_points=11)
         assert len(calls) == 11 + 1  # sampled states plus the initial state
         calls.clear()
-        invariant_set_probe(qubit_decay, V_GROUND, samples=3, t_final=2.0, n_points=11)
-        assert len(calls) == 3 * (11 + 1)
+        # the probe diagonalizes its 11 sampled observables in one batched call
+        invariant_set_probe(qubit_decay, V_GROUND, t_final=2.0, n_points=11)
+        assert len(calls) == 1
 
     @staticmethod
     def _auto(model, rhos):
         block = np.column_stack([vec(rho) for rho in rhos]).astype(complex)
-        frame, _ = dyn._frame(liouvillian(model), block)
+        lv = liouvillian(model)
+        frame, _ = dyn._frame(lv, lv.matrix, block)
         return dyn._auto_method(frame, block.shape[1])
 
     def test_auto_method_weighs_columns_against_sector_cost(self, rng):
@@ -229,14 +249,14 @@ class TestBlockPropagator:
         assert self._auto(zero, [np.eye(4) / 4]) == "expm_fixed"
 
     def test_step_record_counts_sectors_and_propagated_coordinates(self):
-        # the vacuum lies in one of the oscillator's two sectors; random
-        # samples touch all 24 sectors of H = N, L = a
+        # the vacuum lies in one of the oscillator's two sectors; V = N
+        # touches only the diagonal sector of the 24 of H = N, L = a
         rec = evolve(oscillator(20), vacuum(20), 1.0, n_points=5).step_controller
         assert (rec.sectors, rec.propagated_dim) == (2, 200)
         n = 24
         damped = ModelSpec(number_operator(n), [ladder_lowering(n)])
         rec = invariant_set_probe(damped, number_operator(n), t_final=1.0).step_controller
-        assert (rec.sectors, rec.propagated_dim) == (24, 576)
+        assert (rec.sectors, rec.propagated_dim) == (24, 24)
         trivial = ModelSpec(np.zeros((1, 1)), [np.zeros((1, 1))])
         rec = evolve(trivial, np.ones((1, 1)), 1.0, n_points=3).step_controller
         assert (rec.sectors, rec.propagated_dim) == (1, 1)
@@ -346,9 +366,21 @@ class TestLaSalleDiagnostics:
 
 class TestInvariantSetProbe:
     def test_decay_model(self, qubit_decay):
-        probe = invariant_set_probe(qubit_decay, V_GROUND, samples=20, t_final=30.0)
+        # the worst initial state is the excited one, whose <V> decays as e^{-t}
+        probe = invariant_set_probe(qubit_decay, V_GROUND, t_final=30.0)
         assert probe.verdict is Verdict.HOLDS
-        assert probe.max_final <= 1e-5
+        assert probe.worst_final <= 1e-5
+        traj = evolve(qubit_decay, EXCITED, 30.0, n_points=33)
+        series = expectation_series(traj, V_GROUND)
+        np.testing.assert_allclose(probe.worst_case, series, rtol=0, atol=1e-12)
+        assert probe.t_below_threshold == traj.times[np.argmax(series <= 1e-5)]
+
+    def test_shifted_observable_gives_the_same_verdict(self, qubit_decay):
+        # V + I has V's ground set; <V + I> alone never falls below 1
+        plain = invariant_set_probe(qubit_decay, V_GROUND)
+        shifted = invariant_set_probe(qubit_decay, V_GROUND + np.eye(2))
+        assert plain.verdict is shifted.verdict is Verdict.HOLDS
+        np.testing.assert_allclose(shifted.worst_case, plain.worst_case, rtol=0, atol=1e-12)
 
     def test_ground_set_is_invariant(self, qubit_decay):
         traj = evolve(qubit_decay, np.diag([0.0, 1.0]).astype(complex), 10.0)
@@ -367,12 +399,20 @@ class TestInvariantSetProbe:
             assert fin[2, 2].real <= 1e-4
             assert abs(fin[0, 0] + fin[0, 1] + fin[1, 0] + fin[1, 1]) <= 1e-4
 
-    def test_deterministic_given_seed(self, qubit_decay):
-        p1 = invariant_set_probe(qubit_decay, V_GROUND, samples=5, t_final=5.0, seed=3)
-        p2 = invariant_set_probe(qubit_decay, V_GROUND, samples=5, t_final=5.0, seed=3)
-        np.testing.assert_array_equal(p1.final_values, p2.final_values)
+    def test_deterministic(self, qubit_decay):
+        p1 = invariant_set_probe(qubit_decay, V_GROUND, t_final=5.0)
+        p2 = invariant_set_probe(qubit_decay, V_GROUND, t_final=5.0)
+        np.testing.assert_array_equal(p1.worst_case, p2.worst_case)
 
-    @pytest.mark.parametrize("samples", [0, -1])
-    def test_needs_a_sample(self, qubit_decay, samples):
-        with pytest.raises(OperatorError, match="at least one sample"):
-            invariant_set_probe(qubit_decay, V_GROUND, samples=samples)
+    @pytest.mark.parametrize("t_final", [0, -1, np.nan, np.inf, 1e300])
+    def test_t_final_must_be_finite_and_positive(self, qubit_decay, t_final):
+        # 1e300 is finite but beyond 1/eps times the fastest time scale
+        with pytest.raises(OperatorError, match="t_final must be positive and finite"):
+            invariant_set_probe(qubit_decay, V_GROUND, t_final=t_final)
+        with pytest.raises(OperatorError, match="t_final must be positive and finite"):
+            evolve(qubit_decay, EXCITED, t_final)
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -1.0])
+    def test_threshold_must_be_finite_and_non_negative(self, qubit_decay, threshold):
+        with pytest.raises(OperatorError, match="threshold must be finite and non-negative"):
+            invariant_set_probe(qubit_decay, V_GROUND, threshold=threshold)

@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 from qmstab import (
     ModelSpec,
     evolve,
+    expectation_series,
     generator_heisenberg,
     generator_schroedinger,
+    invariant_set_probe,
     liouvillian,
     random_density,
     random_hermitian,
@@ -166,6 +168,27 @@ def test_real_sector_propagators_match_the_complex_expm_loop(drawn):
         traj = evolve(model, rho0, 2.0, method=method, n_points=5, rtol=1e-11, trace_tol=0.0)
         for state, x in zip(traj.states, expected):
             assert np.abs(state.matrix - x).max() <= tol
+
+
+@SETTINGS
+@given(models(max_dim=6))
+def test_heisenberg_probe_is_the_worst_case_over_states(drawn):
+    # sup over states of tr(rho(t) V) is lambda_max(V(t)): no sampled state
+    # exceeds the worst case at any time, and at t_final the state that starts
+    # as the top eigenvector of V(t_final), from a dense expm of R^T, reaches it
+    model, rng = drawn
+    v = random_hermitian(model.dim, rng)
+    low = np.linalg.eigvalsh(v)[0]
+    probe = invariant_set_probe(model, v, t_final=3.0, n_points=5)
+    tol = _tol(v)
+    for _ in range(5):
+        traj = evolve(model, random_density(model.dim, rng), 3.0, n_points=5)
+        assert np.all(expectation_series(traj, v) - low <= probe.worst_case + tol)
+    lv = liouvillian(model)
+    v_final = unvec(sla.expm(3.0 * complex_form(lv.basis, lv.matrix.T)) @ vec(v))
+    top = np.linalg.eigh((v_final + v_final.conj().T) / 2)[1][:, -1]
+    traj = evolve(model, np.outer(top, top.conj()), 3.0, n_points=5)
+    assert abs(expectation_series(traj, v)[-1] - low - probe.worst_final) <= tol
 
 
 def test_arnoldi_non_convergence_falls_back_to_dense():
