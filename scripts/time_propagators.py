@@ -81,12 +81,12 @@ def main(argv: list[str] | None = None) -> None:
             row = family(name, n)
             lv = liouvillian(row[0])
             matrix = lv.matrix.T.tocsr() if name == "probe" else lv.matrix
-            frame, _ = dyn._frame(lv, matrix, vec(row[1])[:, None])
-            ratio = dyn._cost_ratio(frame, 1)
+            frame, _ = dyn._frame(lv, matrix, vec(row[1]))
+            ratio = dyn._cost_ratio(frame)
             largest = max(sl.stop - sl.start for sl in frame.slices)
             expm = median_time(name, row, dyn.METHOD_EXPM, args.repeats)
             rk = median_time(name, row, dyn.METHOD_RK, args.repeats)
-            pick = dyn._auto_method(frame, 1)
+            pick = dyn._auto_method(frame)
             picked, other = (expm, rk) if pick == dyn.METHOD_EXPM else (rk, expm)
             flag = " *" if picked > 1.5 * other else ""
             print(f"{name:6s}  {n:3d}  {largest:6d}  {ratio:7.1e}  {expm:6.3f}  {rk:6.3f}"

@@ -107,7 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
             help="output directory for the report and series files "
             "(default: $QMSTAB_OUT or the working directory)",
         )
-        p.add_argument("--seed", type=int, default=0, help="seed for any sampling")
+        p.add_argument(
+            "--seed", type=int, default=0,
+            help="recorded as run.seed in the report; no subcommand samples",
+        )
         p.add_argument("--tol", type=float, default=1e-9, help="check tolerance")
         p.add_argument(
             "--strict",
@@ -139,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", help="observable W for a series and diagnostics")
     p.add_argument("--c", type=float, help="rate for the mean-bound check (with --v and --d)")
     p.add_argument("--d", type=float, help="offset for the mean-bound check (with --v and --c)")
-    p.add_argument("--method", choices=("auto", "expm_fixed", "rk_adaptive"), default="auto")
     p.add_argument("--points", type=int, default=201, help="number of sample times")
     common(p)
 
@@ -309,13 +311,7 @@ def cmd_simulate(run: _Run) -> None:
         raise FormatError("the mean bound needs --v, --c and --d together")
     model = _load_model_arg(run)
     rho0 = DensityMatrix.from_matrix(_load_operator_arg(run, "rho0", "rho0"))
-    traj = evolve(
-        model,
-        rho0,
-        run.args.t_final,
-        method=run.args.method,
-        n_points=run.args.points,
-    )
+    traj = evolve(model, rho0, run.args.t_final, n_points=run.args.points)
     trace_dev = max(abs(np.trace(s.matrix).real - 1.0) for s in traj.states)
     run.add_check(
         "trace-preservation", "Definition 1", _verdict(trace_dev <= 1e-10), 1e-10, traj,

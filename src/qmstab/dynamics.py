@@ -7,9 +7,9 @@ invariance analysis: monotone decrease of <V>, integrability and decay of
 states, which probes convergence onto ground sets.
 
 `evolve` and `invariant_set_probe` share one propagator. It builds the
-Liouvillian once per call and advances a block of real coordinate vectors
+Liouvillian once per call and advances one real coordinate vector
 (`generator.liouvillian`) under the generator it is given, on the sectors
-where some column has weight. `evolve` moves one state under R, and the
+where the vector has weight. `evolve` moves one state under R, and the
 trace, the sum of the diagonal coordinates, is renormalized when it drifts.
 The probe moves the observable V under R^T, the Heisenberg generator,
 which preserves the identity, not the trace, so nothing is renormalized.
@@ -17,14 +17,14 @@ Vectors are mapped back through the Hermitian basis, which gives exactly
 conjugate entries, so `_checked_state` need not symmetrize.
 
 - `expm_fixed` computes each active sector's step exponential once per call
-  (scaling and squaring) and advances the block by one block-diagonal
+  (scaling and squaring) and advances the vector by one block-diagonal
   product per step.
-- `rk_adaptive` runs embedded RK45 on each column with sparse matvecs.
+- `rk_adaptive` runs embedded RK45 on the vector with sparse matvecs.
 
-`expm_multiply` (Al-Mohy & Higham 2011) on the active sectors wins neither
-case: the n = 60 oscillator from the vacuum to t = 20 took 0.63-0.72 s
-against RK45's 0.41-0.55 s, a block of 20 states of H = N, L = a at n = 24
-0.36-0.43 s against `expm_fixed`'s 0.08-0.14 s.
+`expm_multiply` (Al-Mohy & Higham 2011) on the active sectors was measured
+and rejected: the n = 60 oscillator from the vacuum to t = 20 took
+0.63-0.72 s against RK45's 0.41-0.55 s, and 20 states of H = N, L = a at
+n = 24 0.36-0.43 s against `expm_fixed`'s 0.08-0.14 s.
 
 Time is dimensionless, in units of the model's rate constants.
 """
@@ -119,29 +119,28 @@ def evolve(
     """
     rho = state_matrix(rho0)
     DensityMatrix.from_matrix(rho)  # validate the initial state
-    if rho.shape != (model.dim, model.dim):
-        raise OperatorError("initial state dimension does not match the model")
+    _check_dim(model, rho)
     lv = liouvillian(model)
     times, raw, record = _propagate(
-        lv, lv.matrix, vec(rho)[:, None], t_final, method, n_points, rtol, atol, trace_tol
+        lv, lv.matrix, vec(rho), t_final, method, n_points, rtol, atol, trace_tol
     )
     states = tuple(
-        _checked_state(t, unvec(v), trace_tol, positivity_tol) for t, v in zip(times, raw[:, :, 0])
+        _checked_state(t, unvec(v), trace_tol, positivity_tol) for t, v in zip(times, raw)
     )
     return Trajectory(times=times, states=states, step_controller=record)
 
 
 def _propagate(
-    lv: Superoperator, matrix, block: np.ndarray, t_final: float, method: str, n_points: int,
+    lv: Superoperator, matrix, v: np.ndarray, t_final: float, method: str, n_points: int,
     rtol: float = 1e-9, atol: float = 1e-12, trace_tol: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, StepRecord]:
-    """Evolve the columns of `block`, vectorized operators, under `matrix`:
-    R (`lv.matrix`) for states, R^T for observables.
+    """Evolve `v`, a vectorized operator, under `matrix`: R (`lv.matrix`)
+    for states, R^T for observables.
 
     Returns the uniform grid of `n_points` times in [0, t_final], the samples
-    (time, vectorized operator, column) and the step record summed over the
-    columns. A column's trace is renormalized when it drifts past
-    `trace_tol`; None, for observables, checks no trace.
+    (time, vectorized operator) and the step record. The trace is
+    renormalized when it drifts past `trace_tol`; None, for observables,
+    checks no trace.
     """
     # past 1/eps times the fastest time scale 1/norm, t_final cannot resolve
     # that scale; far past it expm overflows, and RK45 never finishes
@@ -150,9 +149,9 @@ def _propagate(
                             f"1/{lv.norm:.3g}, the fastest time scale; got {float(t_final):g}")
     if n_points < 2:
         raise OperatorError("need at least two sample points")
-    frame, x = _frame(lv, matrix, block)
+    frame, x = _frame(lv, matrix, v)
     if method == METHOD_AUTO:
-        method = _auto_method(frame, block.shape[1])
+        method = _auto_method(frame)
     times = np.linspace(0.0, float(t_final), n_points)
 
     if method == METHOD_EXPM:
@@ -166,7 +165,7 @@ def _propagate(
 
 @dataclass(frozen=True)
 class _Frame:
-    """A real generator, R or R^T, on the sectors that an initial block
+    """A real generator, R or R^T, on the sectors that an initial vector
     touches; both have the sectors of `Superoperator.sectors`.
 
     `basis` holds the Hermitian basis vectors of the kept coordinates, sector
@@ -182,21 +181,19 @@ class _Frame:
     sectors: int
 
     def vectors(self, raw: np.ndarray) -> np.ndarray:
-        """Map samples (time, coordinate, column) back to vectorized operators."""
-        n_t, size, k = raw.shape
-        out = self.basis @ raw.transpose(1, 0, 2).reshape(size, n_t * k)
-        return out.reshape(-1, n_t, k).transpose(1, 0, 2)
+        """Map samples (time, coordinate) back to vectorized operators."""
+        return (self.basis @ raw.T).T
 
     def record(self, **counts) -> StepRecord:
         return StepRecord(sectors=self.sectors, propagated_dim=self.matrix.shape[0], **counts)
 
 
-def _frame(lv: Superoperator, matrix, block: np.ndarray) -> tuple[_Frame, np.ndarray]:
-    """The frame of `matrix`, R or R^T, on the sectors of `lv` where some
-    column of `block` has weight, and the block's coordinates in it."""
+def _frame(lv: Superoperator, matrix, v: np.ndarray) -> tuple[_Frame, np.ndarray]:
+    """The frame of `matrix`, R or R^T, on the sectors of `lv` where `v`
+    has weight, and the coordinates of `v` in it."""
     labels = lv.sectors
-    x = (lv.basis.conj().T @ block).real
-    keep = np.flatnonzero(np.isin(labels, labels[np.any(x != 0, axis=1)]))
+    x = (lv.basis.conj().T @ v).real
+    keep = np.flatnonzero(np.isin(labels, labels[x != 0]))
     keep = keep[np.argsort(labels[keep], kind="stable")]
     ends = np.cumsum(np.unique(labels[keep], return_counts=True)[1])
     slices = tuple(slice(a, b) for a, b in zip((0, *ends[:-1]), ends))
@@ -208,8 +205,8 @@ def _frame(lv: Superoperator, matrix, block: np.ndarray) -> tuple[_Frame, np.nda
 
 
 # expm pays one dense exponential per active sector of s coordinates, about
-# s^3, once for the block; RK45 pays per stage one sparse matvec and vector
-# updates, about nnz + rows, per column. `auto` takes expm up to one ratio of
+# s^3, once per call; RK45 pays per stage one sparse matvec and vector
+# updates, about nnz + rows. `auto` takes expm up to one ratio of
 # the two. scripts/time_propagators.py (2 CPUs, numpy 2.4, scipy 1.17): on the
 # oscillator from the vacuum expm wins up to n = 30 (ratio 2.0e4) and RK45
 # from n = 36 (4.1e4), within 1.25x either way between; the probe's one
@@ -218,15 +215,15 @@ def _frame(lv: Superoperator, matrix, block: np.ndarray) -> tuple[_Frame, np.nda
 _EXPM_COST_RATIO = 30_000
 
 
-def _cost_ratio(frame: _Frame, columns: int) -> float:
-    """expm's cost for `columns` states in `frame`, in units of one RK45 stage."""
+def _cost_ratio(frame: _Frame) -> float:
+    """expm's cost in `frame`, in units of one RK45 stage."""
     cubes = sum((sl.stop - sl.start) ** 3 for sl in frame.slices)
-    return cubes / (columns * (frame.matrix.nnz + frame.matrix.shape[0]))
+    return cubes / (frame.matrix.nnz + frame.matrix.shape[0])
 
 
-def _auto_method(frame: _Frame, columns: int) -> str:
-    """The propagator `auto` picks for a block of `columns` states."""
-    return METHOD_EXPM if _cost_ratio(frame, columns) <= _EXPM_COST_RATIO else METHOD_RK
+def _auto_method(frame: _Frame) -> str:
+    """The propagator `auto` picks in `frame`."""
+    return METHOD_EXPM if _cost_ratio(frame) <= _EXPM_COST_RATIO else METHOD_RK
 
 
 def _checked_state(
@@ -254,9 +251,9 @@ def _checked_state(
 
 
 def _evolve_expm(frame, x, times, trace_tol):
-    """Advance the whole block by one block-diagonal product per step, with
-    each active sector's step exponential computed once; only the columns
-    whose trace drifts past `trace_tol` (unless None) are renormalized."""
+    """Advance `x` by one block-diagonal product per step, with each active
+    sector's step exponential computed once; a trace that drifts past
+    `trace_tol` (unless None) is renormalized."""
     dt = float(times[1] - times[0])
     blocks = [(sl, sla.expm(frame.matrix[sl, sl].toarray() * dt)) for sl in frame.slices]
     y = x
@@ -266,17 +263,15 @@ def _evolve_expm(frame, x, times, trace_tol):
     for _ in times[1:]:
         y = np.concatenate([p @ y[sl] for sl, p in blocks])
         if trace_tol is not None:
-            tr = y[frame.trace_rows].sum(axis=0)
-            off = np.abs(tr - 1.0)
-            drift = max(drift, float(off.max()))
-            bad = off > trace_tol
-            if bad.any():
-                y[:, bad] /= tr[bad]
-                renorm += int(bad.sum())
+            tr = float(y[frame.trace_rows].sum())
+            drift = max(drift, abs(tr - 1.0))
+            if abs(tr - 1.0) > trace_tol:
+                y /= tr
+                renorm += 1
         raw.append(y)
     record = frame.record(
         method=METHOD_EXPM,
-        accepted=(len(times) - 1) * x.shape[1],
+        accepted=len(times) - 1,
         rejected_estimate=0,
         n_rhs_evals=0,
         renormalizations=renorm,
@@ -287,60 +282,53 @@ def _evolve_expm(frame, x, times, trace_tol):
 
 
 def _evolve_rk(frame, x, times, rtol, atol, trace_tol):
-    """RK45 on each column of the block in turn, with the frame's generator;
-    a trace that drifts past `trace_tol` (unless None) is renormalized."""
+    """RK45 on `x` with the frame's generator; a trace that drifts past
+    `trace_tol` (unless None) is renormalized."""
     # imported here: scipy.integrate costs every other process ~0.3 s at start-up
     from scipy.integrate import RK45
 
     m = frame.matrix
-    columns = []
-    accepted = rejected = n_rhs = renorm = 0
+    stepper = RK45(lambda t, y: m @ y, 0.0, x, float(times[-1]), rtol=rtol, atol=atol)
+    raw = [stepper.y.copy()]
+    next_idx = 1
+    steps = renorm = 0
     drift = 0.0
-    for y0 in x.T:
-        stepper = RK45(lambda t, y: m @ y, 0.0, y0, float(times[-1]), rtol=rtol, atol=atol)
-        raw = [stepper.y.copy()]
-        next_idx = 1
-        steps = 0
-        while stepper.status == "running":
-            try:
-                stepper.step()
-            except RuntimeError as exc:
-                raise IntegrationError(f"step controller failed: {exc}") from exc
-            steps += 1
-            dense = stepper.dense_output()
-            while next_idx < len(times) and times[next_idx] <= stepper.t + 1e-15:
-                raw.append(dense(times[next_idx]))
-                next_idx += 1
-            if trace_tol is None:
-                continue
-            tr = float(stepper.y[frame.trace_rows].sum())
-            drift = max(drift, abs(tr - 1.0))
-            if abs(tr - 1.0) > trace_tol:
-                # RK45 reuses f, the derivative at y, as the next step's first
-                # stage; the rhs is linear, so f / tr is the derivative at y / tr.
-                stepper.y = stepper.y / tr
-                stepper.f = stepper.f / tr
-                renorm += 1
-        if stepper.status == "failed":
-            raise IntegrationError("adaptive integration failed before t_final")
-        while next_idx < len(times):
-            raw.append(stepper.y.copy())
+    while stepper.status == "running":
+        try:
+            stepper.step()
+        except RuntimeError as exc:
+            raise IntegrationError(f"step controller failed: {exc}") from exc
+        steps += 1
+        dense = stepper.dense_output()
+        while next_idx < len(times) and times[next_idx] <= stepper.t + 1e-15:
+            raw.append(dense(times[next_idx]))
             next_idx += 1
-        columns.append(raw)
-        accepted += steps
-        rejected += max(steps, (stepper.nfev - 1) // 6) - steps
-        n_rhs += stepper.nfev
+        if trace_tol is None:
+            continue
+        tr = float(stepper.y[frame.trace_rows].sum())
+        drift = max(drift, abs(tr - 1.0))
+        if abs(tr - 1.0) > trace_tol:
+            # RK45 reuses f, the derivative at y, as the next step's first
+            # stage; the rhs is linear, so f / tr is the derivative at y / tr.
+            stepper.y = stepper.y / tr
+            stepper.f = stepper.f / tr
+            renorm += 1
+    if stepper.status == "failed":
+        raise IntegrationError("adaptive integration failed before t_final")
+    while next_idx < len(times):
+        raw.append(stepper.y.copy())
+        next_idx += 1
     record = frame.record(
         method=METHOD_RK,
-        accepted=accepted,
-        rejected_estimate=rejected,
-        n_rhs_evals=n_rhs,
+        accepted=steps,
+        rejected_estimate=max(steps, (stepper.nfev - 1) // 6) - steps,
+        n_rhs_evals=stepper.nfev,
         renormalizations=renorm,
         max_trace_drift=drift,
         rtol=rtol,
         atol=atol,
     )
-    return frame.vectors(np.stack(columns, axis=-1)), record
+    return frame.vectors(np.stack(raw)), record
 
 
 def expectation_series(traj: Trajectory, x) -> np.ndarray:
@@ -503,10 +491,9 @@ def invariant_set_probe(
     varr = require_hermitian(v)
     _check_dim(model, varr)
     lv = liouvillian(model)
-    times, raw, record = _propagate(lv, lv.matrix.T.tocsr(), vec(varr)[:, None], t_final,
-                                    method, n_points)
+    times, raw, record = _propagate(lv, lv.matrix.T.tocsr(), vec(varr), t_final, method, n_points)
     # each reshaped sample is V(t) transposed, which has V(t)'s spectrum
-    spectra = np.linalg.eigvalsh(raw[:, :, 0].reshape(-1, model.dim, model.dim))
+    spectra = np.linalg.eigvalsh(raw.reshape(-1, model.dim, model.dim))
     worst = spectra[:, -1] - spectra[0, 0]
     below = times[worst <= threshold]
     return InvariantSetProbe(

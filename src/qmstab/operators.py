@@ -148,10 +148,6 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return self.projections[0].shape[0]
 
-    def expanded_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues repeated by multiplicity (full length-dim spectrum)."""
-        return np.repeat(self.eigenvalues, self.multiplicities)
-
     def reconstruct(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for v, p in zip(self.eigenvalues, self.projections):
@@ -292,7 +288,7 @@ def ket_bra(i: int, j: int, dim: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Random sampling (seeded; used by probes and property tests)
+# Random sampling (seeded; used by tests, scripts and the benchmark workloads)
 # ---------------------------------------------------------------------------
 
 def random_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:

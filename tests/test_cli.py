@@ -425,6 +425,14 @@ class TestExitCodes:
         assert main(["no-such-command"]) == 64
         assert main([]) == 64
 
+    def test_simulate_has_no_method_flag(self, tmp_path, capsys):
+        # `auto` alone picks the CLI's propagator
+        args = ["simulate", "--model", str(FIXTURES / "qubit_decay.json"),
+                "--rho0", str(FIXTURES / "qubit_excited.json"), "--t-final", "1",
+                "--method", "rk_adaptive"]
+        assert run(args, tmp_path) == 64
+        assert "--method" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         assert run(["analyze", "--model", str(tmp_path / "nope.json")], tmp_path) == 65
 

@@ -125,23 +125,19 @@ class TestBlockPropagator:
             assert np.array_equal(state.matrix, unvec(basis[:, order] @ x))
             assert np.abs(state.matrix - hermitian_part(c)).max() <= 1e-13
 
-    def test_drifting_column_is_renormalized_alone(self, twoqubit, rng):
-        # column 0 drifts by 1e-12, inside trace_tol; column 1 has trace 2
+    def test_drifting_trace_is_renormalized_once(self, twoqubit, rng):
+        # y drifts by 1e-12, inside trace_tol, and is never rescaled; 2y has
+        # trace 2 and is rescaled once, onto y / (1 + 1e-12)
         lv = liouvillian(twoqubit)
         y = (1.0 + 1e-12) * vec(random_density(4, rng)).astype(complex)
         times = np.linspace(0.0, 5.0, 11)
-        raw, record = dyn._evolve_expm(
-            *dyn._frame(lv, lv.matrix, np.column_stack([y, 2.0 * y])), times, 1e-11
-        )
-        untouched, _ = dyn._evolve_expm(
-            *dyn._frame(lv, lv.matrix, np.column_stack([y, y])), times, 1e-11
-        )
-        assert record.renormalizations == 1
-        assert record.accepted == 2 * 10
+        raw, record = dyn._evolve_expm(*dyn._frame(lv, lv.matrix, 2.0 * y), times, 1e-11)
+        untouched, kept = dyn._evolve_expm(*dyn._frame(lv, lv.matrix, y), times, 1e-11)
+        assert (record.renormalizations, kept.renormalizations) == (1, 0)
+        assert record.accepted == 10
         assert record.max_trace_drift == pytest.approx(1.0)
-        assert np.array_equal(raw[:, :, 0], untouched[:, :, 0])
         np.testing.assert_allclose(
-            raw[1:, :, 1], raw[1:, :, 0] / (1.0 + 1e-12), rtol=0, atol=1e-14
+            raw[1:], untouched[1:] / (1.0 + 1e-12), rtol=0, atol=1e-14
         )
 
     @pytest.mark.parametrize("method", ["expm_fixed", "rk_adaptive"])
@@ -193,12 +189,12 @@ class TestBlockPropagator:
         zero = liouvillian(ModelSpec(np.zeros((3, 3)), [np.zeros((3, 3))]))
         lv = dataclasses.replace(zero, matrix=-0.5 * sp.identity(9, format="csr"))
         y0 = vec(random_density(3, rng)).astype(complex)
-        frame, x = dyn._frame(lv, lv.matrix, y0[:, None])
+        frame, x = dyn._frame(lv, lv.matrix, y0)
         raw, record = dyn._evolve_rk(frame, x, np.linspace(0.0, 10.0, 11), 1e-9, 1e-12, 1e-11)
         assert record.renormalizations == record.accepted
         assert record.accepted < 500
         assert record.max_trace_drift > 1e-11
-        final = raw[-1, :, 0] / np.trace(unvec(raw[-1, :, 0])).real
+        final = raw[-1] / np.trace(unvec(raw[-1])).real
         np.testing.assert_allclose(final, y0, rtol=0, atol=1e-8)
 
     def test_one_eigvalsh_per_sampled_state(self, qubit_decay, monkeypatch):
@@ -218,35 +214,32 @@ class TestBlockPropagator:
         assert len(calls) == 1
 
     @staticmethod
-    def _auto(model, rhos):
-        block = np.column_stack([vec(rho) for rho in rhos]).astype(complex)
+    def _auto(model, rho):
         lv = liouvillian(model)
-        frame, _ = dyn._frame(lv, lv.matrix, block)
-        return dyn._auto_method(frame, block.shape[1])
+        frame, _ = dyn._frame(lv, lv.matrix, vec(rho).astype(complex))
+        return dyn._auto_method(frame)
 
-    def test_auto_method_weighs_columns_against_sector_cost(self, rng):
-        # both 800-coordinate sectors of the n = 40 oscillator: RK45 per
-        # column wins for one state, one expm for the block wins for five
-        rhos = [random_density(40, rng) for _ in range(5)]
-        assert self._auto(oscillator(40), rhos[:1]) == "rk_adaptive"
-        assert self._auto(oscillator(40), rhos) == "expm_fixed"
+    def test_auto_method_takes_rk45_above_the_cost_ratio(self, rng):
+        # a random state touches both 800-coordinate sectors of the n = 40
+        # oscillator: cost ratio 6.2e4, so RK45 wins
+        assert self._auto(oscillator(40), random_density(40, rng)) == "rk_adaptive"
 
     def test_auto_method_by_sector_size_not_dimension(self, rng):
-        # 60 small sectors of H = N, L = a at n = 60, and one dense sector
-        # of a random dim-36 model: both above any dimension limit
+        # 60 small sectors of H = N, L = a at n = 60 (ratio 1.8e3), and one
+        # dense sector of a random dim-36 model: both above any dimension limit
         n = 60
         damped = ModelSpec(number_operator(n), [ladder_lowering(n)])
-        assert self._auto(damped, [random_density(n, rng) for _ in range(20)]) == "expm_fixed"
+        assert self._auto(damped, random_density(n, rng)) == "expm_fixed"
         x, y, z = (rng.standard_normal((3, 36, 36)) + 1j * rng.standard_normal((3, 36, 36)))
         dense = ModelSpec(x + x.conj().T, [y, z])
-        assert self._auto(dense, [random_density(36, rng)]) == "expm_fixed"
+        assert self._auto(dense, random_density(36, rng)) == "expm_fixed"
 
     def test_auto_method_on_a_zero_generator(self):
         # no nonzeros: the rows keep RK45's cost positive
         trivial = ModelSpec(np.zeros((1, 1)), [np.zeros((1, 1))])
-        assert self._auto(trivial, [np.ones((1, 1))]) == "expm_fixed"
+        assert self._auto(trivial, np.ones((1, 1))) == "expm_fixed"
         zero = ModelSpec(np.zeros((4, 4)), [np.zeros((4, 4))])
-        assert self._auto(zero, [np.eye(4) / 4]) == "expm_fixed"
+        assert self._auto(zero, np.eye(4) / 4) == "expm_fixed"
 
     def test_step_record_counts_sectors_and_propagated_coordinates(self):
         # the vacuum lies in one of the oscillator's two sectors; V = N
