@@ -257,8 +257,8 @@ def _cmd_steady_common(run: _Run, model: ModelSpec):
     report = steady_states(model, tol=run.args.tol)
     run.add_check(
         "invariant-state-exists", "Theorem 1", _verdict(report.states), run.args.tol, report,
-        ("null_dimension", "null_space_method", "exhaustive", "residuals", "cleanup_distances",
-         "reliable", "notes"),
+        ("null_dimension", "null_space_method", "exhaustive", "inverse_norm_estimate",
+         "residuals", "cleanup_distances", "reliable", "notes"),
         states=[s.matrix for s in report.states],
     )
     return report

@@ -490,6 +490,8 @@ def invariant_set_probe(
         raise OperatorError(f"threshold must be finite and non-negative; got {float(threshold):g}")
     varr = require_hermitian(v)
     _check_dim(model, varr)
+    if not varr.any():
+        raise OperatorError("V is the zero operator; the probe needs a nonzero V")
     lv = liouvillian(model)
     times, raw, record = _propagate(lv, lv.matrix.T.tocsr(), vec(varr), t_final, method, n_points)
     # each reshaped sample is V(t) transposed, which has V(t)'s spectrum

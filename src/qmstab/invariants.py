@@ -1,15 +1,20 @@
 """Invariant states and their classification.
 
 Computes the stationary states of a model from the null space of the real
-Schroedinger-side Liouvillian (`generator.liouvillian`) and
-classifies them: faithfulness (full-rank support), subharmonicity of support
-projections, the connectivity condition P L'(I-P) L P != 0 linking a
-projection to its complement, and a uniqueness test through commutant
-triviality of the algebra generated by the Hamiltonian and the couplings.
+Schroedinger-side Liouvillian R (`generator.liouvillian`): by dense eig up to
+dim 8 (`dense-eig`), above it by one sparse LU of R bordered with the trace,
+which certifies a simple zero eigenvalue (`bordered-lu`), and by an Arnoldi
+window only when that bordered matrix is singular or ill-conditioned
+(`splu-arnoldi`). It classifies them: faithfulness (full-rank support),
+subharmonicity of support projections, the connectivity condition
+P L'(I-P) L P != 0 linking a projection to its complement, and a uniqueness
+test through commutant triviality of the algebra generated by the
+Hamiltonian and the couplings.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,19 +50,25 @@ INCONCLUSIVE = "inconclusive"
 
 NULL_SPACE_DENSE = "dense-eig"
 NULL_SPACE_ARNOLDI = "splu-arnoldi"
+NULL_SPACE_BORDERED = "bordered-lu"
 
 # Dense eigendecomposition of the full Liouvillian is used up to this
-# dimension; above it the null space is found by shift-inverted Arnoldi on a
-# sparse LU. Dims 1-2 must stay dense because ARPACK needs k < dim^2 - 1;
-# scripts/time_null_space.py puts the crossover on the real form at 9-10,
-# a gap of 1-3 ms below it (numbers in README "Numerical notes").
+# dimension. Dims 1-2 must stay dense because ARPACK needs k < dim^2 - 1;
+# scripts/time_null_space.py puts the bordered LU even with dense eig at 8,
+# a gap of under 1 ms below it (numbers in README "Numerical notes").
 _DENSE_EIG_DIM = 8
 # Shift-inverted Arnoldi asks ARPACK for this many eigenvalues nearest the
-# shift: 100-150 LU solves on the `osc-n60` and `small-n24` models, and room
-# for every null vector of a model with up to 8 stationary directions. The
-# deflated rerun in `_null_space_arnoldi` says when a wider kernel, or a
-# repeated null eigenvalue, was not held whole.
+# shift: 100-150 LU solves on the `osc-n60` and `small-n24` models when
+# forced, and room for every null vector of a model with up to 8 stationary
+# directions. The deflated rerun in `_null_space_arnoldi` says when a wider
+# kernel, or a repeated null eigenvalue, was not held whole.
 _NULL_WINDOW = 8
+# t'R = 0 for the trace functional t, so each eigenvalue lambda != 0 of R is
+# one of B = [[R, t], [t', 0]] (its eigenvector has t'v = 0), and a repeated
+# or defective zero eigenvalue of R makes B singular: ||B^-1||_1 >= 1/|lambda|
+# for every eigenvalue of R but a simple zero, so ||B^-1||_1 < 1/tol_abs rules
+# out a second one within tol_abs. `onenormest` gives a lower bound: a margin.
+_BORDERED_MARGIN = 1e3
 # Up to this dimension dense eig takes under a second, so it answers whenever
 # the Arnoldi window is not exhaustive or ARPACK stalls (eigenvalues clustered
 # at the tolerance scale). ARPACK then gets only _FALLBACK_MAXITER restarts,
@@ -84,9 +95,11 @@ class InvariantStateReport:
     kernel dimension of the real Liouvillian before cleanup. A state whose
     cleanup moved it by more than 10x the tolerance is flagged unreliable
     rather than silently accepted. `null_space_method` names the kernel solver
-    whose answer is reported; `exhaustive` is False when its Arnoldi window
-    may have missed null vectors, making `null_dimension` a lower bound
-    (only above dim 24, where no dense fallback runs).
+    whose answer is reported (`dense-eig`, `bordered-lu` or `splu-arnoldi`,
+    see `_null_space`); `inverse_norm_estimate` certifies a `bordered-lu`
+    answer and is None otherwise. `exhaustive` is False when an Arnoldi window
+    may have missed null vectors, making `null_dimension` a lower bound (only
+    above dim 24, where no dense fallback runs).
     """
 
     states: tuple[DensityMatrix, ...]
@@ -101,6 +114,7 @@ class InvariantStateReport:
     tolerance: float
     null_space_method: str
     exhaustive: bool
+    inverse_norm_estimate: float | None
     notes: tuple[str, ...] = ()
 
 
@@ -208,19 +222,41 @@ def _null_space_arnoldi(m: sps.csr_array, tol_abs: float, maxiter: int | None = 
     return basis, null_dim, bool(abs(1.0 / w_inv[0]) > sigma + tol_abs)
 
 
+def _null_space_bordered(m: sps.csr_array):
+    """The coordinates x with R x = 0 and trace t'x = 1, from B y = e_last
+    by one sparse LU of B (see `_BORDERED_MARGIN`), and the estimate of
+    ||B^-1||_1; None when B is exactly singular. `onenormest(t=1)` starts
+    from the ones vector: its default draws from numpy's global RNG."""
+    n2 = m.shape[0]
+    t = (np.arange(n2) % (math.isqrt(n2) + 1) == 0).astype(float)  # diagonal coordinates
+    try:
+        lu = spla.splu(sps.block_array([[m, t[:, None]], [t[None, :], None]], format="csc"))
+    except RuntimeError:  # "Factor is exactly singular"
+        return None
+    inverse = spla.LinearOperator((n2 + 1,) * 2, matvec=lu.solve, dtype=float,
+                                  rmatvec=lambda z: lu.solve(z, trans="T"))
+    return lu.solve(np.eye(1, n2 + 1, n2)[0])[:n2], float(spla.onenormest(inverse, t=1))
+
+
 def _null_space(m: sps.csr_array, tol_abs: float):
     """Orthonormal null space basis and dimension of a real Liouvillian.
 
-    Returns (basis, null_dim, method, exhaustive, notes): dense
-    eigendecomposition up to `_DENSE_EIG_DIM`, shift-inverted Arnoldi on a
-    sparse LU above it. Up to `_DENSE_FALLBACK_DIM`, an Arnoldi window that
-    is not exhaustive or does not converge is replaced by the exact dense
-    answer, with a note saying why; above it, a non-exhaustive window is
-    returned as a lower bound and non-convergence raises.
+    Returns (basis, null_dim, method, exhaustive, notes, inverse_norm_estimate).
+    Dense eig answers up to `_DENSE_EIG_DIM`; above it the bordered LU, when
+    its estimate certifies a simple zero eigenvalue, and else (B singular or
+    ill-conditioned; estimate None) shift-inverted Arnoldi. Up to
+    `_DENSE_FALLBACK_DIM`, a window that is not exhaustive or does not
+    converge is replaced by the exact dense answer, with a note saying why;
+    above it, a non-exhaustive window is a lower bound and non-convergence
+    raises.
     """
     n2 = m.shape[0]
     if n2 <= _DENSE_EIG_DIM**2:
-        return (*_null_space_dense(m, tol_abs), NULL_SPACE_DENSE, True, ())
+        return (*_null_space_dense(m, tol_abs), NULL_SPACE_DENSE, True, (), None)
+    bordered = _null_space_bordered(m)
+    if bordered is not None and bordered[1] <= 1.0 / (_BORDERED_MARGIN * tol_abs):
+        x, estimate = bordered
+        return x[:, None] / np.linalg.norm(x), 1, NULL_SPACE_BORDERED, True, (), estimate
     fallback = n2 <= _DENSE_FALLBACK_DIM**2
     maxiter = _FALLBACK_MAXITER if fallback else None
     try:
@@ -234,10 +270,10 @@ def _null_space(m: sps.csr_array, tol_abs: float):
         reason = f"did not converge in {maxiter} restarts"
     else:
         if exhaustive or not fallback:
-            return vecs, null_dim, NULL_SPACE_ARNOLDI, exhaustive, ()
+            return vecs, null_dim, NULL_SPACE_ARNOLDI, exhaustive, (), None
         reason = f"window of {_NULL_WINDOW} was not exhaustive"
     note = f"shift-inverted Arnoldi {reason}; dense eig gave the null space"
-    return (*_null_space_dense(m, tol_abs), NULL_SPACE_DENSE, True, (note,))
+    return (*_null_space_dense(m, tol_abs), NULL_SPACE_DENSE, True, (note,), None)
 
 
 def _orthonormal_append(basis: list[np.ndarray], x: np.ndarray, floor: float) -> bool:
@@ -266,7 +302,7 @@ def steady_states(model: ModelSpec, tol: float = 1e-9) -> InvariantStateReport:
     """
     lv = liouvillian(model)
     tol_abs = tol * max(1.0, lv.norm)
-    basis, null_dim, method, exhaustive, null_notes = _null_space(lv.matrix, tol_abs)
+    basis, null_dim, method, exhaustive, null_notes, estimate = _null_space(lv.matrix, tol_abs)
     notes = list(null_notes)
     if null_dim == 0:
         raise InvariantAnalysisError(
@@ -279,11 +315,12 @@ def steady_states(model: ModelSpec, tol: float = 1e-9) -> InvariantStateReport:
             "missed more; null_dimension is a lower bound"
         )
 
+    # a basis direction's sign is arbitrary: flipping its coordinates to a
+    # nonnegative trace, before T, leaves no signed zeros for eigh to see
+    basis = basis * np.where(basis[:: model.dim + 1].sum(axis=0) < 0, -1.0, 1.0)
     candidates: list[tuple[np.ndarray, float]] = []
     for y in (unvec(x) for x in (lv.basis @ basis).T):
         tr = float(np.trace(y).real)
-        if tr < 0:  # the sign of a basis direction is arbitrary
-            y, tr = -y, -tr
         w, v = np.linalg.eigh(y)
         if w[0] >= -tol_abs and tr > tol:
             clipped = v @ np.diag(np.clip(w, 0.0, None)) @ dag(v)
@@ -347,6 +384,7 @@ def steady_states(model: ModelSpec, tol: float = 1e-9) -> InvariantStateReport:
         tolerance=tol,
         null_space_method=method,
         exhaustive=exhaustive,
+        inverse_norm_estimate=estimate,
         notes=tuple(notes),
     )
 

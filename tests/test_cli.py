@@ -33,7 +33,8 @@ def checks_by_name(report):
 ENTRY_COMMON = {"name": str, "anchor": str, "verdict": str, "tolerance": float}
 ENTRY_SCHEMA = {
     "invariant-state-exists": {
-        "null_dimension": int, "null_space_method": str, "exhaustive": bool, "residuals": list,
+        "null_dimension": int, "null_space_method": str, "exhaustive": bool,
+        "inverse_norm_estimate": (float, type(None)), "residuals": list,
         "cleanup_distances": list, "reliable": list, "notes": list, "states": list,
     },
     "faithful[0]": {"rank": int, "support": list},
@@ -105,8 +106,11 @@ class TestAnalyze:
             report = read_report(tmp_path / str(i))
             commands.add(report["run"]["command"])
             for check in report["run"]["checks"]:
-                types = {key: type(value) for key, value in check.items()}
-                assert types == {**ENTRY_COMMON, **ENTRY_SCHEMA[check["name"]]}, check["name"]
+                schema = {**ENTRY_COMMON, **ENTRY_SCHEMA[check["name"]]}
+                assert check.keys() == schema.keys(), check["name"]
+                for key, value in check.items():
+                    allowed = schema[key] if isinstance(schema[key], tuple) else (schema[key],)
+                    assert type(value) in allowed, (check["name"], key)
                 entries.add(check["name"])
                 assert check["anchor"]
                 assert "tolerance" in check
@@ -167,9 +171,9 @@ class TestAnalyze:
         null_space = qmstab.invariants._null_space
 
         def partial_window(m, tol_abs):
-            vecs, null_dim, method, _, notes = null_space(m, tol_abs)
+            vecs, null_dim, method, _, notes, _ = null_space(m, tol_abs)
             assert null_dim == 1
-            return vecs, null_dim, qmstab.invariants.NULL_SPACE_ARNOLDI, False, notes
+            return vecs, null_dim, qmstab.invariants.NULL_SPACE_ARNOLDI, False, notes, None
 
         monkeypatch.setattr(qmstab.invariants, "_null_space", partial_window)
         run(["analyze", "--model", str(FIXTURES / "twolevel.json")], tmp_path)
@@ -184,6 +188,7 @@ class TestAnalyze:
         entry = checks_by_name(read_report(tmp_path))["invariant-state-exists"]
         assert entry["null_space_method"] == "dense-eig"
         assert entry["exhaustive"] is True
+        assert entry["inverse_norm_estimate"] is None
 
 
 class TestSteadyState:
@@ -192,8 +197,9 @@ class TestSteadyState:
         assert code == 0
         entry = checks_by_name(read_report(tmp_path))["invariant-state-exists"]
         assert len(entry["reliable"]) == 1 and entry["reliable"][0] is True  # not 1
-        assert entry["null_space_method"] == "splu-arnoldi"
+        assert entry["null_space_method"] == "bordered-lu"
         assert entry["exhaustive"] is True
+        assert 0 < entry["inverse_norm_estimate"] <= 1e-3 / 1e-9  # tol_abs >= tol
 
     def test_cleanup_distances_reported(self, tmp_path):
         from qmstab import steady_states
@@ -418,6 +424,15 @@ class TestProbe:
                 warnings.simplefilter("error")
                 assert run(args, tmp_path / str(i)) == 65, args
             assert f"qmstab: {name} must be" in capsys.readouterr().err, args
+
+    def test_zero_observable_is_an_input_error(self, tmp_path, capsys):
+        from qmstab.serialize import save_operator
+
+        save_operator(np.zeros((2, 2), dtype=complex), tmp_path / "zero.json")
+        args = ["probe-invariant-set", "--model", str(FIXTURES / "qubit_decay.json"),
+                "--v", str(tmp_path / "zero.json")]
+        assert run(args, tmp_path / "out") == 65
+        assert "qmstab: V is the zero operator" in capsys.readouterr().err
 
 
 class TestExitCodes:

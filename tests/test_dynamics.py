@@ -409,3 +409,11 @@ class TestInvariantSetProbe:
     def test_threshold_must_be_finite_and_non_negative(self, qubit_decay, threshold):
         with pytest.raises(OperatorError, match="threshold must be finite and non-negative"):
             invariant_set_probe(qubit_decay, V_GROUND, threshold=threshold)
+
+    @pytest.mark.parametrize("method", ["auto", "expm_fixed", "rk_adaptive"])
+    def test_zero_observable_is_an_input_error(self, method):
+        # a zero V has no coordinate to propagate on any path
+        n = 3
+        model = ModelSpec(number_operator(n), [ladder_lowering(n)])
+        with pytest.raises(OperatorError, match="V is the zero operator"):
+            invariant_set_probe(model, np.zeros((n, n)), method=method)

@@ -11,6 +11,7 @@ from qmstab import (
     faithfulness_check,
     generator_schroedinger,
     ket_bra,
+    ladder_lowering,
     number_operator,
     pauli,
     steady_states,
@@ -48,11 +49,30 @@ class TestSteadyStates:
         assert abs(mean - 1.0 / 3.0) < 1e-6
         assert report.unique == "unique"
 
-    def test_arnoldi_path_repeatable(self):
+    def test_bordered_path_repeatable(self):
+        # and it leaves numpy's global random state alone: onenormest's
+        # default would draw its start columns from it
         model = oscillator(12)
+        before = np.random.get_state()
+        first, second = steady_states(model), steady_states(model)
+        after = np.random.get_state()
+        assert before[0] == after[0] and np.array_equal(before[1], after[1])
+        assert before[2:] == after[2:]
+        assert (first.null_space_method, first.exhaustive) == ("bordered-lu", True)
+        assert 0 < first.inverse_norm_estimate == second.inverse_norm_estimate
+        assert first.states[0].matrix.tobytes() == second.states[0].matrix.tobytes()
+
+    def test_arnoldi_path_repeatable(self):
+        # two damped 5-level ladders side by side: one ground state each, so
+        # the bordered matrix is singular and the Arnoldi window answers
+        a, zero = ladder_lowering(5), np.zeros((5, 5))
+        h = np.diag(np.r_[np.arange(5), np.arange(5) + 0.3]).astype(complex)
+        model = ModelSpec(h, [np.block([[a, zero], [zero, a]])])
         first, second = steady_states(model), steady_states(model)
         assert (first.null_space_method, first.exhaustive) == ("splu-arnoldi", True)
-        assert first.states[0].matrix.tobytes() == second.states[0].matrix.tobytes()
+        assert (first.null_dimension, first.inverse_norm_estimate) == (2, None)
+        for a_state, b_state in zip(first.states, second.states):
+            assert a_state.matrix.tobytes() == b_state.matrix.tobytes()
 
     def test_cleanup_does_not_depend_on_the_sign_of_the_null_basis(self, monkeypatch):
         # the solver fixes no sign; a direction with negative trace must be

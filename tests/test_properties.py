@@ -31,6 +31,7 @@ from qmstab import (
 )
 from qmstab.invariants import (
     NULL_SPACE_ARNOLDI,
+    NULL_SPACE_BORDERED,
     NULL_SPACE_DENSE,
     _FALLBACK_MAXITER,
     _commutant,
@@ -117,12 +118,18 @@ def test_dense_and_splu_null_spaces_agree(drawn):
     lv = liouvillian(model)
     tol_abs = 1e-9 * max(1.0, lv.norm)
     real = lv.matrix
-    _, dense_dim = _null_space_dense(real, tol_abs)
-    _, null_dim, method, exhaustive, notes = _null_space(real, tol_abs)
+    dense, dense_dim = _null_space_dense(real, tol_abs)
+    basis, null_dim, method, exhaustive, notes, estimate = _null_space(real, tol_abs)
     event(f"{method}, {len(notes)} fallback notes")
     assert (null_dim, exhaustive) == (dense_dim, True)
-    if method == NULL_SPACE_ARNOLDI:
+    assert (estimate is not None) == (method == NULL_SPACE_BORDERED)
+    if method in (NULL_SPACE_ARNOLDI, NULL_SPACE_BORDERED):
         assert model.dim > 8 and not notes
+    if method == NULL_SPACE_BORDERED:
+        # the same state of trace 1, in the real coordinates
+        diag = np.arange(model.dim) * (model.dim + 1)
+        states = [x / x[diag].sum() for x in (basis[:, 0], dense[:, 0])]
+        assert max_abs(states[0] - states[1]) <= 1e-10
 
 
 @settings(derandomize=True, deadline=None, max_examples=5, database=None)
@@ -202,7 +209,7 @@ def test_arnoldi_non_convergence_falls_back_to_dense():
     real = lv.matrix
     with pytest.raises(spla.ArpackNoConvergence):
         _null_space_arnoldi(real, tol_abs, maxiter=_FALLBACK_MAXITER)
-    _, null_dim, method, exhaustive, notes = _null_space(real, tol_abs)
+    _, null_dim, method, exhaustive, notes, _ = _null_space(real, tol_abs)
     assert (null_dim, method, exhaustive) == (9, NULL_SPACE_DENSE, True)
     assert "did not converge" in notes[0]
 
@@ -220,7 +227,7 @@ def test_window_crowded_near_the_shift_is_not_exhaustive():
     _, arnoldi_dim, exhaustive = _null_space_arnoldi(real, tol_abs)
     assert arnoldi_dim < 9
     assert not exhaustive
-    _, null_dim, method, exhaustive, notes = _null_space(real, tol_abs)
+    _, null_dim, method, exhaustive, notes, _ = _null_space(real, tol_abs)
     assert (null_dim, method, exhaustive) == (9, NULL_SPACE_DENSE, True)
     assert "not exhaustive" in notes[0]
 
@@ -238,7 +245,7 @@ def test_repeated_null_eigenvalue_missed_by_the_window_is_not_exhaustive():
     _, arnoldi_dim, exhaustive = _null_space_arnoldi(real, tol_abs)
     assert arnoldi_dim < 9
     assert not exhaustive
-    _, null_dim, method, exhaustive, notes = _null_space(real, tol_abs)
+    _, null_dim, method, exhaustive, notes, _ = _null_space(real, tol_abs)
     assert (null_dim, method, exhaustive) == (9, NULL_SPACE_DENSE, True)
     assert "not exhaustive" in notes[0]
 
