@@ -1,15 +1,20 @@
-"""Time steady_states with each of the three null-space solvers.
+"""Time the three null-space solvers of `invariants._null_space` directly.
 
 Prints one row per dimension and model: the median wall time over
-`--repeats` calls for a seeded random model (Hermitian H, two random
-couplings) and for the criterion-2 oscillator (L = a + a'/2), once with
-dense eig forced, once with the bordered LU tried first (the default above
-`invariants._DENSE_EIG_DIM`) and once with the shift-inverted Arnoldi window
-forced. The methods actually used follow in parentheses, since a bordered
-solve that certifies nothing falls back on the window. These numbers set
-`invariants._DENSE_EIG_DIM`.
+`--repeats` calls of `_null_space_dense`, `_null_space_bordered` and
+`_null_space_arnoldi` on the real Liouvillian `liouvillian(model).matrix`,
+at the tolerance `steady_states` uses. The models are a seeded random one
+(Hermitian H, two random couplings), the criterion-2 oscillator
+(L = a + a'/2), both with a simple kernel, and two damped ladders side by
+side, the second one's levels shifted by 0.3 (`ladders`) or not (`twins`),
+whose ground states make the bordered matrix singular, so that only dense
+eig or the window can answer. After the times come what each solver found:
+dense eig's null dimension, whether the bordered estimate certifies a
+simple zero (or B is singular), and the window's null dimension and whether
+it was exhaustive (or that ARPACK did not converge). The `ladders` and
+`twins` rows set `invariants._DENSE_EIG_DIM`.
 
-    PYTHONPATH=src python3 scripts/time_null_space.py [--dims 6 8 10 12 24]
+    PYTHONPATH=src python3 scripts/time_null_space.py [--dims 6 8 10 12 16 24]
 """
 
 from __future__ import annotations
@@ -19,24 +24,14 @@ import statistics
 import time
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 import qmstab.invariants as inv
-from qmstab import (
-    ModelSpec,
-    ladder_lowering,
-    number_operator,
-    random_hermitian,
-    random_matrix,
-    steady_states,
-)
+from qmstab import ModelSpec, liouvillian, random_hermitian, random_matrix
 
-# module attributes each solver is timed with: dense only, bordered LU first,
-# Arnoldi window only
-SOLVERS = (
-    {"_DENSE_EIG_DIM": 10**6},
-    {"_DENSE_EIG_DIM": 1},
-    {"_DENSE_EIG_DIM": 1, "_null_space_bordered": lambda m: None},
-)
+
+def lowering(n: int) -> np.ndarray:
+    return np.diag(np.sqrt(np.arange(1.0, n)), 1).astype(complex)
 
 
 def random_model(n: int) -> ModelSpec:
@@ -45,41 +40,63 @@ def random_model(n: int) -> ModelSpec:
 
 
 def oscillator(n: int) -> ModelSpec:
-    a = ladder_lowering(n)
-    return ModelSpec(number_operator(n), [a + 0.5 * a.conj().T])
+    a = lowering(n)
+    return ModelSpec(np.diag(np.arange(n, dtype=complex)), [a + 0.5 * a.conj().T])
 
 
-def median_time(model: ModelSpec, solver: dict, repeats: int) -> tuple[float, str]:
-    saved = {name: getattr(inv, name) for name in solver}
-    for name, value in solver.items():
-        setattr(inv, name, value)
-    try:
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            report = steady_states(model)
-            times.append(time.perf_counter() - t0)
-    finally:
-        for name, value in saved.items():
-            setattr(inv, name, value)
-    return statistics.median(times), report.null_space_method
+def ladders(n: int, offset: float) -> ModelSpec:
+    k = n // 2
+    h = np.diag(np.r_[np.arange(k), np.arange(n - k) + offset]).astype(complex)
+    coupling = np.zeros((n, n), dtype=complex)
+    coupling[:k, :k], coupling[k:, k:] = lowering(k), lowering(n - k)
+    return ModelSpec(h, [coupling])
+
+
+MODELS = (
+    ("random", random_model),
+    ("oscillator", oscillator),
+    ("ladders", lambda n: ladders(n, 0.3)),
+    ("twins", lambda n: ladders(n, 0.0)),
+)
+
+
+def median_time(solve, repeats: int):
+    times, result = [], None
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        try:
+            result = solve()
+        except spla.ArpackNoConvergence:
+            result = None
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times), result
 
 
 def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--dims", type=int, nargs="+", default=[6, 8, 10, 12, 24])
+    ap.add_argument("--dims", type=int, nargs="+", default=[6, 8, 10, 12, 16, 24])
     ap.add_argument("--repeats", type=int, default=7)
     args = ap.parse_args(argv)
-    steady_states(random_model(4))  # load BLAS/LAPACK before timing
-    print("dim  model       dense_s  bordered_s  arnoldi_s  (methods used)")
+    inv.steady_states(random_model(4))  # load BLAS/LAPACK and SuperLU before timing
+    print("dim  model       dense_s  bordered_s  arnoldi_s  null  bordered   window")
     for n in args.dims:
-        for name, make in (("random", random_model), ("oscillator", oscillator)):
-            model = make(n)
-            (dense, _), (bordered, used), (arnoldi, window) = (
-                median_time(model, solver, args.repeats) for solver in SOLVERS
+        for name, make in MODELS:
+            lv = liouvillian(make(n))
+            m, tol_abs = lv.matrix, 1e-9 * max(1.0, lv.norm)
+            dense, (_, null_dim) = median_time(lambda: inv._null_space_dense(m, tol_abs),
+                                               args.repeats)
+            bordered, found = median_time(lambda: inv._null_space_bordered(m), args.repeats)
+            arnoldi, window = median_time(lambda: inv._null_space_arnoldi(m, tol_abs),
+                                          args.repeats)
+            certified = (
+                "singular" if found is None
+                else "simple" if found[1] <= 1.0 / (inv._BORDERED_MARGIN * tol_abs)
+                else "no"
             )
+            window = ("stalled" if window is None
+                      else f"{window[1]}, {'exhaustive' if window[2] else 'partial'}")
             print(f"{n:3d}  {name:10s}  {dense:7.4f}  {bordered:10.4f}  {arnoldi:9.4f}"
-                  f"  ({used}, {window})", flush=True)
+                  f"  {null_dim:4d}  {certified:8s}  {window}", flush=True)
 
 
 if __name__ == "__main__":

@@ -1,15 +1,14 @@
 """Invariant states and their classification.
 
 Computes the stationary states of a model from the null space of the real
-Schroedinger-side Liouvillian R (`generator.liouvillian`): by dense eig up to
-dim 8 (`dense-eig`), above it by one sparse LU of R bordered with the trace,
-which certifies a simple zero eigenvalue (`bordered-lu`), and by an Arnoldi
-window only when that bordered matrix is singular or ill-conditioned
-(`splu-arnoldi`). It classifies them: faithfulness (full-rank support),
-subharmonicity of support projections, the connectivity condition
-P L'(I-P) L P != 0 linking a projection to its complement, and a uniqueness
-test through commutant triviality of the algebra generated by the
-Hamiltonian and the couplings.
+Schroedinger-side Liouvillian R (`generator.liouvillian`): by one sparse LU
+of R bordered with the trace, which certifies a simple zero eigenvalue
+(`bordered-lu`); when it does not, by dense eig up to dim 24 (`dense-eig`)
+and by an Arnoldi window above it (`splu-arnoldi`). It classifies them:
+faithfulness (full-rank support), subharmonicity of support projections,
+the connectivity condition P L'(I-P) L P != 0 linking a projection to its
+complement, and a uniqueness test through commutant triviality of the
+algebra generated by the Hamiltonian and the couplings.
 """
 
 from __future__ import annotations
@@ -52,11 +51,11 @@ NULL_SPACE_DENSE = "dense-eig"
 NULL_SPACE_ARNOLDI = "splu-arnoldi"
 NULL_SPACE_BORDERED = "bordered-lu"
 
-# Dense eigendecomposition of the full Liouvillian is used up to this
-# dimension. Dims 1-2 must stay dense because ARPACK needs k < dim^2 - 1;
-# scripts/time_null_space.py puts the bordered LU even with dense eig at 8,
-# a gap of under 1 ms below it (numbers in README "Numerical notes").
-_DENSE_EIG_DIM = 8
+# When the bordered LU certifies nothing, dense eig of R answers up to this
+# dimension: it is exact, where the Arnoldi window can stall or miss copies
+# of a repeated null eigenvalue, and takes 0.2-0.3 s at dim 24 but grows as
+# dim^6 (scripts/time_null_space.py; numbers in README "Numerical notes").
+_DENSE_EIG_DIM = 24
 # Shift-inverted Arnoldi asks ARPACK for this many eigenvalues nearest the
 # shift: 100-150 LU solves on the `osc-n60` and `small-n24` models when
 # forced, and room for every null vector of a model with up to 8 stationary
@@ -69,13 +68,6 @@ _NULL_WINDOW = 8
 # for every eigenvalue of R but a simple zero, so ||B^-1||_1 < 1/tol_abs rules
 # out a second one within tol_abs. `onenormest` gives a lower bound: a margin.
 _BORDERED_MARGIN = 1e3
-# Up to this dimension dense eig takes under a second, so it answers whenever
-# the Arnoldi window is not exhaustive or ARPACK stalls (eigenvalues clustered
-# at the tolerance scale). ARPACK then gets only _FALLBACK_MAXITER restarts,
-# which bounds a stall at dim 24 to about 1 s instead of 49 s; random dim-24
-# models with two couplings (seeds 0-399) converge within 75.
-_DENSE_FALLBACK_DIM = 24
-_FALLBACK_MAXITER = 100
 _CONNECTIVITY_THRESHOLD = 1e-9
 # Largest commutant constraint matrix, in entries: the 2880 x 576 dense kron
 # system that the commutant test used to solve at dim 24 with two couplings.
@@ -98,8 +90,8 @@ class InvariantStateReport:
     whose answer is reported (`dense-eig`, `bordered-lu` or `splu-arnoldi`,
     see `_null_space`); `inverse_norm_estimate` certifies a `bordered-lu`
     answer and is None otherwise. `exhaustive` is False when an Arnoldi window
-    may have missed null vectors, making `null_dimension` a lower bound (only
-    above dim 24, where no dense fallback runs).
+    (only above dim 24) may have missed null vectors, making
+    `null_dimension` a lower bound.
     """
 
     states: tuple[DensityMatrix, ...]
@@ -191,7 +183,7 @@ def _null_space_dense(m: sps.csr_array, tol_abs: float):
     return _real_span(v, np.abs(w) <= tol_abs)
 
 
-def _null_space_arnoldi(m: sps.csr_array, tol_abs: float, maxiter: int | None = None):
+def _null_space_arnoldi(m: sps.csr_array, tol_abs: float):
     """Null space basis of a real matrix by shift-inverted Arnoldi near zero.
 
     m - sigma I is factored once by sparse LU (`splu`, CSC) and its solve
@@ -201,8 +193,7 @@ def _null_space_arnoldi(m: sps.csr_array, tol_abs: float, maxiter: int | None = 
     found are deflated. The window is exhaustive when that one lies outside
     the disc |w - sigma| <= sigma + tol_abs, which holds every eigenvalue
     within tol_abs of zero. Raises ArpackNoConvergence when ARPACK does not
-    converge within `maxiter` restarts (None: its default), as when the
-    spectrum clusters near sigma.
+    converge, as when the spectrum clusters near sigma.
     """
     n2 = m.shape[0]
     sigma = max(10 * tol_abs, 1e-8)
@@ -210,7 +201,7 @@ def _null_space_arnoldi(m: sps.csr_array, tol_abs: float, maxiter: int | None = 
     # a fixed generic start vector keeps repeated runs bit-identical
     v0 = np.random.default_rng(0).standard_normal(n2)
     op = spla.LinearOperator(m.shape, matvec=lu.solve, dtype=float)
-    w_inv, v = spla.eigs(op, k=min(_NULL_WINDOW, n2 - 2), which="LM", v0=v0, maxiter=maxiter)
+    w_inv, v = spla.eigs(op, k=min(_NULL_WINDOW, n2 - 2), which="LM", v0=v0)
     basis, null_dim = _real_span(v, np.abs(sigma + 1.0 / w_inv) <= tol_abs)
 
     def deflated(x):  # the basis spans an invariant subspace: Schur deflation
@@ -218,7 +209,7 @@ def _null_space_arnoldi(m: sps.csr_array, tol_abs: float, maxiter: int | None = 
         return y - basis @ (basis.T @ y)
 
     rest = spla.LinearOperator(m.shape, matvec=deflated, dtype=float)
-    w_inv = spla.eigs(rest, k=1, which="LM", v0=v0, maxiter=maxiter, return_eigenvectors=False)
+    w_inv = spla.eigs(rest, k=1, which="LM", v0=v0, return_eigenvectors=False)
     return basis, null_dim, bool(abs(1.0 / w_inv[0]) > sigma + tol_abs)
 
 
@@ -241,39 +232,26 @@ def _null_space_bordered(m: sps.csr_array):
 def _null_space(m: sps.csr_array, tol_abs: float):
     """Orthonormal null space basis and dimension of a real Liouvillian.
 
-    Returns (basis, null_dim, method, exhaustive, notes, inverse_norm_estimate).
-    Dense eig answers up to `_DENSE_EIG_DIM`; above it the bordered LU, when
-    its estimate certifies a simple zero eigenvalue, and else (B singular or
-    ill-conditioned; estimate None) shift-inverted Arnoldi. Up to
-    `_DENSE_FALLBACK_DIM`, a window that is not exhaustive or does not
-    converge is replaced by the exact dense answer, with a note saying why;
-    above it, a non-exhaustive window is a lower bound and non-convergence
-    raises.
+    Returns (basis, null_dim, method, exhaustive, inverse_norm_estimate).
+    The bordered LU answers when its estimate certifies a simple zero
+    eigenvalue; otherwise dense eig, which is exact, up to `_DENSE_EIG_DIM`,
+    and shift-inverted Arnoldi above it, whose window that is not exhaustive
+    is a lower bound and whose non-convergence raises.
     """
-    n2 = m.shape[0]
-    if n2 <= _DENSE_EIG_DIM**2:
-        return (*_null_space_dense(m, tol_abs), NULL_SPACE_DENSE, True, (), None)
     bordered = _null_space_bordered(m)
     if bordered is not None and bordered[1] <= 1.0 / (_BORDERED_MARGIN * tol_abs):
         x, estimate = bordered
-        return x[:, None] / np.linalg.norm(x), 1, NULL_SPACE_BORDERED, True, (), estimate
-    fallback = n2 <= _DENSE_FALLBACK_DIM**2
-    maxiter = _FALLBACK_MAXITER if fallback else None
+        return x[:, None] / np.linalg.norm(x), 1, NULL_SPACE_BORDERED, True, estimate
+    if m.shape[0] <= _DENSE_EIG_DIM**2:
+        return (*_null_space_dense(m, tol_abs), NULL_SPACE_DENSE, True, None)
     try:
-        vecs, null_dim, exhaustive = _null_space_arnoldi(m, tol_abs, maxiter)
+        vecs, null_dim, exhaustive = _null_space_arnoldi(m, tol_abs)
     except spla.ArpackNoConvergence as exc:
-        if not fallback:
-            raise InvariantAnalysisError(
-                "shift-inverted Arnoldi did not converge: the Liouvillian spectrum "
-                "clusters at the tolerance scale near zero"
-            ) from exc
-        reason = f"did not converge in {maxiter} restarts"
-    else:
-        if exhaustive or not fallback:
-            return vecs, null_dim, NULL_SPACE_ARNOLDI, exhaustive, (), None
-        reason = f"window of {_NULL_WINDOW} was not exhaustive"
-    note = f"shift-inverted Arnoldi {reason}; dense eig gave the null space"
-    return (*_null_space_dense(m, tol_abs), NULL_SPACE_DENSE, True, (note,), None)
+        raise InvariantAnalysisError(
+            "shift-inverted Arnoldi did not converge: the Liouvillian spectrum "
+            "clusters at the tolerance scale near zero"
+        ) from exc
+    return vecs, null_dim, NULL_SPACE_ARNOLDI, exhaustive, None
 
 
 def _orthonormal_append(basis: list[np.ndarray], x: np.ndarray, floor: float) -> bool:
@@ -302,18 +280,16 @@ def steady_states(model: ModelSpec, tol: float = 1e-9) -> InvariantStateReport:
     """
     lv = liouvillian(model)
     tol_abs = tol * max(1.0, lv.norm)
-    basis, null_dim, method, exhaustive, null_notes, estimate = _null_space(lv.matrix, tol_abs)
-    notes = list(null_notes)
+    basis, null_dim, method, exhaustive, estimate = _null_space(lv.matrix, tol_abs)
     if null_dim == 0:
         raise InvariantAnalysisError(
             "no Liouvillian null vector within tolerance; a trace-preserving "
             "model always has one, so the input or the tolerance is suspect"
         )
-    if not exhaustive:
-        notes.append(
-            f"Arnoldi window returned {null_dim} null vectors and may have "
-            "missed more; null_dimension is a lower bound"
-        )
+    notes = [] if exhaustive else [
+        f"Arnoldi window returned {null_dim} null vectors and may have "
+        "missed more; null_dimension is a lower bound"
+    ]
 
     # a basis direction's sign is arbitrary: flipping its coordinates to a
     # nonnegative trace, before T, leaves no signed zeros for eigh to see

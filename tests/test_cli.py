@@ -171,9 +171,9 @@ class TestAnalyze:
         null_space = qmstab.invariants._null_space
 
         def partial_window(m, tol_abs):
-            vecs, null_dim, method, _, notes, _ = null_space(m, tol_abs)
+            vecs, null_dim, *_ = null_space(m, tol_abs)
             assert null_dim == 1
-            return vecs, null_dim, qmstab.invariants.NULL_SPACE_ARNOLDI, False, notes, None
+            return vecs, null_dim, qmstab.invariants.NULL_SPACE_ARNOLDI, False, None
 
         monkeypatch.setattr(qmstab.invariants, "_null_space", partial_window)
         run(["analyze", "--model", str(FIXTURES / "twolevel.json")], tmp_path)
@@ -184,11 +184,17 @@ class TestAnalyze:
         assert (unique["null_dimension"], unique["verdict"]) == (1, "inconclusive")
 
     def test_null_space_path_reported(self, tmp_path):
-        run(["analyze", "--model", str(FIXTURES / "twolevel.json")], tmp_path)
-        entry = checks_by_name(read_report(tmp_path))["invariant-state-exists"]
-        assert entry["null_space_method"] == "dense-eig"
+        # a simple kernel takes the bordered LU at any dimension; twoqubit's
+        # 4-dimensional kernel makes it singular, so dense eig answers
+        run(["analyze", "--model", str(FIXTURES / "twolevel.json")], tmp_path / "twolevel")
+        entry = checks_by_name(read_report(tmp_path / "twolevel"))["invariant-state-exists"]
+        assert entry["null_space_method"] == "bordered-lu"
         assert entry["exhaustive"] is True
-        assert entry["inverse_norm_estimate"] is None
+        assert entry["inverse_norm_estimate"] == 1.0
+        run(["steady-state", "--model", str(FIXTURES / "twoqubit.json")], tmp_path / "twoqubit")
+        entry = checks_by_name(read_report(tmp_path / "twoqubit"))["invariant-state-exists"]
+        assert (entry["null_space_method"], entry["exhaustive"]) == ("dense-eig", True)
+        assert (entry["null_dimension"], entry["inverse_norm_estimate"]) == (4, None)
 
 
 class TestSteadyState:

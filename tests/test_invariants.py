@@ -21,6 +21,14 @@ from qmstab import (
 from conftest import oscillator, random_model
 
 
+def two_ladders(n, offset):
+    """Two damped n-level ladders side by side, the second one's levels
+    shifted by `offset`: the kernel holds both ground states."""
+    a, zero = ladder_lowering(n), np.zeros((n, n))
+    h = np.diag(np.r_[np.arange(n), np.arange(n) + offset]).astype(complex)
+    return ModelSpec(h, [np.block([[a, zero], [zero, a]])])
+
+
 def trace_distance(a, b):
     w = np.linalg.eigvalsh(a - b)
     return 0.5 * np.abs(w).sum()
@@ -41,8 +49,8 @@ class TestSteadyStates:
         assert report.faithful == (False,)
 
     def test_oscillator_mean_photon_number(self):
-        # fixed point of d<n>/dt = -0.75 <n> + 0.25; exercises the
-        # large-dimension Arnoldi path
+        # fixed point of d<n>/dt = -0.75 <n> + 0.25; a simple kernel at
+        # dim 30, which the bordered LU certifies
         n = 30
         report = steady_states(oscillator(n))
         mean = np.trace(report.states[0].matrix @ number_operator(n)).real
@@ -63,16 +71,37 @@ class TestSteadyStates:
         assert first.states[0].matrix.tobytes() == second.states[0].matrix.tobytes()
 
     def test_arnoldi_path_repeatable(self):
-        # two damped 5-level ladders side by side: one ground state each, so
-        # the bordered matrix is singular and the Arnoldi window answers
-        a, zero = ladder_lowering(5), np.zeros((5, 5))
-        h = np.diag(np.r_[np.arange(5), np.arange(5) + 0.3]).astype(complex)
-        model = ModelSpec(h, [np.block([[a, zero], [zero, a]])])
+        # two damped 13-level ladders side by side (dim 26): one ground state
+        # each, so the bordered matrix is singular and, above the dense
+        # limit, the Arnoldi window answers
+        model = two_ladders(13, 0.3)
         first, second = steady_states(model), steady_states(model)
         assert (first.null_space_method, first.exhaustive) == ("splu-arnoldi", True)
         assert (first.null_dimension, first.inverse_norm_estimate) == (2, None)
         for a_state, b_state in zip(first.states, second.states):
             assert a_state.matrix.tobytes() == b_state.matrix.tobytes()
+
+    def test_identical_ladders_take_dense_eig(self):
+        # two identical damped 5-level ladders (dim 10): four stationary
+        # directions, on which the Arnoldi window stalls
+        report = steady_states(two_ladders(5, 0.0))
+        assert (report.null_space_method, report.exhaustive) == ("dense-eig", True)
+        assert (report.null_dimension, report.notes) == (4, ())
+
+    @pytest.mark.parametrize("n, called", [(5, False), (12, False), (13, True)])
+    def test_arnoldi_window_runs_only_above_the_dense_limit(self, monkeypatch, n, called):
+        # a singular bordered matrix: dense eig answers up to dim 24, the
+        # window above it
+        def window(*args):
+            raise AssertionError("Arnoldi window called")
+
+        monkeypatch.setattr(invariants, "_null_space_arnoldi", window)
+        model = two_ladders(n, 0.3)
+        if called:
+            with pytest.raises(AssertionError, match="Arnoldi window called"):
+                steady_states(model)
+        else:
+            assert steady_states(model).null_space_method == "dense-eig"
 
     def test_cleanup_does_not_depend_on_the_sign_of_the_null_basis(self, monkeypatch):
         # the solver fixes no sign; a direction with negative trace must be

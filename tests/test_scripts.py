@@ -1,6 +1,7 @@
 """The timing scripts that set `dynamics._EXPM_COST_RATIO` and
-`invariants._DENSE_EIG_DIM` still run, on the smallest sizes, and so does
-the report digest script that shows a refactor kept the report bytes."""
+`invariants._DENSE_EIG_DIM` (the latter times the three null-space solvers
+directly) still run, on the smallest sizes, and so does the report digest
+script that shows a refactor kept the report bytes."""
 
 import importlib.util
 import sys
@@ -40,4 +41,4 @@ def test_report_bytes_digests_every_run(capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     exits = [line for line in lines if line.startswith("exit ")]
     assert [line.split()[-1] for line in exits] == [name for name, _ in module.RUNS]
-    assert len(lines) == 69
+    assert len(lines) == 71
