@@ -3,7 +3,8 @@
 Each run writes a canonical JSON report (plus any series files) into the
 output directory. Exit codes: 0 all requested checks hold, 1 at least one
 fails, 2 inconclusive results present under --strict, 64 usage error,
-65 input format error. Diagnostics go to standard error; machine-readable
+65 input format error or a solver failure (`InvariantAnalysisError`,
+`IntegrationError`). Diagnostics go to standard error; machine-readable
 output goes to files only.
 """
 
@@ -19,21 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import (
-    evolve,
-    expectation_series,
-    invariant_set_probe,
-    lasalle_diagnostics,
-    mean_bound_check,
-)
 from .generator import ModelSpec
-from .invariants import (
-    InvariantAnalysisError,
-    connectivity_scan,
-    steady_states,
-    subharmonicity_check,
-    uniqueness_check,
-)
 from .lyapunov import (
     COROLLARY_1,
     THEOREM_5,
@@ -44,7 +31,13 @@ from .lyapunov import (
     check_theorem8,
     check_weak_lyapunov,
 )
-from .operators import DensityMatrix, OperatorError, Verdict
+from .operators import (
+    DensityMatrix,
+    IntegrationError,
+    InvariantAnalysisError,
+    OperatorError,
+    Verdict,
+)
 from .serialize import (
     FormatError,
     emit_series,
@@ -252,8 +245,13 @@ def _load_operator_arg(run: _Run, flag: str, what: str):
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
+# `invariants` and `dynamics` import scipy, so only the subcommands that run
+# them import them: check-lyapunov, check-lasalle and synthesize load numpy
+# alone.
 
 def _cmd_steady_common(run: _Run, model: ModelSpec):
+    from .invariants import steady_states
+
     report = steady_states(model, tol=run.args.tol)
     run.add_check(
         "invariant-state-exists", "Theorem 1", _verdict(report.states), run.args.tol, report,
@@ -270,6 +268,8 @@ def cmd_steady_state(run: _Run) -> None:
 
 
 def cmd_analyze(run: _Run) -> None:
+    from .invariants import connectivity_scan, subharmonicity_check, uniqueness_check
+
     model = _load_model_arg(run)
     report = _cmd_steady_common(run, model)
 
@@ -298,7 +298,7 @@ def cmd_analyze(run: _Run) -> None:
     if run.args.v:
         families.append(("spectral family of V", _load_operator_arg(run, "v", "v")))
     for label, family in families:
-        scan = connectivity_scan(model, family)
+        scan = connectivity_scan(model, family, threshold=run.args.tol)
         run.add_check(
             f"connectivity({label})", "Remark 1", _verdict(scan.all_connected), run.args.tol,
             scan, ("note",), values={r.label: r.value for r in scan.results},
@@ -306,6 +306,8 @@ def cmd_analyze(run: _Run) -> None:
 
 
 def cmd_simulate(run: _Run) -> None:
+    from .dynamics import evolve, expectation_series, lasalle_diagnostics, mean_bound_check
+
     bound_args = (run.args.v, run.args.c, run.args.d)
     if bound_args[1:] != (None, None) and None in bound_args:
         raise FormatError("the mean bound needs --v, --c and --d together")
@@ -432,6 +434,8 @@ def cmd_synthesize(run: _Run) -> None:
 
 
 def cmd_probe(run: _Run) -> None:
+    from .dynamics import invariant_set_probe
+
     model = _load_model_arg(run)
     varr = _load_operator_arg(run, "v", "v")
     probe = invariant_set_probe(model, varr, run.args.t_final, run.args.threshold)
@@ -462,7 +466,7 @@ def main(argv=None) -> int:
     try:
         run.outdir.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](run)
-    except (FormatError, OperatorError, InvariantAnalysisError) as exc:
+    except (FormatError, OperatorError, InvariantAnalysisError, IntegrationError) as exc:
         print(f"qmstab: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     return run.finish()

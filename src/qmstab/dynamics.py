@@ -40,6 +40,7 @@ import scipy.sparse as sps
 from .generator import ModelSpec, Superoperator, _check_dim, liouvillian, state_matrix, unvec, vec
 from .operators import (
     DensityMatrix,
+    IntegrationError,
     OperatorError,
     Verdict,
     require_hermitian,
@@ -55,10 +56,6 @@ METHOD_AUTO = "auto"
 _MEAN_BOUND_SLACK = 1e-6
 _TAIL_FRACTION = 0.1
 _MONOTONE_SLACK = 1e-8
-
-class IntegrationError(RuntimeError):
-    """The integrator could not continue (step underflow or a positivity
-    violation beyond tolerance)."""
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .generator import (
 from .operators import (
     PSD_TOL,
     DensityMatrix,
+    InvariantAnalysisError,
     OperatorError,
     PsdReport,
     _frozen,
@@ -72,11 +73,6 @@ _CONNECTIVITY_THRESHOLD = 1e-9
 # Largest commutant constraint matrix, in entries: the 2880 x 576 dense kron
 # system that the commutant test used to solve at dim 24 with two couplings.
 _COMMUTANT_MAX_ENTRIES = 2880 * 576
-
-
-class InvariantAnalysisError(RuntimeError):
-    """Numerical stationarity analysis failed in a way that should not
-    happen for a valid Lindblad model."""
 
 
 @dataclass(frozen=True)

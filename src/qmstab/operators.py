@@ -41,6 +41,18 @@ class OperatorError(ValueError):
     hermiticity, positivity, normalization)."""
 
 
+# The solver modules raise these two; they live here, with numpy alone, so
+# that catching them (as `cli.main` does) imports no solver and no scipy.
+class InvariantAnalysisError(RuntimeError):
+    """Numerical stationarity analysis failed in a way that should not
+    happen for a valid Lindblad model."""
+
+
+class IntegrationError(RuntimeError):
+    """The integrator could not continue (step underflow or a positivity
+    violation beyond tolerance)."""
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=complex, copy=True)
     out.setflags(write=False)

@@ -134,6 +134,20 @@ class TestAnalyze:
         code = run(["analyze", "--model", str(tmp_path / "m.json")], tmp_path)
         assert code == 1  # faithfulness/uniqueness fail for the dephasing model
 
+    def test_tol_reaches_connectivity(self, tmp_path):
+        # a weak coupling gives connectivity values of 1e-6: above the
+        # default --tol, below 1e-5, which the verdict must compare
+        from qmstab import ModelSpec, pauli
+        from qmstab.serialize import save_model
+
+        save_model(ModelSpec(pauli("z"), [1e-3 * pauli("x")]), tmp_path / "m.json")
+        for tol, code, verdict in (("1e-9", 0, "holds"), ("1e-5", 1, "fails")):
+            out = tmp_path / tol
+            assert run(["analyze", "--model", str(tmp_path / "m.json"), "--tol", tol], out) == code
+            entry = checks_by_name(read_report(out))["connectivity(coordinate family)"]
+            assert min(entry["values"].values()) == pytest.approx(1e-6)
+            assert (entry["verdict"], entry["tolerance"]) == (verdict, float(tol))
+
     def test_uniqueness_fails_with_degenerate_null_space(self, tmp_path):
         # trivial commutant but no faithful invariant state: the commutant
         # test alone would say unique next to a 4-dimensional null space
@@ -387,12 +401,53 @@ class TestSynthesizeCommand:
         assert run(["check-lyapunov", "--model", str(model), "--v", v], tmp_path / "check") == 0
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    # only rk_adaptive needs scipy.integrate; every process would pay its import
+_IMPORT_CONTRACT = """
+import sys
+from qmstab.cli import main
+
+out, f = sys.argv[1:]
+model, v = f"{out}/synthesized_model.json", f"{f}/twoqubit_V.json"
+codes = [
+    main(["synthesize", "--v", v, "--out", out]),
+    main(["check-lyapunov", "--model", model, "--v", v, "--out", out]),
+    main(["check-lasalle", "--theorem", "8", "--model", model,
+          "--v", f"{f}/twoqubit_Vshifted.json", "--out", out]),
+]
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+assert codes == [0, 0, 0] and not loaded, (codes, loaded)
+assert main(["steady-state", "--model", f"{f}/twolevel.json", "--out", out]) == 0
+assert "scipy.sparse" in sys.modules and "scipy.integrate" not in sys.modules
+"""
+
+
+def test_numpy_only_subcommands_load_no_scipy(tmp_path):
+    # synthesize and the Lyapunov and LaSalle checks need n x n algebra
+    # only, so their process loads no scipy module at all; a Liouvillian
+    # loads scipy.sparse, but only rk_adaptive needs scipy.integrate. The
+    # Theorem 8 check takes the shifted V, since it needs V >= 0.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, qmstab.cli; assert 'scipy.integrate' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, check=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_CONTRACT, str(tmp_path), str(FIXTURES)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_lazy_exports_resolve():
+    import qmstab
+
+    for name in qmstab.__all__:
+        assert getattr(qmstab, name) is not None
+        assert name in dir(qmstab)
+    namespace = {}
+    exec("from qmstab import *", namespace)
+    assert set(qmstab.__all__) <= namespace.keys()
+    # the errors moved next to OperatorError keep their old homes
+    assert qmstab.invariants.InvariantAnalysisError is qmstab.InvariantAnalysisError
+    assert qmstab.dynamics.IntegrationError is qmstab.IntegrationError
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qmstab.no_such_name
 
 
 class TestProbe:
@@ -462,6 +517,19 @@ class TestExitCodes:
                 "--v", str(FIXTURES / "qubit_V.json")]
         assert run(args, tmp_path) == 65
         assert "does not match dimension 4" in capsys.readouterr().err
+
+    def test_integration_error_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        import qmstab.dynamics
+
+        def failing(*args, **kwargs):
+            raise qmstab.dynamics.IntegrationError("step size underflow at t = 0.5")
+
+        monkeypatch.setattr(qmstab.dynamics, "evolve", failing)
+        args = ["simulate", "--model", str(FIXTURES / "qubit_decay.json"),
+                "--rho0", str(FIXTURES / "qubit_excited.json"), "--t-final", "1"]
+        assert run(args, tmp_path) == 65
+        err = capsys.readouterr().err
+        assert err == "qmstab: step size underflow at t = 0.5\n"
 
     def test_malformed_model(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

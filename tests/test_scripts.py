@@ -1,7 +1,8 @@
 """The timing scripts that set `dynamics._EXPM_COST_RATIO` and
 `invariants._DENSE_EIG_DIM` (the latter times the three null-space solvers
-directly) still run, on the smallest sizes, and so does the report digest
-script that shows a refactor kept the report bytes."""
+directly) still run, on the smallest sizes, as do the start-up timer (one
+subcommand, one cold run) and the report digest script that shows a
+refactor kept the report bytes."""
 
 import importlib.util
 import sys
@@ -25,6 +26,7 @@ def _load(name):
         ("time_propagators", ["--dims", "4", "--repeats", "1"]),
         ("time_null_space", ["--dims", "3", "--repeats", "1"]),
         ("time_serialize", ["--dim", "4", "--rank", "3", "--repeats", "1"]),
+        ("time_startup", ["--subcommands", "check-lyapunov", "--repeats", "1"]),
     ],
 )
 def test_timing_script_runs(name, argv, capsys):
