@@ -2,7 +2,9 @@
 
 Each run is a fresh `python -m qmstab.cli <subcommand> ...` process on the
 files in `fixtures/`, so its wall time includes the interpreter's start-up
-and every import the subcommand pays for. Runs alternate over the
+and every import the subcommand pays for; `simulate` takes `rk_adaptive`
+on the n = 40 oscillator from its vacuum, which is written into the
+temporary directory. Runs alternate over the
 subcommands, `--repeats` rounds, and one more process per subcommand, run
 with `-X importtime` and not timed, counts the `scipy` modules it loads.
 Prints one row per subcommand: the median wall time, that count and the
@@ -18,6 +20,7 @@ At most MAX_PROCESSES processes are started, one at a time.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import statistics
 import subprocess
@@ -30,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 MAX_PROCESSES = 48
 
 # subcommand -> its arguments on fixtures; "{f}" is the fixtures directory
+# and "{t}" the temporary directory that holds the vacuum
 INVOCATIONS = {
     "synthesize": ["--v", "{f}/twoqubit_V.json"],
     "check-lyapunov": ["--model", "{f}/twoqubit_dissipative.json",
@@ -38,15 +42,22 @@ INVOCATIONS = {
                       "--v", "{f}/twoqubit_Vshifted.json"],
     "steady-state": ["--model", "{f}/oscillator_n40.json"],
     "analyze": ["--model", "{f}/twoqubit.json", "--v", "{f}/twoqubit_V.json"],
-    "simulate": ["--model", "{f}/qubit_decay.json", "--rho0", "{f}/qubit_excited.json",
-                 "--t-final", "5", "--points", "41"],
+    "simulate": ["--model", "{f}/oscillator_n40.json", "--rho0", "{t}/vacuum40.json",
+                 "--t-final", "1", "--points", "5"],
     "probe-invariant-set": ["--model", "{f}/qubit_decay.json", "--v", "{f}/qubit_V.json"],
 }
 
 
-def command(sub: str, out: Path, flags=()) -> list[str]:
-    args = [a.format(f=ROOT / "fixtures") for a in INVOCATIONS[sub]]
-    return [sys.executable, *flags, "-m", "qmstab.cli", sub, *args, "--out", str(out)]
+def command(sub: str, tmp: str, flags=()) -> list[str]:
+    args = [a.format(f=ROOT / "fixtures", t=tmp) for a in INVOCATIONS[sub]]
+    out = str(Path(tmp) / sub)
+    return [sys.executable, *flags, "-m", "qmstab.cli", sub, *args, "--out", out]
+
+
+def write_vacuum(path: Path, n: int = 40) -> None:
+    """The n-level vacuum |0><0| as an operator file."""
+    rows = [[[float(i == j == 0), 0.0] for j in range(n)] for i in range(n)]
+    path.write_text(json.dumps({"matrix": rows}))
 
 
 def scipy_modules(importtime_log: str) -> int:
@@ -75,14 +86,15 @@ def main(argv: list[str] | None = None) -> None:
     times = {sub: [] for sub in args.subcommands}
     modules, codes = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
+        write_vacuum(Path(tmp) / "vacuum40.json")
         for sub in args.subcommands:
-            proc = subprocess.run(command(sub, Path(tmp) / sub, ["-X", "importtime"]),
+            proc = subprocess.run(command(sub, tmp, ["-X", "importtime"]),
                                   env=env, capture_output=True, text=True)
             modules[sub], codes[sub] = scipy_modules(proc.stderr), proc.returncode
         for _ in range(args.repeats):
             for sub in args.subcommands:
                 t0 = time.perf_counter()
-                subprocess.run(command(sub, Path(tmp) / sub), env=env, capture_output=True)
+                subprocess.run(command(sub, tmp), env=env, capture_output=True)
                 times[sub].append(time.perf_counter() - t0)
 
     print(f"src {src}, {args.repeats} cold runs per subcommand")

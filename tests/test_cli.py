@@ -402,6 +402,7 @@ class TestSynthesizeCommand:
 
 
 _IMPORT_CONTRACT = """
+import json
 import sys
 from qmstab.cli import main
 
@@ -416,6 +417,14 @@ codes = [
 loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 assert codes == [0, 0, 0] and not loaded, (codes, loaded)
 assert main(["steady-state", "--model", f"{f}/twolevel.json", "--out", out]) == 0
+vacuum = f"{out}/vacuum40.json"
+with open(vacuum, "w") as fh:
+    json.dump({"matrix": [[[float(i == j == 0), 0.0] for j in range(40)] for i in range(40)]}, fh)
+assert main(["simulate", "--model", f"{f}/oscillator_n40.json", "--rho0", vacuum,
+             "--t-final", "1", "--points", "5", "--out", f"{out}/simulate"]) == 0
+with open(f"{out}/simulate/report.json") as fh:
+    checks = {c["name"]: c for c in json.load(fh)["run"]["checks"]}
+assert checks["trace-preservation"]["step_controller"]["method"] == "rk_adaptive"
 assert "scipy.sparse" in sys.modules and "scipy.integrate" not in sys.modules
 """
 
@@ -423,8 +432,9 @@ assert "scipy.sparse" in sys.modules and "scipy.integrate" not in sys.modules
 def test_numpy_only_subcommands_load_no_scipy(tmp_path):
     # synthesize and the Lyapunov and LaSalle checks need n x n algebra
     # only, so their process loads no scipy module at all; a Liouvillian
-    # loads scipy.sparse, but only rk_adaptive needs scipy.integrate. The
-    # Theorem 8 check takes the shifted V, since it needs V >= 0.
+    # loads scipy.sparse, and no propagator loads scipy.integrate, not even
+    # rk_adaptive, which the n = 40 oscillator's vacuum takes. The Theorem 8
+    # check takes the shifted V, since it needs V >= 0.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(

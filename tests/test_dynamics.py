@@ -197,6 +197,43 @@ class TestBlockPropagator:
         final = raw[-1] / np.trace(unvec(raw[-1])).real
         np.testing.assert_allclose(final, y0, rtol=0, atol=1e-8)
 
+    @pytest.mark.parametrize("heisenberg", [False, True])
+    def test_stepper_matches_scipy_rk45_bit_for_bit(self, heisenberg):
+        # the port keeps RK45's tableau, initial step and step control
+        from scipy.integrate import RK45
+
+        lv = liouvillian(oscillator(24))
+        matrix = lv.matrix.T.tocsr() if heisenberg else lv.matrix
+        trace_tol = None if heisenberg else 1e-11
+        frame, x = dyn._frame(lv, matrix, vec(number_operator(24) if heisenberg else vacuum(24)))
+        times = np.linspace(0.0, 20.0, 41)
+        raw, record = dyn._evolve_rk(frame, x, times, 1e-9, 1e-12, trace_tol)
+        stepper = RK45(lambda t, y: frame.matrix @ y, 0.0, x, 20.0, rtol=1e-9, atol=1e-12)
+        expected, steps = [x], 0
+        while stepper.status == "running":
+            stepper.step()
+            steps += 1
+            dense = stepper.dense_output()
+            expected += [dense(t) for t in times[len(expected):] if t <= stepper.t + 1e-15]
+        assert np.array_equal(raw, frame.vectors(np.stack(expected)))
+        assert (record.accepted, record.n_rhs_evals) == (steps, stepper.nfev)
+        assert record.rejected_estimate == (stepper.nfev - 2) // 6 - steps
+
+    def test_step_underflow_names_time(self, twolevel):
+        # at t = 1e16 ten ulps are 20 time units, far above any step that
+        # meets rtol on a unit-rate model
+        lv = liouvillian(twolevel)
+        frame, x = dyn._frame(lv, lv.matrix, vec(EXCITED))
+        with pytest.raises(IntegrationError, match="at t = 1e"):
+            dyn._evolve_rk(frame, x, np.array([1e16, 1e16 + 1e3]), 1e-9, 1e-12, 1e-11)
+
+    @pytest.mark.parametrize("tols", [(1e-15, 1e-12), (0.0, 1e-12), (1e-9, -1e-12),
+                                      (np.nan, 1e-12), (1e-9, np.nan)])
+    def test_bad_rk_tolerance_is_an_input_error(self, qubit_decay, tols):
+        rtol, atol = tols
+        with pytest.raises(OperatorError, match="rtol|atol"):
+            evolve(qubit_decay, EXCITED, 1.0, method="rk_adaptive", rtol=rtol, atol=atol)
+
     def test_one_eigvalsh_per_sampled_state(self, qubit_decay, monkeypatch):
         calls = []
         eigvalsh = np.linalg.eigvalsh
