@@ -23,7 +23,9 @@ conjugate entries, so `_checked_state` need not symmetrize.
   with sparse matvecs, in a loop of its own: `scipy.integrate` would load
   `scipy.optimize`, `special`, `spatial` and more into every `simulate`
   process (365 scipy modules against 166, about 0.3 s of start-up and
-  19 MB of peak RSS on `osc-n60`).
+  19 MB of peak RSS on `osc-n60`). Its PI step control rejects almost no
+  step where stability, not accuracy, bounds the step; the step record
+  counts accepted and rejected steps and rhs evaluations exactly.
 
 `expm_multiply` (Al-Mohy & Higham 2011) on the active sectors was measured
 and rejected: the n = 60 oscillator from the vacuum to t = 20 took
@@ -64,7 +66,9 @@ _MONOTONE_SLACK = 1e-8
 
 @dataclass(frozen=True)
 class StepRecord:
-    """What the propagator did. `max_trace_drift` is the largest |tr - 1|
+    """What the propagator did. `rejected_estimate` counts the rejected
+    steps exactly; the name stays so that report keys do not change.
+    `max_trace_drift` is the largest |tr - 1|
     seen at a step check, before any renormalization; an observable's run
     checks no trace, so it and `renormalizations` read 0. `sectors` counts
     the sectors of the real Liouvillian and `propagated_dim` the real
@@ -306,9 +310,16 @@ _DP_P = np.array([
     [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
     [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
 ])
-# the step factor stays in [0.2, 10]; the error exponent is -1/(4 + 1)
+# The step factor stays in [0.2, 10]. A rejected step shrinks by
+# 0.9 err^(-1/5). An accepted one grows by Gustafsson's PI factor (ACM TOMS
+# 17, 533 (1991)), 0.9 err^-(1/5 - 0.75 beta) err_prev^beta, err_prev the
+# last accepted error floored at 1e-4, as in Hairer's DOPRI5 (Solving ODEs
+# I, II.4); on the stability-bound osc-n60 sector it cuts the rejected
+# steps from 215 to 1.
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERR_EXPONENT = -1 / 5
+_PI_BETA = 0.04
+_PI_FLOOR = 1e-4
 
 
 def _rms(v: np.ndarray) -> float:
@@ -335,9 +346,9 @@ def _evolve_rk(frame, x, times, rtol, atol, trace_tol):
     renormalized.
 
     The step error is the RMS norm of the embedded estimate over
-    atol + rtol |y|. The 4th-order interpolant is built only in steps that
-    contain a sample time. A step below 10 ulps of t raises
-    `IntegrationError`.
+    atol + rtol |y|, and the step size follows the PI rule above. The
+    4th-order interpolant is built only in steps that contain a sample
+    time. A step below 10 ulps of t raises `IntegrationError`.
     """
     if not rtol >= 100 * np.finfo(float).eps:
         raise OperatorError(f"rtol must be at least 100 eps; got {rtol:g}")
@@ -352,8 +363,8 @@ def _evolve_rk(frame, x, times, rtol, atol, trace_tol):
     raw = [y]
     next_idx = 1
     steps = rejected = renorm = 0
-    n_rhs = 2  # f and the starting step's probe
     drift = 0.0
+    err_prev = _PI_FLOOR
     while t < t_end:
         min_step = 10 * (np.nextafter(t, np.inf) - t)
         h = max(h, min_step)
@@ -370,7 +381,6 @@ def _evolve_rk(frame, x, times, rtol, atol, trace_tol):
                 k[s] = m @ (y + np.dot(k[:s].T, _DP_A[s, :s]) * h)
             y_new = y + h * np.dot(k[:6].T, _DP_B)
             k[6] = m @ y_new
-            n_rhs += 6
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             err = _rms(np.dot(k.T, _DP_E) * h / scale)
             if err < 1:
@@ -385,8 +395,13 @@ def _evolve_rk(frame, x, times, rtol, atol, trace_tol):
             for tau in times[next_idx:hits]:
                 raw.append(h * np.dot(q, np.cumprod(np.full(4, (tau - t) / h))) + y)
             next_idx = hits
-        factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err ** _ERR_EXPONENT)
+        if err == 0:
+            factor = _MAX_FACTOR
+        else:
+            factor = min(_MAX_FACTOR, _SAFETY * err ** (_ERR_EXPONENT + 0.75 * _PI_BETA)
+                         * err_prev ** _PI_BETA)
         h *= min(1, factor) if retried else factor
+        err_prev = max(err, _PI_FLOOR)
         t, y, f = t_new, y_new, k[6].copy()
         if trace_tol is None:
             continue
@@ -401,7 +416,7 @@ def _evolve_rk(frame, x, times, rtol, atol, trace_tol):
         method=METHOD_RK,
         accepted=steps,
         rejected_estimate=rejected,
-        n_rhs_evals=n_rhs,
+        n_rhs_evals=2 + 6 * (steps + rejected),  # f, the starting step's probe, 6 per try
         renormalizations=renorm,
         max_trace_drift=drift,
         rtol=rtol,
