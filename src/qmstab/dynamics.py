@@ -154,6 +154,11 @@ def _propagate(
                             f"1/{lv.norm:.3g}, the fastest time scale; got {float(t_final):g}")
     if n_points < 2:
         raise OperatorError("need at least two sample points")
+    # checked whichever method runs, though only rk_adaptive reads them
+    if not rtol >= 100 * np.finfo(float).eps:
+        raise OperatorError(f"rtol must be at least 100 eps; got {rtol:g}")
+    if not atol >= 0:
+        raise OperatorError(f"atol must be non-negative; got {atol:g}")
     frame, x = _frame(lv, matrix, v)
     if method == METHOD_AUTO:
         method = _auto_method(frame)
@@ -212,11 +217,12 @@ def _frame(lv: Superoperator, matrix, v: np.ndarray) -> tuple[_Frame, np.ndarray
 # expm pays one dense exponential per active sector of s coordinates, about
 # s^3, once per call; RK45 pays per stage one sparse matvec and vector
 # updates, about nnz + rows. `auto` takes expm up to one ratio of
-# the two. scripts/time_propagators.py (2 CPUs, numpy 2.4, scipy 1.17): on the
-# oscillator from the vacuum expm wins up to n = 30 (ratio 2.0e4) and RK45
-# from n = 36 (4.1e4), within 1.25x either way between; the probe's one
-# observable (ratio <= 440) and dense random models (<= 1.3e3) take expm,
-# 2-6x faster.
+# the two. scripts/time_propagators.py (2 CPUs, numpy 2.4, scipy 1.17), with
+# the PI-controlled loop below: on the oscillator from the vacuum expm and
+# RK45 are within 1.3x either way at n = 24 and 30 (ratios 8.5e3 and 2.0e4)
+# and RK45 wins from n = 36 (4.1e4, 0.15 s against 0.24 s); the probe's one
+# observable (ratio <= 440) takes expm 4-6x faster, and dense random models
+# (<= 1.3e3) 2.5-6.5x faster. No pick is 1.5x slower than the other.
 _EXPM_COST_RATIO = 30_000
 
 
@@ -350,10 +356,6 @@ def _evolve_rk(frame, x, times, rtol, atol, trace_tol):
     4th-order interpolant is built only in steps that contain a sample
     time. A step below 10 ulps of t raises `IntegrationError`.
     """
-    if not rtol >= 100 * np.finfo(float).eps:
-        raise OperatorError(f"rtol must be at least 100 eps; got {rtol:g}")
-    if not atol >= 0:
-        raise OperatorError(f"atol must be non-negative; got {atol:g}")
     m = frame.matrix
     t, t_end = float(times[0]), float(times[-1])
     y = x

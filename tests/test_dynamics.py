@@ -225,9 +225,11 @@ class TestBlockPropagator:
     @pytest.mark.parametrize("tols", [(1e-15, 1e-12), (0.0, 1e-12), (1e-9, -1e-12),
                                       (np.nan, 1e-12), (1e-9, np.nan)])
     def test_bad_rk_tolerance_is_an_input_error(self, qubit_decay, tols):
+        # whichever method runs: auto takes expm_fixed on this model
         rtol, atol = tols
-        with pytest.raises(OperatorError, match="rtol|atol"):
-            evolve(qubit_decay, EXCITED, 1.0, method="rk_adaptive", rtol=rtol, atol=atol)
+        for method in ("rk_adaptive", "auto"):
+            with pytest.raises(OperatorError, match="rtol|atol"):
+                evolve(qubit_decay, EXCITED, 1.0, method=method, rtol=rtol, atol=atol)
 
     def test_one_eigvalsh_per_sampled_state(self, qubit_decay, monkeypatch):
         calls = []
