@@ -19,24 +19,26 @@ conjugate entries, so `_checked_state` need not symmetrize.
 - `expm_fixed` computes each active sector's step exponential once per call
   (scaling and squaring) and advances the vector by one block-diagonal
   product per step.
-- `rk_adaptive` runs Dormand & Prince's embedded 5(4) pair on the vector
-  with sparse matvecs, in a loop of its own: `scipy.integrate` would load
-  `scipy.optimize`, `special`, `spatial` and more into every `simulate`
-  process (365 scipy modules against 166, about 0.3 s of start-up and
-  19 MB of peak RSS on `osc-n60`). Its PI step control rejects almost no
-  step where stability, not accuracy, bounds the step; the step record
-  counts accepted and rejected steps and rhs evaluations exactly.
+- `krylov` takes Expokit-style Krylov steps (Sidje 1998) with sparse
+  matvecs: each step's Arnoldi basis is built from the generator applied to
+  the vector, so the step length follows accuracy, not stability, and a
+  stationary state breaks Arnoldi down at once and is kept to the end of
+  any horizon. The step record counts Krylov steps, rejected step sizes
+  and matvecs exactly.
 
 `expm_multiply` (Al-Mohy & Higham 2011) on the active sectors was measured
 and rejected: the n = 60 oscillator from the vacuum to t = 20 took
 0.63-0.72 s against RK45's 0.41-0.55 s, and 20 states of H = N, L = a at
-n = 24 0.36-0.43 s against `expm_fixed`'s 0.08-0.14 s.
+n = 24 0.36-0.43 s against `expm_fixed`'s 0.08-0.14 s. `scipy.integrate`
+is not used: it would load `scipy.optimize`, `special`, `spatial` and more
+into every `simulate` process.
 
 Time is dimensionless, in units of the model's rate constants.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +55,7 @@ from .operators import (
 )
 
 METHOD_EXPM = "expm_fixed"
-METHOD_RK = "rk_adaptive"
+METHOD_KRYLOV = "krylov"
 METHOD_AUTO = "auto"
 
 # Relative slack of the pointwise mean bound; the tail is the final
@@ -66,9 +68,11 @@ _MONOTONE_SLACK = 1e-8
 
 @dataclass(frozen=True)
 class StepRecord:
-    """What the propagator did. `rejected_estimate` counts the rejected
-    steps exactly; the name stays so that report keys do not change.
-    `max_trace_drift` is the largest |tr - 1|
+    """What the propagator did. `accepted` counts steps: the fixed steps of
+    `expm_fixed`, or the Krylov steps. `rejected_estimate` counts the step
+    sizes that the Krylov error estimate rejected, exactly; the name stays
+    so that report keys do not change. `n_rhs_evals` counts the Krylov
+    matvecs, 0 for `expm_fixed`. `max_trace_drift` is the largest |tr - 1|
     seen at a step check, before any renormalization; an observable's run
     checks no trace, so it and `renormalizations` read 0. `sectors` counts
     the sectors of the real Liouvillian and `propagated_dim` the real
@@ -117,7 +121,9 @@ def evolve(
 ) -> Trajectory:
     """Integrate the master equation from rho0 over [0, t_final].
 
-    States are sampled on a uniform grid of `n_points` times. The stepper
+    States are sampled on a uniform grid of `n_points` times. `method` is
+    `expm_fixed`, `krylov` or `auto`, which picks one by `_cost_ratio`;
+    `rtol` and `atol` set the Krylov steps' local error test. The stepper
     renormalizes the trace whenever the drift exceeds `trace_tol` (count and
     largest drift recorded); a sampled state with an eigenvalue below
     -positivity_tol aborts the run with a diagnostic.
@@ -148,13 +154,13 @@ def _propagate(
     checks no trace.
     """
     # past 1/eps times the fastest time scale 1/norm, t_final cannot resolve
-    # that scale; far past it expm overflows, and RK45 never finishes
+    # that scale, and far past it expm overflows
     if not (0 < t_final < np.inf and t_final * lv.norm * np.finfo(float).eps <= 1):
         raise OperatorError(f"t_final must be positive and finite, at most 1/eps times "
                             f"1/{lv.norm:.3g}, the fastest time scale; got {float(t_final):g}")
     if n_points < 2:
         raise OperatorError("need at least two sample points")
-    # checked whichever method runs, though only rk_adaptive reads them
+    # checked whichever method runs, though only krylov reads them
     if not rtol >= 100 * np.finfo(float).eps:
         raise OperatorError(f"rtol must be at least 100 eps; got {rtol:g}")
     if not atol >= 0:
@@ -166,8 +172,8 @@ def _propagate(
 
     if method == METHOD_EXPM:
         raw, record = _evolve_expm(frame, x, times, trace_tol)
-    elif method == METHOD_RK:
-        raw, record = _evolve_rk(frame, x, times, rtol, atol, trace_tol)
+    elif method == METHOD_KRYLOV:
+        raw, record = _evolve_krylov(frame, x, times, rtol, atol, trace_tol)
     else:
         raise OperatorError(f"unknown integration method {method!r}")
     return times, raw, record
@@ -215,26 +221,26 @@ def _frame(lv: Superoperator, matrix, v: np.ndarray) -> tuple[_Frame, np.ndarray
 
 
 # expm pays one dense exponential per active sector of s coordinates, about
-# s^3, once per call; RK45 pays per stage one sparse matvec and vector
-# updates, about nnz + rows. `auto` takes expm up to one ratio of
-# the two. scripts/time_propagators.py (2 CPUs, numpy 2.4, scipy 1.17), with
-# the PI-controlled loop below: on the oscillator from the vacuum expm and
-# RK45 are within 1.3x either way at n = 24 and 30 (ratios 8.5e3 and 2.0e4)
-# and RK45 wins from n = 36 (4.1e4, 0.15 s against 0.24 s); the probe's one
-# observable (ratio <= 440) takes expm 4-6x faster, and dense random models
-# (<= 1.3e3) 2.5-6.5x faster. No pick is 1.5x slower than the other.
-_EXPM_COST_RATIO = 30_000
+# s^3, once per call; a Krylov step pays per matvec one sparse product and
+# vector updates, about nnz + rows. `auto` takes expm up to one ratio of the
+# two. scripts/time_propagators.py (2 CPUs, numpy 2.4, scipy 1.17, medians
+# of three runs): expm wins 1.5-2.3x on the probe's one observable (ratio
+# <= 440) and the n = 12 vacuum (600), dense random models (<= 1.3e3) and
+# the vacuum at n = 24 and 30 (8.5e3, 2.0e4) are within 1.35x either way,
+# and Krylov wins 2.0x on H = N, L = a at n = 100 from a random state
+# (5.0e3) and 2.3x on the n = 36 vacuum (4.1e4). No pick is 1.5x slower.
+_EXPM_COST_RATIO = 3_000
 
 
 def _cost_ratio(frame: _Frame) -> float:
-    """expm's cost in `frame`, in units of one RK45 stage."""
+    """expm's cost in `frame`, in units of one Krylov matvec."""
     cubes = sum((sl.stop - sl.start) ** 3 for sl in frame.slices)
     return cubes / (frame.matrix.nnz + frame.matrix.shape[0])
 
 
 def _auto_method(frame: _Frame) -> str:
     """The propagator `auto` picks in `frame`."""
-    return METHOD_EXPM if _cost_ratio(frame) <= _EXPM_COST_RATIO else METHOD_RK
+    return METHOD_EXPM if _cost_ratio(frame) <= _EXPM_COST_RATIO else METHOD_KRYLOV
 
 
 def _checked_state(
@@ -292,133 +298,119 @@ def _evolve_expm(frame, x, times, trace_tol):
     return frame.vectors(np.stack(raw)), record
 
 
-# Dormand & Prince's 5(4) pair (J. Comput. Appl. Math. 6, 19 (1980)) with
-# scipy.integrate.RK45's coefficients: the stage matrix A, the 5th-order
-# weights B, the error weights E (5th minus 4th order, the last stage being
-# the derivative at the new point) and P, the 4th-order dense output
-# (Shampine, Math. Comp. 46, 135 (1986)).
-_DP_A = np.array([
-    [0, 0, 0, 0, 0],
-    [1/5, 0, 0, 0, 0],
-    [3/40, 9/40, 0, 0, 0],
-    [44/45, -56/15, 32/9, 0, 0],
-    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
-])
-_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
-_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
-_DP_P = np.array([
-    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
-    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
-    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
-    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
-])
-# The step factor stays in [0.2, 10]. A rejected step shrinks by
-# 0.9 err^(-1/5). An accepted one grows by Gustafsson's PI factor (ACM TOMS
-# 17, 533 (1991)), 0.9 err^-(1/5 - 0.75 beta) err_prev^beta, err_prev the
-# last accepted error floored at 1e-4, as in Hairer's DOPRI5 (Solving ODEs
-# I, II.4); on the stability-bound osc-n60 sector it cuts the rejected
-# steps from 215 to 1.
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_ERR_EXPONENT = -1 / 5
-_PI_BETA = 0.04
-_PI_FLOOR = 1e-4
+# Krylov dimension m, step safety factor and largest step growth; m = 20 and
+# 30 timed the same on the osc-n60 vacuum sector, 10 and 40 slower.
+_KRYLOV_DIM = 30
+_KRYLOV_SAFETY = 0.9
+_KRYLOV_GROWTH = 10.0
 
 
-def _rms(v: np.ndarray) -> float:
-    return np.linalg.norm(v) / v.size ** 0.5
+def _evolve_krylov(frame, x, times, rtol, atol, trace_tol):
+    """Krylov exponential steps on `x` with the frame's generator A, from
+    times[0] to times[-1]; a trace that drifts past `trace_tol` (unless
+    None) is renormalized.
 
-
-def _initial_step(m, y, f, span, rtol, atol):
-    """Hairer, Norsett & Wanner's starting step (Solving ODEs I, II.4),
-    with one extra rhs evaluation."""
-    scale = atol + np.abs(y) * rtol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-    d2 = _rms((m @ (y + h0 * f) - f) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    return min(100 * h0, h1, span)
-
-
-def _evolve_rk(frame, x, times, rtol, atol, trace_tol):
-    """Dormand-Prince 5(4) on `x` with the frame's generator, from times[0]
-    to times[-1]; a trace that drifts past `trace_tol` (unless None) is
-    renormalized.
-
-    The step error is the RMS norm of the embedded estimate over
-    atol + rtol |y|, and the step size follows the PI rule above. The
-    4th-order interpolant is built only in steps that contain a sample
-    time. A step below 10 ulps of t raises `IntegrationError`.
+    A step from y = beta u is Expokit's (Sidje, ACM TOMS 24, 130 (1998)) on
+    the augmented generator [[A, A u], [0, 0]], whose exponential maps
+    beta e, e its extra unit coordinate, to [e^{hA} y - y, beta]. Arnoldi
+    from e spans e, A y, A^2 y, ...: the stationary part of y never enters
+    the basis, and under R neither does the trace, so a step keeps it to
+    rounding. Gram-Schmidt is classical, reorthogonalized once. The step
+    takes the exponential of the (m + 2) augmented Hessenberg matrix and
+    keeps the m-vector approximation, whose error Expokit's two-term
+    estimate bounds; the step is accepted when that is at most
+    atol + rtol |y|_2. A rejected step size reuses the basis, and sample
+    times inside a step are read from it. When Arnoldi breaks down the basis
+    spans an invariant subspace and the step runs to the end; at a
+    stationary state, |A u| within rounding, that happens at once and y is
+    kept. A step below 10 ulps of t raises `IntegrationError`.
     """
-    m = frame.matrix
+    a = frame.matrix
+    n = x.size
+    m = min(_KRYLOV_DIM, n + 1)
+    norm = float(abs(a).sum(axis=0).max()) if a.nnz else 0.0
+    noise = 4 * np.finfo(float).eps * norm
     t, t_end = float(times[0]), float(times[-1])
     y = x
-    f = m @ y
-    h = _initial_step(m, y, f, t_end - t, rtol, atol)
-    k = np.empty((7, y.size))
     raw = [y]
     next_idx = 1
-    steps = rejected = renorm = 0
+    steps = rejected = matvecs = renorm = 0
     drift = 0.0
-    err_prev = _PI_FLOOR
+    basis = np.empty((m, n))  # the basis after e, A u first
+    beta = float(np.linalg.norm(y))
+    tol = atol + rtol * beta
+    # the step whose Taylor remainder beta (norm h)^m / m! is tol
+    h = (math.factorial(m) * tol / beta) ** (1 / m) / norm if norm else t_end - t
     while t < t_end:
+        hess = np.zeros((m + 2, m + 2))
+        p = a @ (y / beta if beta else y)  # a zero y breaks down at once
+        for j in range(m):
+            if j:
+                p = a @ basis[j - 1]
+                v = basis[:j]
+                c = v @ p
+                p -= c @ v
+                c2 = v @ p
+                p -= c2 @ v
+                hess[1 : j + 1, j] = c + c2
+            matvecs += 1
+            s = float(np.linalg.norm(p))
+            if s <= noise or j == n:
+                size, h = j + 1, t_end - t  # exact over any step
+                break
+            hess[j + 1, j] = s
+            basis[j] = p / s
+        else:
+            size = m + 2
+            hess[m + 1, m] = 1.0
+            avnorm = float(np.linalg.norm(a @ basis[m - 1]))
+            matvecs += 1
         min_step = 10 * (np.nextafter(t, np.inf) - t)
-        h = max(h, min_step)
-        retried = False
+        h = min(max(h, min_step), t_end - t)
         while True:
-            if h < min_step:
+            f = sla.expm(h * hess[:size, :size])
+            err = 0.0
+            if size == m + 2:
+                phi1 = abs(beta * f[m, 0])
+                phi2 = abs(beta * f[m + 1, 0] * avnorm)
+                if phi1 > 10 * phi2:
+                    err = phi2
+                elif phi1 > phi2:
+                    err = phi1 * phi2 / (phi1 - phi2)
+                else:
+                    err = phi1
+            if err <= tol:
+                break
+            h *= _KRYLOV_SAFETY * (tol / err) ** (1 / m)
+            rejected += 1
+            if not h >= min_step:
                 raise IntegrationError(
                     f"step size {h:.3e} fell below its minimum {min_step:.3e} at t = {t:.6g}"
                 )
-            t_new = min(t + h, t_end)
-            h = t_new - t
-            k[0] = f
-            for s in range(1, 6):
-                k[s] = m @ (y + np.dot(k[:s].T, _DP_A[s, :s]) * h)
-            y_new = y + h * np.dot(k[:6].T, _DP_B)
-            k[6] = m @ y_new
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err = _rms(np.dot(k.T, _DP_E) * h / scale)
-            if err < 1:
-                break
-            h *= max(_MIN_FACTOR, _SAFETY * err ** _ERR_EXPONENT)
-            rejected += 1
-            retried = True
         steps += 1
-        hits = int(np.searchsorted(times, t_new + 1e-15, side="right"))
-        if hits > next_idx:
-            q = np.dot(k.T, _DP_P)
-            for tau in times[next_idx:hits]:
-                raw.append(h * np.dot(q, np.cumprod(np.full(4, (tau - t) / h))) + y)
-            next_idx = hits
-        if err == 0:
-            factor = _MAX_FACTOR
-        else:
-            factor = min(_MAX_FACTOR, _SAFETY * err ** (_ERR_EXPONENT + 0.75 * _PI_BETA)
-                         * err_prev ** _PI_BETA)
-        h *= min(1, factor) if retried else factor
-        err_prev = max(err, _PI_FLOOR)
-        t, y, f = t_new, y_new, k[6].copy()
-        if trace_tol is None:
-            continue
-        tr = float(y[frame.trace_rows].sum())
-        drift = max(drift, abs(tr - 1.0))
-        if abs(tr - 1.0) > trace_tol:
-            # f, the derivative at y, is the next step's first stage; the
-            # rhs is linear, so f / tr is the derivative at y / tr
-            y, f = y / tr, f / tr
-            renorm += 1
+        cols = min(size, m) - 1
+        t_new = t + h if h < t_end - t else t_end
+        hits = int(np.searchsorted(times, t_new, side="right"))
+        for tau in times[next_idx:hits]:
+            g = f if tau == t_new else sla.expm((tau - t) * hess[:size, :size])
+            raw.append(y + beta * (g[1 : cols + 1, 0] @ basis[:cols]))
+        next_idx = hits
+        y = raw[-1] if times[hits - 1] == t_new else y + beta * (f[1 : cols + 1, 0] @ basis[:cols])
+        t = t_new
+        h *= min(_KRYLOV_GROWTH, _KRYLOV_SAFETY * (tol / err) ** (1 / m)) if err else _KRYLOV_GROWTH
+        if trace_tol is not None:
+            tr = float(y[frame.trace_rows].sum())
+            drift = max(drift, abs(tr - 1.0))
+            if abs(tr - 1.0) > trace_tol:
+                y = y / tr
+                renorm += 1
+        beta = float(np.linalg.norm(y))
+        tol = atol + rtol * beta
     record = frame.record(
-        method=METHOD_RK,
+        method=METHOD_KRYLOV,
         accepted=steps,
         rejected_estimate=rejected,
-        n_rhs_evals=2 + 6 * (steps + rejected),  # f, the starting step's probe, 6 per try
+        n_rhs_evals=matvecs,
         renormalizations=renorm,
         max_trace_drift=drift,
         rtol=rtol,

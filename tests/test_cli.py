@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -363,6 +364,32 @@ class TestSimulate:
         rec = checks_by_name(read_report(tmp_path))["trace-preservation"]["step_controller"]
         assert (rec["sectors"], rec["propagated_dim"]) == (3, 2)
 
+    def test_long_horizon_finishes_on_the_stationary_state(self, tmp_path):
+        # t = 1e9 on the n = 40 oscillator, whose vacuum takes the Krylov
+        # steps: the Dormand-Prince loop needed about 1e11 steps, and a
+        # Ritz value at rounding noise would shrink the trace by 1e-6
+        vacuum = tmp_path / "vacuum40.json"
+        vacuum.write_text(json.dumps(
+            {"matrix": [[[float(i == j == 0), 0.0] for j in range(40)] for i in range(40)]}
+        ))
+        args = ["simulate", "--model", str(FIXTURES / "oscillator_n40.json"),
+                "--rho0", str(vacuum), "--v", str(FIXTURES / "number_n40.json"),
+                "--t-final", "1e9", "--points", "3"]
+        start = time.perf_counter()
+        assert run(args, tmp_path / "out") == 0
+        assert time.perf_counter() - start < 5.0
+        checks = checks_by_name(read_report(tmp_path / "out"))
+        trace = checks["trace-preservation"]
+        assert trace["verdict"] == "holds"
+        assert trace["step_controller"]["method"] == "krylov"
+        assert trace["step_controller"]["max_trace_drift"] <= 1e-8
+        assert run(["steady-state", "--model", str(FIXTURES / "oscillator_n40.json")],
+                   tmp_path / "ss") == 0
+        (stationary,) = checks_by_name(read_report(tmp_path / "ss"))[
+            "invariant-state-exists"]["states"]
+        final = np.array(checks["final-state"]["state"])
+        np.testing.assert_allclose(final, np.array(stationary), rtol=0, atol=1e-8)
+
     @pytest.mark.parametrize(
         "extra",
         [["--c", "1"], ["--c", "1", "--d", "0"], ["--v", "{V}", "--c", "1"], ["--d", "0"]],
@@ -424,7 +451,7 @@ assert main(["simulate", "--model", f"{f}/oscillator_n40.json", "--rho0", vacuum
              "--t-final", "1", "--points", "5", "--out", f"{out}/simulate"]) == 0
 with open(f"{out}/simulate/report.json") as fh:
     checks = {c["name"]: c for c in json.load(fh)["run"]["checks"]}
-assert checks["trace-preservation"]["step_controller"]["method"] == "rk_adaptive"
+assert checks["trace-preservation"]["step_controller"]["method"] == "krylov"
 assert "scipy.sparse" in sys.modules and "scipy.integrate" not in sys.modules
 """
 
@@ -433,7 +460,7 @@ def test_numpy_only_subcommands_load_no_scipy(tmp_path):
     # synthesize and the Lyapunov and LaSalle checks need n x n algebra
     # only, so their process loads no scipy module at all; a Liouvillian
     # loads scipy.sparse, and no propagator loads scipy.integrate, not even
-    # rk_adaptive, which the n = 40 oscillator's vacuum takes. The Theorem 8
+    # krylov, which the n = 40 oscillator's vacuum takes. The Theorem 8
     # check takes the shifted V, since it needs V >= 0.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -515,7 +542,7 @@ class TestExitCodes:
         # `auto` alone picks the CLI's propagator
         args = ["simulate", "--model", str(FIXTURES / "qubit_decay.json"),
                 "--rho0", str(FIXTURES / "qubit_excited.json"), "--t-final", "1",
-                "--method", "rk_adaptive"]
+                "--method", "krylov"]
         assert run(args, tmp_path) == 64
         assert "--method" in capsys.readouterr().err
 

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from qmstab import (
     mean_bound_check,
     number_operator,
     random_density,
+    steady_states,
 )
 from qmstab.generator import unvec, vec
 from qmstab.operators import hermitian_part
@@ -55,7 +57,7 @@ class TestEvolve:
             assert abs(np.trace(s.matrix).real - 1.0) <= 1e-10
 
     def test_positivity_along_trajectory(self, twoqubit, rng):
-        traj = evolve(twoqubit, random_density(4, rng), 10.0, method="rk_adaptive")
+        traj = evolve(twoqubit, random_density(4, rng), 10.0, method="krylov")
         for s in traj.states:
             assert np.linalg.eigvalsh(s.matrix)[0] >= -1e-8
 
@@ -64,7 +66,7 @@ class TestEvolve:
         model = request.getfixturevalue(model_name)
         rho0 = random_density(model.dim, rng)
         t1 = evolve(model, rho0, 10.0, method="expm_fixed")
-        t2 = evolve(model, rho0, 10.0, method="rk_adaptive")
+        t2 = evolve(model, rho0, 10.0, method="krylov")
         for a, b in zip(t1.states, t2.states):
             w = np.linalg.eigvalsh(a.matrix - b.matrix)
             assert 0.5 * np.abs(w).sum() <= 1e-7
@@ -74,7 +76,7 @@ class TestEvolve:
         assert traj.step_controller.method == "expm_fixed"
         big = oscillator(40)
         traj = evolve(big, vacuum(40), 0.5, n_points=9)
-        assert traj.step_controller.method == "rk_adaptive"
+        assert traj.step_controller.method == "krylov"
 
     def test_times_grid(self, qubit_decay):
         traj = evolve(qubit_decay, EXCITED, 2.0, n_points=21)
@@ -140,11 +142,11 @@ class TestBlockPropagator:
             raw[1:], untouched[1:] / (1.0 + 1e-12), rtol=0, atol=1e-14
         )
 
-    @pytest.mark.parametrize("method", ["expm_fixed", "rk_adaptive"])
+    @pytest.mark.parametrize("method", ["expm_fixed", "krylov"])
     def test_probe_matches_per_sample_evolve(self, method):
         # on H = N, L = a, V(t) = e^{-t} N: the state that starts on the top
         # level |n-1> reaches the worst case (n - 1) e^{-t} at every time.
-        # RK45's rtol 1e-9 is relative to V's scale, its spread n - 1 = 7.
+        # Krylov's rtol 1e-9 is relative to V's scale, its spread n - 1 = 7.
         n = 8
         model = ModelSpec(number_operator(n), [ladder_lowering(n)])
         probe = invariant_set_probe(model, number_operator(n), t_final=30.0, method=method)
@@ -162,15 +164,16 @@ class TestBlockPropagator:
         # R^T preserves the identity, not the trace: no column is rescaled
         n = 8
         model = ModelSpec(number_operator(n), [ladder_lowering(n)])
-        expm, rk = (
+        expm, krylov = (
             invariant_set_probe(model, number_operator(n), method=method)
-            for method in ("expm_fixed", "rk_adaptive")
+            for method in ("expm_fixed", "krylov")
         )
-        np.testing.assert_allclose(rk.worst_case, expm.worst_case, rtol=0, atol=1e-10 * (n - 1))
-        for rec in (expm.step_controller, rk.step_controller):
+        np.testing.assert_allclose(krylov.worst_case, expm.worst_case, rtol=0,
+                                   atol=1e-10 * (n - 1))
+        for rec in (expm.step_controller, krylov.step_controller):
             assert (rec.renormalizations, rec.max_trace_drift) == (0, 0.0)
 
-    @pytest.mark.parametrize("method", ["expm_fixed", "rk_adaptive"])
+    @pytest.mark.parametrize("method", ["expm_fixed", "krylov"])
     def test_one_liouvillian_per_probe(self, qubit_decay, monkeypatch, method):
         calls = []
 
@@ -182,52 +185,84 @@ class TestBlockPropagator:
         invariant_set_probe(qubit_decay, V_GROUND, t_final=5.0, method=method)
         assert len(calls) == 1
 
-    def test_rk_renormalization_rescales_cached_derivative(self, rng):
-        # R = -I/2 only shrinks the trace, so every step renormalizes; with
-        # a stale derivative the controller shrinks the step (8260 accepted
-        # steps against 92 with the derivative rescaled)
+    def test_krylov_renormalization_returns_to_y0(self, rng):
+        # R = -I/2 only shrinks the trace: Arnoldi breaks down after A y,
+        # one exact step runs to the end and renormalizes once
         zero = liouvillian(ModelSpec(np.zeros((3, 3)), [np.zeros((3, 3))]))
         lv = dataclasses.replace(zero, matrix=-0.5 * sp.identity(9, format="csr"))
         y0 = vec(random_density(3, rng)).astype(complex)
         frame, x = dyn._frame(lv, lv.matrix, y0)
-        raw, record = dyn._evolve_rk(frame, x, np.linspace(0.0, 10.0, 11), 1e-9, 1e-12, 1e-11)
-        assert record.renormalizations == record.accepted
-        assert record.accepted < 500
-        assert record.max_trace_drift > 1e-11
+        times = np.linspace(0.0, 10.0, 11)
+        raw, record = dyn._evolve_krylov(frame, x, times, 1e-9, 1e-12, 1e-11)
+        assert (record.accepted, record.renormalizations) == (1, 1)
+        assert record.max_trace_drift == pytest.approx(1.0 - np.exp(-5.0))
+        np.testing.assert_allclose(raw, np.exp(-times / 2)[:, None] * y0, rtol=0, atol=1e-14)
         final = raw[-1] / np.trace(unvec(raw[-1])).real
         np.testing.assert_allclose(final, y0, rtol=0, atol=1e-8)
 
     @pytest.mark.parametrize("heisenberg", [False, True])
-    def test_pi_control_rejects_almost_no_step(self, heisenberg):
+    def test_krylov_matches_expm_on_the_vacuum(self, heisenberg):
         # the n = 24 damped oscillator's vacuum to t = 20 under R, and under
-        # R^T with no trace check (the probe's path): the I controller
-        # rejected 50 and 16 steps, with states within 5.7e-11 of expm
+        # R^T with no trace check (the probe's path): 713 and 806 matvecs,
+        # 31 a step, where the Dormand-Prince loop took 3,308 and 4,400
         n = 24
         lv = liouvillian(oscillator(n))
         matrix = lv.matrix.T.tocsr() if heisenberg else lv.matrix
         trace_tol = None if heisenberg else 1e-11
-        (_, rk, record), (_, expm, _) = (
+        (_, krylov, record), (_, expm, _) = (
             dyn._propagate(lv, matrix, vec(vacuum(n)), 20.0, method, 41, trace_tol=trace_tol)
-            for method in ("rk_adaptive", "expm_fixed")
+            for method in ("krylov", "expm_fixed")
         )
+        assert record.n_rhs_evals == 31 * record.accepted <= 1000
         assert record.rejected_estimate <= 2
         assert record.renormalizations == 0
-        np.testing.assert_allclose(rk, expm, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(krylov, expm, rtol=0, atol=1e-10)
 
-    def test_step_underflow_names_time(self, twolevel):
+    def test_long_horizon_lands_on_the_stationary_state(self):
+        # t = 1e9: the state relaxes until A y is rounding noise, Arnoldi
+        # then breaks down at once and the state is kept to the end
+        model = oscillator(40)
+        start = time.perf_counter()
+        traj = evolve(model, vacuum(40), 1e9, n_points=3)
+        assert time.perf_counter() - start < 5.0
+        rec = traj.step_controller
+        assert rec.method == "krylov"
+        assert rec.max_trace_drift <= 1e-8
+        (stationary,) = steady_states(model).states
+        for state in traj.states[1:]:
+            assert np.abs(state.matrix - stationary.matrix).max() <= 1e-8
+
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_krylov_on_a_zero_generator(self, dim):
+        # no Hamiltonian, a zero coupling: |R|_1 = 0 sets no starting step,
+        # and Arnoldi breaks down on A y = 0 at once
+        model = ModelSpec(np.zeros((dim, dim)), [np.zeros((dim, dim))])
+        rho = np.eye(dim) / dim
+        traj = evolve(model, rho, 1.0, method="krylov", n_points=3)
+        assert (traj.step_controller.accepted, traj.step_controller.n_rhs_evals) == (1, 1)
+        for state in traj.states:
+            assert np.array_equal(state.matrix, rho)
+
+    def test_rk_adaptive_is_an_unknown_method(self, qubit_decay):
+        with pytest.raises(OperatorError, match="unknown integration method 'rk_adaptive'"):
+            evolve(qubit_decay, EXCITED, 1.0, method="rk_adaptive")
+
+    def test_step_underflow_names_time(self):
         # at t = 1e16 ten ulps are 20 time units, far above any step that
-        # meets rtol on a unit-rate model
-        lv = liouvillian(twolevel)
-        frame, x = dyn._frame(lv, lv.matrix, vec(EXCITED))
+        # meets rtol on the n = 8 oscillator; its 32-coordinate vacuum
+        # sector keeps Arnoldi from breaking down
+        lv = liouvillian(oscillator(8))
+        frame, x = dyn._frame(lv, lv.matrix, vec(vacuum(8)))
+        assert x.size > dyn._KRYLOV_DIM
         with pytest.raises(IntegrationError, match="at t = 1e"):
-            dyn._evolve_rk(frame, x, np.array([1e16, 1e16 + 1e3]), 1e-9, 1e-12, 1e-11)
+            dyn._evolve_krylov(frame, x, np.array([1e16, 1e16 + 1e3]), 1e-9, 1e-12, 1e-11)
 
     @pytest.mark.parametrize("tols", [(1e-15, 1e-12), (0.0, 1e-12), (1e-9, -1e-12),
                                       (np.nan, 1e-12), (1e-9, np.nan)])
     def test_bad_rk_tolerance_is_an_input_error(self, qubit_decay, tols):
         # whichever method runs: auto takes expm_fixed on this model
         rtol, atol = tols
-        for method in ("rk_adaptive", "auto"):
+        for method in ("krylov", "auto"):
             with pytest.raises(OperatorError, match="rtol|atol"):
                 evolve(qubit_decay, EXCITED, 1.0, method=method, rtol=rtol, atol=atol)
 
@@ -255,8 +290,8 @@ class TestBlockPropagator:
 
     def test_auto_method_takes_rk45_above_the_cost_ratio(self, rng):
         # a random state touches both 800-coordinate sectors of the n = 40
-        # oscillator: cost ratio 6.2e4, so RK45 wins
-        assert self._auto(oscillator(40), random_density(40, rng)) == "rk_adaptive"
+        # oscillator: cost ratio 6.2e4, so the Krylov steps win
+        assert self._auto(oscillator(40), random_density(40, rng)) == "krylov"
 
     def test_auto_method_by_sector_size_not_dimension(self, rng):
         # 60 small sectors of H = N, L = a at n = 60 (ratio 1.8e3), and one
@@ -269,7 +304,7 @@ class TestBlockPropagator:
         assert self._auto(dense, random_density(36, rng)) == "expm_fixed"
 
     def test_auto_method_on_a_zero_generator(self):
-        # no nonzeros: the rows keep RK45's cost positive
+        # no nonzeros: the rows keep a Krylov matvec's cost positive
         trivial = ModelSpec(np.zeros((1, 1)), [np.zeros((1, 1))])
         assert self._auto(trivial, np.ones((1, 1))) == "expm_fixed"
         zero = ModelSpec(np.zeros((4, 4)), [np.zeros((4, 4))])
@@ -444,7 +479,7 @@ class TestInvariantSetProbe:
         with pytest.raises(OperatorError, match="threshold must be finite and non-negative"):
             invariant_set_probe(qubit_decay, V_GROUND, threshold=threshold)
 
-    @pytest.mark.parametrize("method", ["auto", "expm_fixed", "rk_adaptive"])
+    @pytest.mark.parametrize("method", ["auto", "expm_fixed", "krylov"])
     def test_zero_observable_is_an_input_error(self, method):
         # a zero V has no coordinate to propagate on any path
         n = 3

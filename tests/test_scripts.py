@@ -23,7 +23,7 @@ def _load(name):
 @pytest.mark.parametrize(
     "name, argv",
     [
-        ("time_propagators", ["--dims", "4", "--repeats", "1"]),
+        ("time_propagators", ["--dims", "4", "--damped-dims", "4", "--repeats", "1"]),
         ("time_null_space", ["--dims", "3", "--repeats", "1"]),
         ("time_serialize", ["--dim", "4", "--rank", "3", "--repeats", "1"]),
         ("time_startup", ["--subcommands", "check-lyapunov", "--repeats", "1"]),
