@@ -14,7 +14,7 @@ targets and a Hamiltonian with and without compensation. The `steady-state`
 and `analyze` runs reach every `null_space_method`: `bordered-lu` (simple
 kernels), `dense-eig` (`twoqubit`) and `splu-arnoldi` (`ladders26`, a
 degenerate kernel above dim 24). `simulate-osc40`
-takes `rk_adaptive`: its vacuum sector's cost ratio (`dynamics._cost_ratio`)
+takes `krylov`: its vacuum sector's cost ratio (`dynamics._cost_ratio`)
 is about 6e4, above `_EXPM_COST_RATIO`. The inputs come from this
 script's own checkout, so two trees see identical files. To compare two
 trees:

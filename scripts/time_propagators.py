@@ -100,10 +100,10 @@ def main(argv: list[str] | None = None) -> None:
         lv = liouvillian(row[0])
         matrix = lv.matrix.T.tocsr() if name == "probe" else lv.matrix
         frame, _ = dyn._frame(lv, matrix, vec(row[1]))
-        ratio = dyn._cost_ratio(frame)
+        ratio = dyn._cost_ratio(frame, row[3])
         largest = max(sl.stop - sl.start for sl in frame.slices)
         medians = median_times(name, row, args.repeats)
-        pick = dyn._auto_method(frame)
+        pick = dyn._auto_method(frame, row[3])
         other = METHODS[1 - METHODS.index(pick)]
         flag = " *" if medians[pick] > 1.5 * medians[other] else ""
         print(f"{name:6s}  {n:3d}  {largest:6d}  {ratio:7.1e}  {medians[dyn.METHOD_EXPM]:6.3f}"

@@ -2,7 +2,7 @@
 
 Each run is a fresh `python -m qmstab.cli <subcommand> ...` process on the
 files in `fixtures/`, so its wall time includes the interpreter's start-up
-and every import the subcommand pays for; `simulate` takes `rk_adaptive`
+and every import the subcommand pays for; `simulate` takes `krylov`
 on the n = 40 oscillator from its vacuum, which is written into the
 temporary directory. Runs alternate over the
 subcommands, `--repeats` rounds, and one more process per subcommand, run

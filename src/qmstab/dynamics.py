@@ -29,16 +29,13 @@ conjugate entries, so `_checked_state` need not symmetrize.
 `expm_multiply` (Al-Mohy & Higham 2011) on the active sectors was measured
 and rejected: the n = 60 oscillator from the vacuum to t = 20 took
 0.63-0.72 s against RK45's 0.41-0.55 s, and 20 states of H = N, L = a at
-n = 24 0.36-0.43 s against `expm_fixed`'s 0.08-0.14 s. `scipy.integrate`
-is not used: it would load `scipy.optimize`, `special`, `spatial` and more
-into every `simulate` process.
+n = 24 0.36-0.43 s against `expm_fixed`'s 0.08-0.14 s.
 
 Time is dimensionless, in units of the model's rate constants.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,15 +65,13 @@ _MONOTONE_SLACK = 1e-8
 
 @dataclass(frozen=True)
 class StepRecord:
-    """What the propagator did. `accepted` counts steps: the fixed steps of
-    `expm_fixed`, or the Krylov steps. `rejected_estimate` counts the step
-    sizes that the Krylov error estimate rejected, exactly; the name stays
-    so that report keys do not change. `n_rhs_evals` counts the Krylov
-    matvecs, 0 for `expm_fixed`. `max_trace_drift` is the largest |tr - 1|
-    seen at a step check, before any renormalization; an observable's run
-    checks no trace, so it and `renormalizations` read 0. `sectors` counts
-    the sectors of the real Liouvillian and `propagated_dim` the real
-    coordinates in the sectors that were propagated."""
+    """What the propagator did. `accepted` counts steps, `rejected_estimate`
+    the Krylov step sizes rejected and `n_rhs_evals` the Krylov matvecs, all
+    exactly; the names stay so that report keys do not change.
+    `max_trace_drift` is the largest |tr - 1| seen at a step check, before
+    any renormalization; an observable's run checks no trace, so it and
+    `renormalizations` read 0. `sectors` counts the sectors of the real
+    Liouvillian and `propagated_dim` the real coordinates propagated."""
 
     method: str
     accepted: int
@@ -167,7 +162,7 @@ def _propagate(
         raise OperatorError(f"atol must be non-negative; got {atol:g}")
     frame, x = _frame(lv, matrix, v)
     if method == METHOD_AUTO:
-        method = _auto_method(frame)
+        method = _auto_method(frame, n_points)
     times = np.linspace(0.0, float(t_final), n_points)
 
     if method == METHOD_EXPM:
@@ -221,26 +216,25 @@ def _frame(lv: Superoperator, matrix, v: np.ndarray) -> tuple[_Frame, np.ndarray
 
 
 # expm pays one dense exponential per active sector of s coordinates, about
-# s^3, once per call; a Krylov step pays per matvec one sparse product and
-# vector updates, about nnz + rows. `auto` takes expm up to one ratio of the
-# two. scripts/time_propagators.py (2 CPUs, numpy 2.4, scipy 1.17, medians
-# of three runs): expm wins 1.5-2.3x on the probe's one observable (ratio
-# <= 440) and the n = 12 vacuum (600), dense random models (<= 1.3e3) and
-# the vacuum at n = 24 and 30 (8.5e3, 2.0e4) are within 1.35x either way,
-# and Krylov wins 2.0x on H = N, L = a at n = 100 from a random state
-# (5.0e3) and 2.3x on the n = 36 vacuum (4.1e4). No pick is 1.5x slower.
-_EXPM_COST_RATIO = 3_000
+# s^3, once per call, and s^2 per sample; a Krylov step pays per matvec one
+# sparse product and vector updates, about nnz + rows. `auto` takes expm up
+# to one ratio of the two. scripts/time_propagators.py (2 CPUs, numpy 2.4,
+# scipy 1.17, medians of three runs): expm wins 1.4-2.6x up to ratio 940
+# (the probe, the n = 12 vacuum) and 1.6x on the n = 24 vacuum (9.7e3),
+# Krylov 1.6-2.2x from 1.2e4 (the n = 30, 36 vacuum, H = N, L = a at
+# n = 100), and random models (<= 1.5e3) are within 1.4x either way.
+_EXPM_COST_RATIO = 10_000
 
 
-def _cost_ratio(frame: _Frame) -> float:
-    """expm's cost in `frame`, in units of one Krylov matvec."""
-    cubes = sum((sl.stop - sl.start) ** 3 for sl in frame.slices)
-    return cubes / (frame.matrix.nnz + frame.matrix.shape[0])
+def _cost_ratio(frame: _Frame, n_points: int) -> float:
+    """expm's cost in `frame` for `n_points` samples, in Krylov matvecs."""
+    cost = sum((sl.stop - sl.start) ** 2 * (sl.stop - sl.start + n_points) for sl in frame.slices)
+    return cost / (frame.matrix.nnz + frame.matrix.shape[0])
 
 
-def _auto_method(frame: _Frame) -> str:
-    """The propagator `auto` picks in `frame`."""
-    return METHOD_EXPM if _cost_ratio(frame) <= _EXPM_COST_RATIO else METHOD_KRYLOV
+def _auto_method(frame: _Frame, n_points: int) -> str:
+    """The propagator `auto` picks in `frame` for `n_points` samples."""
+    return METHOD_EXPM if _cost_ratio(frame, n_points) <= _EXPM_COST_RATIO else METHOD_KRYLOV
 
 
 def _checked_state(
@@ -305,6 +299,20 @@ _KRYLOV_SAFETY = 0.9
 _KRYLOV_GROWTH = 10.0
 
 
+def _expm_small(a: np.ndarray) -> np.ndarray:
+    """e^a for a Hessenberg block: the degree-16 Taylor series of a / 2^s,
+    |a / 2^s|_1 <= 1/2, squared s times. `scipy.linalg.expm` would wake
+    scipy's own OpenBLAS threads, which slowed osc-n60's `simulate` 1.5x."""
+    s = max(0, int(np.log2(max(np.abs(a).sum(axis=0).max(), 1e-300))) + 2)
+    term = result = np.eye(len(a))
+    for k in range(1, 17):
+        term = term @ a / (k * 2.0 ** s)
+        result = result + term
+    for _ in range(s):
+        result = result @ result
+    return result
+
+
 def _evolve_krylov(frame, x, times, rtol, atol, trace_tol):
     """Krylov exponential steps on `x` with the frame's generator A, from
     times[0] to times[-1]; a trace that drifts past `trace_tol` (unless
@@ -314,16 +322,16 @@ def _evolve_krylov(frame, x, times, rtol, atol, trace_tol):
     the augmented generator [[A, A u], [0, 0]], whose exponential maps
     beta e, e its extra unit coordinate, to [e^{hA} y - y, beta]. Arnoldi
     from e spans e, A y, A^2 y, ...: the stationary part of y never enters
-    the basis, and under R neither does the trace, so a step keeps it to
+    the basis, and under R neither does the trace, which a step keeps to
     rounding. Gram-Schmidt is classical, reorthogonalized once. The step
-    takes the exponential of the (m + 2) augmented Hessenberg matrix and
-    keeps the m-vector approximation, whose error Expokit's two-term
-    estimate bounds; the step is accepted when that is at most
-    atol + rtol |y|_2. A rejected step size reuses the basis, and sample
-    times inside a step are read from it. When Arnoldi breaks down the basis
-    spans an invariant subspace and the step runs to the end; at a
-    stationary state, |A u| within rounding, that happens at once and y is
-    kept. A step below 10 ulps of t raises `IntegrationError`.
+    exponential is that of the (m + 2) augmented Hessenberg matrix; the
+    step keeps the m-vector approximation, whose error Expokit's two-term
+    estimate bounds, and is accepted when that is at most atol + rtol |y|_2.
+    The first step is 1 / |A|_1. A rejected step size reuses the basis, and
+    sample times inside a step are read from it. When Arnoldi breaks down
+    the basis spans an invariant subspace and the step runs to the end; at
+    a stationary state, |A u| within rounding, that happens at once and y
+    is kept. A step below 10 ulps of t raises `IntegrationError`.
     """
     a = frame.matrix
     n = x.size
@@ -339,8 +347,7 @@ def _evolve_krylov(frame, x, times, rtol, atol, trace_tol):
     basis = np.empty((m, n))  # the basis after e, A u first
     beta = float(np.linalg.norm(y))
     tol = atol + rtol * beta
-    # the step whose Taylor remainder beta (norm h)^m / m! is tol
-    h = (math.factorial(m) * tol / beta) ** (1 / m) / norm if norm else t_end - t
+    h = 1 / norm if norm else t_end - t
     while t < t_end:
         hess = np.zeros((m + 2, m + 2))
         p = a @ (y / beta if beta else y)  # a zero y breaks down at once
@@ -354,7 +361,7 @@ def _evolve_krylov(frame, x, times, rtol, atol, trace_tol):
                 p -= c2 @ v
                 hess[1 : j + 1, j] = c + c2
             matvecs += 1
-            s = float(np.linalg.norm(p))
+            s = float(np.sqrt(p @ p))
             if s <= noise or j == n:
                 size, h = j + 1, t_end - t  # exact over any step
                 break
@@ -368,7 +375,7 @@ def _evolve_krylov(frame, x, times, rtol, atol, trace_tol):
         min_step = 10 * (np.nextafter(t, np.inf) - t)
         h = min(max(h, min_step), t_end - t)
         while True:
-            f = sla.expm(h * hess[:size, :size])
+            f = _expm_small(h * hess[:size, :size])
             err = 0.0
             if size == m + 2:
                 phi1 = abs(beta * f[m, 0])
@@ -392,7 +399,7 @@ def _evolve_krylov(frame, x, times, rtol, atol, trace_tol):
         t_new = t + h if h < t_end - t else t_end
         hits = int(np.searchsorted(times, t_new, side="right"))
         for tau in times[next_idx:hits]:
-            g = f if tau == t_new else sla.expm((tau - t) * hess[:size, :size])
+            g = f if tau == t_new else _expm_small((tau - t) * hess[:size, :size])
             raw.append(y + beta * (g[1 : cols + 1, 0] @ basis[:cols]))
         next_idx = hits
         y = raw[-1] if times[hits - 1] == t_new else y + beta * (f[1 : cols + 1, 0] @ basis[:cols])

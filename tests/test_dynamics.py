@@ -203,7 +203,7 @@ class TestBlockPropagator:
     @pytest.mark.parametrize("heisenberg", [False, True])
     def test_krylov_matches_expm_on_the_vacuum(self, heisenberg):
         # the n = 24 damped oscillator's vacuum to t = 20 under R, and under
-        # R^T with no trace check (the probe's path): 713 and 806 matvecs,
+        # R^T with no trace check (the probe's path): 744 and 837 matvecs,
         # 31 a step, where the Dormand-Prince loop took 3,308 and 4,400
         n = 24
         lv = liouvillian(oscillator(n))
@@ -283,18 +283,18 @@ class TestBlockPropagator:
         assert len(calls) == 1
 
     @staticmethod
-    def _auto(model, rho):
+    def _auto(model, rho, n_points=201):
         lv = liouvillian(model)
         frame, _ = dyn._frame(lv, lv.matrix, vec(rho).astype(complex))
-        return dyn._auto_method(frame)
+        return dyn._auto_method(frame, n_points)
 
     def test_auto_method_takes_rk45_above_the_cost_ratio(self, rng):
         # a random state touches both 800-coordinate sectors of the n = 40
-        # oscillator: cost ratio 6.2e4, so the Krylov steps win
+        # oscillator: cost ratio 7.8e4 at 201 points, so the Krylov steps win
         assert self._auto(oscillator(40), random_density(40, rng)) == "krylov"
 
     def test_auto_method_by_sector_size_not_dimension(self, rng):
-        # 60 small sectors of H = N, L = a at n = 60 (ratio 1.8e3), and one
+        # 60 small sectors of H = N, L = a at n = 60 (ratio 5.8e3), and one
         # dense sector of a random dim-36 model: both above any dimension limit
         n = 60
         damped = ModelSpec(number_operator(n), [ladder_lowering(n)])
