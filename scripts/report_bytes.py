@@ -13,11 +13,8 @@ targets: the `certify-n32` recipe, degenerate and indefinite diagonal
 targets and a Hamiltonian with and without compensation. The `steady-state`
 and `analyze` runs reach every `null_space_method`: `bordered-lu` (simple
 kernels), `dense-eig` (`twoqubit`) and `splu-arnoldi` (`ladders26`, a
-degenerate kernel above dim 24). `simulate-osc40`
-takes `krylov`: its vacuum sector's cost ratio (`dynamics._cost_ratio`)
-is about 6e4, above `_EXPM_COST_RATIO`. The inputs come from this
-script's own checkout, so two trees see identical files. To compare two
-trees:
+degenerate kernel above dim 24). The inputs come from this script's own
+checkout, so two trees see identical files. To compare two trees:
 
     python3 scripts/report_bytes.py --src /path/to/old > old.txt
     python3 scripts/report_bytes.py --src . > new.txt

@@ -7,7 +7,7 @@ operators that stabilize target ground spaces.
 
 Names are exported lazily (PEP 562): `import qmstab` loads numpy alone, and
 each name's module is imported on first use. The `n x n` checks (Lyapunov,
-LaSalle, synthesis) never load scipy; the Liouvillian and the propagators
+LaSalle, synthesis) never load scipy; the Liouvillian and the propagator
 load it on their first call.
 """
 

@@ -9,27 +9,23 @@ states, which probes convergence onto ground sets.
 `evolve` and `invariant_set_probe` share one propagator. It builds the
 Liouvillian once per call and advances one real coordinate vector
 (`generator.liouvillian`) under the generator it is given, on the sectors
-where the vector has weight. `evolve` moves one state under R, and the
-trace, the sum of the diagonal coordinates, is renormalized when it drifts.
-The probe moves the observable V under R^T, the Heisenberg generator,
-which preserves the identity, not the trace, so nothing is renormalized.
-Vectors are mapped back through the Hermitian basis, which gives exactly
-conjugate entries, so `_checked_state` need not symmetrize.
-
-- `expm_fixed` computes each active sector's step exponential once per call
-  (scaling and squaring) and advances the vector by one block-diagonal
-  product per step.
-- `krylov` takes Expokit-style Krylov steps (Sidje 1998) with sparse
-  matvecs: each step's Arnoldi basis is built from the generator applied to
-  the vector, so the step length follows accuracy, not stability, and a
-  stationary state breaks Arnoldi down at once and is kept to the end of
-  any horizon. The step record counts Krylov steps, rejected step sizes
-  and matvecs exactly.
+where the vector has weight, by Expokit-style Krylov steps (Sidje 1998)
+with sparse matvecs. Each step's Arnoldi basis is built from the generator
+applied to the vector, so the step length follows accuracy, not stability,
+and a stationary state breaks Arnoldi down at once and is kept to the end
+of any horizon. `evolve` moves one state under R, and the trace, the sum of
+the diagonal coordinates, is renormalized when it drifts. The probe moves
+the observable V under R^T, the Heisenberg generator, which preserves the
+identity, not the trace, so nothing is renormalized. Vectors are mapped
+back through the Hermitian basis, which gives exactly conjugate entries, so
+`_checked_state` need not symmetrize.
 
 `expm_multiply` (Al-Mohy & Higham 2011) on the active sectors was measured
-and rejected: the n = 60 oscillator from the vacuum to t = 20 took
-0.63-0.72 s against RK45's 0.41-0.55 s, and 20 states of H = N, L = a at
-n = 24 0.36-0.43 s against `expm_fixed`'s 0.08-0.14 s.
+and rejected when the propagators were RK45 and fixed-step sector
+exponentials computed once per call: the n = 60 oscillator from the vacuum
+to t = 20 took 0.63-0.72 s against RK45's 0.41-0.55 s, and 20 states of
+H = N, L = a at n = 24 0.36-0.43 s against the fixed-step exponentials'
+0.08-0.14 s.
 
 Time is dimensionless, in units of the model's rate constants.
 """
@@ -39,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sps
 
 from .generator import ModelSpec, Superoperator, _check_dim, liouvillian, state_matrix, unvec, vec
@@ -51,9 +46,7 @@ from .operators import (
     require_hermitian,
 )
 
-METHOD_EXPM = "expm_fixed"
 METHOD_KRYLOV = "krylov"
-METHOD_AUTO = "auto"
 
 # Relative slack of the pointwise mean bound; the tail is the final
 # _TAIL_FRACTION of the samples; <V> counts as monotone while no step rises
@@ -65,13 +58,14 @@ _MONOTONE_SLACK = 1e-8
 
 @dataclass(frozen=True)
 class StepRecord:
-    """What the propagator did. `accepted` counts steps, `rejected_estimate`
-    the Krylov step sizes rejected and `n_rhs_evals` the Krylov matvecs, all
-    exactly; the names stay so that report keys do not change.
+    """What the Krylov propagator did. `accepted` counts steps,
+    `rejected_estimate` the rejected step sizes and `n_rhs_evals` the
+    matvecs, all exactly; the names stay so that report keys do not change.
     `max_trace_drift` is the largest |tr - 1| seen at a step check, before
     any renormalization; an observable's run checks no trace, so it and
     `renormalizations` read 0. `sectors` counts the sectors of the real
-    Liouvillian and `propagated_dim` the real coordinates propagated."""
+    Liouvillian, `propagated_dim` the real coordinates propagated, and
+    `rtol` and `atol` are the tolerances of the local error test."""
 
     method: str
     accepted: int
@@ -81,9 +75,8 @@ class StepRecord:
     max_trace_drift: float
     sectors: int
     propagated_dim: int
-    dt: float | None = None
-    rtol: float | None = None
-    atol: float | None = None
+    rtol: float
+    atol: float
 
 
 @dataclass(frozen=True)
@@ -107,7 +100,6 @@ def evolve(
     model: ModelSpec,
     rho0,
     t_final: float,
-    method: str = METHOD_AUTO,
     n_points: int = 201,
     rtol: float = 1e-9,
     atol: float = 1e-12,
@@ -116,9 +108,10 @@ def evolve(
 ) -> Trajectory:
     """Integrate the master equation from rho0 over [0, t_final].
 
-    States are sampled on a uniform grid of `n_points` times. `method` is
-    `expm_fixed`, `krylov` or `auto`, which picks one by `_cost_ratio`;
-    `rtol` and `atol` set the Krylov steps' local error test. The stepper
+    States are sampled on a uniform grid of `n_points` times. `rtol` and
+    `atol` set the Krylov steps' local error test, atol + rtol |y|_2 on the
+    whole coordinate vector y, so entries far below |y| carry an absolute,
+    not a relative, accuracy. The stepper
     renormalizes the trace whenever the drift exceeds `trace_tol` (count and
     largest drift recorded); a sampled state with an eigenvalue below
     -positivity_tol aborts the run with a diagnostic.
@@ -128,7 +121,7 @@ def evolve(
     _check_dim(model, rho)
     lv = liouvillian(model)
     times, raw, record = _propagate(
-        lv, lv.matrix, vec(rho), t_final, method, n_points, rtol, atol, trace_tol
+        lv, lv.matrix, vec(rho), t_final, n_points, rtol, atol, trace_tol
     )
     states = tuple(
         _checked_state(t, unvec(v), trace_tol, positivity_tol) for t, v in zip(times, raw)
@@ -137,7 +130,7 @@ def evolve(
 
 
 def _propagate(
-    lv: Superoperator, matrix, v: np.ndarray, t_final: float, method: str, n_points: int,
+    lv: Superoperator, matrix, v: np.ndarray, t_final: float, n_points: int,
     rtol: float = 1e-9, atol: float = 1e-12, trace_tol: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, StepRecord]:
     """Evolve `v`, a vectorized operator, under `matrix`: R (`lv.matrix`)
@@ -148,29 +141,21 @@ def _propagate(
     renormalized when it drifts past `trace_tol`; None, for observables,
     checks no trace.
     """
-    # past 1/eps times the fastest time scale 1/norm, t_final cannot resolve
-    # that scale, and far past it expm overflows
+    # past 1/eps times the fastest time scale 1/norm, a step that resolves
+    # that scale is below an ulp of t: the Krylov steps would stall at their
+    # 10-ulp minimum and raise part way, after the work
     if not (0 < t_final < np.inf and t_final * lv.norm * np.finfo(float).eps <= 1):
         raise OperatorError(f"t_final must be positive and finite, at most 1/eps times "
                             f"1/{lv.norm:.3g}, the fastest time scale; got {float(t_final):g}")
     if n_points < 2:
         raise OperatorError("need at least two sample points")
-    # checked whichever method runs, though only krylov reads them
     if not rtol >= 100 * np.finfo(float).eps:
         raise OperatorError(f"rtol must be at least 100 eps; got {rtol:g}")
     if not atol >= 0:
         raise OperatorError(f"atol must be non-negative; got {atol:g}")
     frame, x = _frame(lv, matrix, v)
-    if method == METHOD_AUTO:
-        method = _auto_method(frame, n_points)
     times = np.linspace(0.0, float(t_final), n_points)
-
-    if method == METHOD_EXPM:
-        raw, record = _evolve_expm(frame, x, times, trace_tol)
-    elif method == METHOD_KRYLOV:
-        raw, record = _evolve_krylov(frame, x, times, rtol, atol, trace_tol)
-    else:
-        raise OperatorError(f"unknown integration method {method!r}")
+    raw, record = _evolve_krylov(frame, x, times, rtol, atol, trace_tol)
     return times, raw, record
 
 
@@ -179,15 +164,14 @@ class _Frame:
     """A real generator, R or R^T, on the sectors that an initial vector
     touches; both have the sectors of `Superoperator.sectors`.
 
-    `basis` holds the Hermitian basis vectors of the kept coordinates, sector
-    after sector, so `matrix` is block diagonal with one block per `slices`
-    entry. The kept diagonal coordinates, `trace_rows`, sum to the trace.
-    `sectors` counts the sectors of the whole real Liouvillian.
+    `basis` holds the Hermitian basis vectors of the kept coordinates and
+    `matrix` the generator on them. The kept diagonal coordinates,
+    `trace_rows`, sum to the trace. `sectors` counts the sectors of the
+    whole real Liouvillian.
     """
 
     basis: sps.csr_array
     matrix: sps.csr_array
-    slices: tuple[slice, ...]
     trace_rows: np.ndarray
     sectors: int
 
@@ -205,36 +189,10 @@ def _frame(lv: Superoperator, matrix, v: np.ndarray) -> tuple[_Frame, np.ndarray
     labels = lv.sectors
     x = (lv.basis.conj().T @ v).real
     keep = np.flatnonzero(np.isin(labels, labels[x != 0]))
-    keep = keep[np.argsort(labels[keep], kind="stable")]
-    ends = np.cumsum(np.unique(labels[keep], return_counts=True)[1])
-    slices = tuple(slice(a, b) for a, b in zip((0, *ends[:-1]), ends))
     n = lv.dim
     diagonal = np.flatnonzero(np.isin(keep, np.arange(n) * (n + 1)))
-    frame = _Frame(lv.basis[:, keep], matrix[keep][:, keep], slices, diagonal,
-                   int(labels.max()) + 1)
+    frame = _Frame(lv.basis[:, keep], matrix[keep][:, keep], diagonal, int(labels.max()) + 1)
     return frame, x[keep]
-
-
-# expm pays one dense exponential per active sector of s coordinates, about
-# s^3, once per call, and s^2 per sample; a Krylov step pays per matvec one
-# sparse product and vector updates, about nnz + rows. `auto` takes expm up
-# to one ratio of the two. scripts/time_propagators.py (2 CPUs, numpy 2.4,
-# scipy 1.17, medians of three runs): expm wins 1.4-2.6x up to ratio 940
-# (the probe, the n = 12 vacuum) and 1.6x on the n = 24 vacuum (9.7e3),
-# Krylov 1.6-2.2x from 1.2e4 (the n = 30, 36 vacuum, H = N, L = a at
-# n = 100), and random models (<= 1.5e3) are within 1.4x either way.
-_EXPM_COST_RATIO = 10_000
-
-
-def _cost_ratio(frame: _Frame, n_points: int) -> float:
-    """expm's cost in `frame` for `n_points` samples, in Krylov matvecs."""
-    cost = sum((sl.stop - sl.start) ** 2 * (sl.stop - sl.start + n_points) for sl in frame.slices)
-    return cost / (frame.matrix.nnz + frame.matrix.shape[0])
-
-
-def _auto_method(frame: _Frame, n_points: int) -> str:
-    """The propagator `auto` picks in `frame` for `n_points` samples."""
-    return METHOD_EXPM if _cost_ratio(frame, n_points) <= _EXPM_COST_RATIO else METHOD_KRYLOV
 
 
 def _checked_state(
@@ -261,37 +219,6 @@ def _checked_state(
         raise
 
 
-def _evolve_expm(frame, x, times, trace_tol):
-    """Advance `x` by one block-diagonal product per step, with each active
-    sector's step exponential computed once; a trace that drifts past
-    `trace_tol` (unless None) is renormalized."""
-    dt = float(times[1] - times[0])
-    blocks = [(sl, sla.expm(frame.matrix[sl, sl].toarray() * dt)) for sl in frame.slices]
-    y = x
-    raw = [y]
-    renorm = 0
-    drift = 0.0
-    for _ in times[1:]:
-        y = np.concatenate([p @ y[sl] for sl, p in blocks])
-        if trace_tol is not None:
-            tr = float(y[frame.trace_rows].sum())
-            drift = max(drift, abs(tr - 1.0))
-            if abs(tr - 1.0) > trace_tol:
-                y /= tr
-                renorm += 1
-        raw.append(y)
-    record = frame.record(
-        method=METHOD_EXPM,
-        accepted=len(times) - 1,
-        rejected_estimate=0,
-        n_rhs_evals=0,
-        renormalizations=renorm,
-        max_trace_drift=drift,
-        dt=dt,
-    )
-    return frame.vectors(np.stack(raw)), record
-
-
 # Krylov dimension m, step safety factor and largest step growth; m = 20 and
 # 30 timed the same on the osc-n60 vacuum sector, 10 and 40 slower.
 _KRYLOV_DIM = 30
@@ -300,11 +227,12 @@ _KRYLOV_GROWTH = 10.0
 
 
 def _expm_small(a: np.ndarray) -> np.ndarray:
-    """e^a for a Hessenberg block: the degree-16 Taylor series of a / 2^s,
-    |a / 2^s|_1 <= 1/2, squared s times. `scipy.linalg.expm` would wake
-    scipy's own OpenBLAS threads, which slowed osc-n60's `simulate` 1.5x."""
-    s = max(0, int(np.log2(max(np.abs(a).sum(axis=0).max(), 1e-300))) + 2)
-    term = result = np.eye(len(a))
+    """e^a for a Hessenberg block, or for each of a stack of them: the
+    degree-16 Taylor series of a / 2^s, |a / 2^s|_1 <= 1/2 for the largest
+    block, squared s times. `scipy.linalg.expm` would wake scipy's own
+    OpenBLAS threads, which slowed osc-n60's `simulate` 1.5x."""
+    s = max(0, int(np.log2(max(np.abs(a).sum(axis=-2).max(), 1e-300))) + 2)
+    term = result = np.eye(a.shape[-1])
     for k in range(1, 17):
         term = term @ a / (k * 2.0 ** s)
         result = result + term
@@ -328,10 +256,11 @@ def _evolve_krylov(frame, x, times, rtol, atol, trace_tol):
     step keeps the m-vector approximation, whose error Expokit's two-term
     estimate bounds, and is accepted when that is at most atol + rtol |y|_2.
     The first step is 1 / |A|_1. A rejected step size reuses the basis, and
-    sample times inside a step are read from it. When Arnoldi breaks down
-    the basis spans an invariant subspace and the step runs to the end; at
-    a stationary state, |A u| within rounding, that happens at once and y
-    is kept. A step below 10 ulps of t raises `IntegrationError`.
+    the sample times inside a step are read from it with one batch of
+    exponentials. When Arnoldi breaks down the basis spans an invariant
+    subspace and the step runs to the end; at a stationary state, |A u|
+    within rounding, that happens at once and y is kept. A step below 10
+    ulps of t raises `IntegrationError`.
     """
     a = frame.matrix
     n = x.size
@@ -398,9 +327,9 @@ def _evolve_krylov(frame, x, times, rtol, atol, trace_tol):
         cols = min(size, m) - 1
         t_new = t + h if h < t_end - t else t_end
         hits = int(np.searchsorted(times, t_new, side="right"))
-        for tau in times[next_idx:hits]:
-            g = f if tau == t_new else _expm_small((tau - t) * hess[:size, :size])
-            raw.append(y + beta * (g[1 : cols + 1, 0] @ basis[:cols]))
+        if hits > next_idx:
+            g = _expm_small((times[next_idx:hits, None, None] - t) * hess[:size, :size])
+            raw.extend(y + beta * (g[:, 1 : cols + 1, 0] @ basis[:cols]))
         next_idx = hits
         y = raw[-1] if times[hits - 1] == t_new else y + beta * (f[1 : cols + 1, 0] @ basis[:cols])
         t = t_new
@@ -572,7 +501,6 @@ def invariant_set_probe(
     v,
     t_final: float = 30.0,
     threshold: float = 1e-5,
-    method: str = METHOD_AUTO,
     n_points: int = 33,
 ) -> InvariantSetProbe:
     """Propagate V once under the Heisenberg generator R^T and report the
@@ -588,7 +516,7 @@ def invariant_set_probe(
     if not varr.any():
         raise OperatorError("V is the zero operator; the probe needs a nonzero V")
     lv = liouvillian(model)
-    times, raw, record = _propagate(lv, lv.matrix.T.tocsr(), vec(varr), t_final, method, n_points)
+    times, raw, record = _propagate(lv, lv.matrix.T.tocsr(), vec(varr), t_final, n_points)
     # each reshaped sample is V(t) transposed, which has V(t)'s spectrum
     spectra = np.linalg.eigvalsh(raw.reshape(-1, model.dim, model.dim))
     worst = spectra[:, -1] - spectra[0, 0]

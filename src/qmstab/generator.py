@@ -33,7 +33,7 @@ if TYPE_CHECKING:
     import scipy.sparse as sps
 
 # The cap bounds the dim^2 x dim^2 problems handed to the null-space LU and
-# the propagators. At the cap, `steady_states` of the sparse oscillator
+# the propagator. At the cap, `steady_states` of the sparse oscillator
 # H = N, L = a + a'/2 (n = 128) takes 0.26-0.31 s at 115 MB peak RSS on the
 # bordered LU (2 CPUs); a model with dense couplings has n^4 nonzeros and
 # needs far more memory.

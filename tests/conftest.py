@@ -37,6 +37,19 @@ def complex_form(basis, real):
     return (basis @ real @ basis.conj().T).toarray()
 
 
+def dense_expm_samples(basis, real, z, times):
+    """The vectorized operators e^{t T R T'} z on the uniform grid `times`,
+    stepped by one dense expm: a reference that shares no code with the
+    propagator."""
+    import scipy.linalg as sla
+
+    step = sla.expm(complex_form(basis, real) * times[1])
+    samples = [z]
+    for _ in times[1:]:
+        samples.append(step @ samples[-1])
+    return samples
+
+
 def oscillator(n, alpha=1.0, beta=0.5, omega=1.0):
     a = ladder_lowering(n)
     return ModelSpec(omega * number_operator(n), [alpha * a + beta * a.conj().T])

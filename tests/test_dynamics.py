@@ -29,7 +29,7 @@ from qmstab import (
 from qmstab.generator import unvec, vec
 from qmstab.operators import hermitian_part
 
-from conftest import complex_form, oscillator
+from conftest import complex_form, dense_expm_samples, oscillator
 
 EXCITED = np.diag([1.0, 0.0]).astype(complex)
 V_GROUND = np.diag([1.0, 0.0]).astype(complex)
@@ -57,26 +57,21 @@ class TestEvolve:
             assert abs(np.trace(s.matrix).real - 1.0) <= 1e-10
 
     def test_positivity_along_trajectory(self, twoqubit, rng):
-        traj = evolve(twoqubit, random_density(4, rng), 10.0, method="krylov")
+        traj = evolve(twoqubit, random_density(4, rng), 10.0)
         for s in traj.states:
             assert np.linalg.eigvalsh(s.matrix)[0] >= -1e-8
 
     @pytest.mark.parametrize("model_name", ["twolevel", "qubit_decay", "twoqubit"])
     def test_integrators_agree(self, model_name, request, rng):
+        # the Krylov steps against a dense expm of the complex Liouvillian
         model = request.getfixturevalue(model_name)
         rho0 = random_density(model.dim, rng)
-        t1 = evolve(model, rho0, 10.0, method="expm_fixed")
-        t2 = evolve(model, rho0, 10.0, method="krylov")
-        for a, b in zip(t1.states, t2.states):
-            w = np.linalg.eigvalsh(a.matrix - b.matrix)
+        traj = evolve(model, rho0, 10.0)
+        lv = liouvillian(model)
+        for state, z in zip(traj.states,
+                            dense_expm_samples(lv.basis, lv.matrix, vec(rho0), traj.times)):
+            w = np.linalg.eigvalsh(state.matrix - unvec(z))
             assert 0.5 * np.abs(w).sum() <= 1e-7
-
-    def test_auto_method_selection(self, twolevel):
-        traj = evolve(twolevel, np.eye(2) / 2, 1.0)
-        assert traj.step_controller.method == "expm_fixed"
-        big = oscillator(40)
-        traj = evolve(big, vacuum(40), 0.5, n_points=9)
-        assert traj.step_controller.method == "krylov"
 
     def test_times_grid(self, qubit_decay):
         traj = evolve(qubit_decay, EXCITED, 2.0, n_points=21)
@@ -92,89 +87,90 @@ class TestEvolve:
 
 
 class TestBlockPropagator:
-    def test_evolve_matches_reference_loop_bit_for_bit(self, twoqubit, rng):
-        # the per-state loop in real sector coordinates, with trace_tol = 0
-        # so renormalization runs; a random state touches every sector
+    def test_evolve_matches_the_complex_reference_loop(self, twoqubit, rng):
+        # the complex dim^2 loop that the real sectors replaced, on T R T',
+        # renormalized at every sample; a random state touches every sector,
+        # and on 16 coordinates Arnoldi breaks down into one exact step
         rho0 = random_density(4, rng)
-        traj = evolve(twoqubit, rho0, 5.0, method="expm_fixed", n_points=21, trace_tol=0.0)
-        dt = float(traj.times[1] - traj.times[0])
+        traj = evolve(twoqubit, rho0, 5.0, n_points=21, trace_tol=0.0)
         lv = liouvillian(twoqubit)
-        basis, real, labels = lv.basis, lv.matrix, lv.sectors
-        order = np.argsort(labels, kind="stable")
-        r = real[order][:, order].toarray()
-        ends = np.cumsum(np.bincount(labels))
-        sectors = [slice(a, b) for a, b in zip(np.r_[0, ends[:-1]], ends)]
-        propagators = [sla.expm(r[s, s] * dt) for s in sectors]
-        diagonal = np.isin(order, [0, 5, 10, 15])
-        y = (basis.conj().T @ vec(rho0)).real[order][:, None]
-        expected = [y]
-        for _ in traj.times[1:]:
-            y = np.concatenate([p @ y[s] for s, p in zip(sectors, propagators)])
-            tr = y[diagonal].sum(axis=0)
-            if abs(tr[0] - 1.0) > 0.0:
-                y = y / tr
-            expected.append(y)
-        # the complex dim^2 loop that the real one replaced, on T R T'
-        propagator = sla.expm(complex_form(basis, real) * dt)
+        propagator = sla.expm(complex_form(lv.basis, lv.matrix) * traj.times[1])
         z = vec(rho0).astype(complex)
         complex_expected = [unvec(z).copy()]
         for _ in traj.times[1:]:
             z = propagator @ z
             z = z / np.trace(unvec(z)).real
             complex_expected.append(unvec(z).copy())
-        assert traj.step_controller.renormalizations > 0
-        for state, x, c in zip(traj.states, expected, complex_expected):
-            assert np.array_equal(state.matrix, unvec(basis[:, order] @ x))
+        assert traj.step_controller.accepted == 1
+        for state, c in zip(traj.states, complex_expected):
             assert np.abs(state.matrix - hermitian_part(c)).max() <= 1e-13
 
-    def test_drifting_trace_is_renormalized_once(self, twoqubit, rng):
+    def test_drifting_trace_is_renormalized_once(self):
         # y drifts by 1e-12, inside trace_tol, and is never rescaled; 2y has
-        # trace 2 and is rescaled once, onto y / (1 + 1e-12)
-        lv = liouvillian(twoqubit)
-        y = (1.0 + 1e-12) * vec(random_density(4, rng)).astype(complex)
+        # trace 2 and is rescaled once, at the end of the first step, onto
+        # y / (1 + 1e-12). With atol = 0 the error test scales with y, so
+        # both runs take the same steps; the n = 8 oscillator's 32-coordinate
+        # vacuum sector keeps Arnoldi from breaking down into one step
+        lv = liouvillian(oscillator(8))
+        y = (1.0 + 1e-12) * vec(vacuum(8))
         times = np.linspace(0.0, 5.0, 11)
-        raw, record = dyn._evolve_expm(*dyn._frame(lv, lv.matrix, 2.0 * y), times, 1e-11)
-        untouched, kept = dyn._evolve_expm(*dyn._frame(lv, lv.matrix, y), times, 1e-11)
+        raw, record = dyn._evolve_krylov(*dyn._frame(lv, lv.matrix, 2.0 * y), times,
+                                         1e-9, 0.0, 1e-11)
+        untouched, kept = dyn._evolve_krylov(*dyn._frame(lv, lv.matrix, y), times,
+                                             1e-9, 0.0, 1e-11)
         assert (record.renormalizations, kept.renormalizations) == (1, 0)
-        assert record.accepted == 10
+        assert record.accepted == kept.accepted > 1
         assert record.max_trace_drift == pytest.approx(1.0)
         np.testing.assert_allclose(
             raw[1:], untouched[1:] / (1.0 + 1e-12), rtol=0, atol=1e-14
         )
 
-    @pytest.mark.parametrize("method", ["expm_fixed", "krylov"])
-    def test_probe_matches_per_sample_evolve(self, method):
+    def test_probe_matches_per_sample_evolve(self):
         # on H = N, L = a, V(t) = e^{-t} N: the state that starts on the top
         # level |n-1> reaches the worst case (n - 1) e^{-t} at every time.
         # Krylov's rtol 1e-9 is relative to V's scale, its spread n - 1 = 7.
         n = 8
         model = ModelSpec(number_operator(n), [ladder_lowering(n)])
-        probe = invariant_set_probe(model, number_operator(n), t_final=30.0, method=method)
+        probe = invariant_set_probe(model, number_operator(n), t_final=30.0)
         top = np.zeros((n, n))
         top[-1, -1] = 1.0
-        traj = evolve(model, top, 30.0, method=method, n_points=33)
+        traj = evolve(model, top, 30.0, n_points=33)
         expected = expectation_series(traj, number_operator(n))
         np.testing.assert_allclose(probe.worst_case, expected, rtol=0, atol=1e-10 * (n - 1))
         np.testing.assert_allclose(
             probe.worst_case, (n - 1) * np.exp(-traj.times), rtol=0, atol=1e-10 * (n - 1)
         )
-        assert probe.step_controller.method == method
+        assert probe.step_controller.method == "krylov"
+
+    @pytest.mark.parametrize("n", [24, 36])
+    def test_probe_reads_samples_inside_a_step(self, n):
+        # G(N) = -N exactly on H = N, L = a, so worst_case[i] is
+        # (n - 1) e^{-t_i}. At n = 24 Arnoldi breaks down into one step that
+        # holds every sample; at n = 36 seven steps each hold several
+        model = ModelSpec(number_operator(n), [ladder_lowering(n)])
+        probe = invariant_set_probe(model, number_operator(n), t_final=30.0)
+        rec = probe.step_controller
+        assert (rec.accepted, rec.n_rhs_evals, rec.rejected_estimate) == {
+            24: (1, 2, 0), 36: (7, 217, 0)}[n]
+        times = np.linspace(0.0, 30.0, 33)
+        np.testing.assert_allclose(probe.worst_case, (n - 1) * np.exp(-times),
+                                   rtol=0, atol=1e-12)
 
     def test_probe_methods_agree_without_renormalizing(self):
-        # R^T preserves the identity, not the trace: no column is rescaled
+        # the Krylov probe against a dense expm of the complex R^T; R^T
+        # preserves the identity, not the trace: no column is rescaled
         n = 8
         model = ModelSpec(number_operator(n), [ladder_lowering(n)])
-        expm, krylov = (
-            invariant_set_probe(model, number_operator(n), method=method)
-            for method in ("expm_fixed", "krylov")
-        )
-        np.testing.assert_allclose(krylov.worst_case, expm.worst_case, rtol=0,
-                                   atol=1e-10 * (n - 1))
-        for rec in (expm.step_controller, krylov.step_controller):
-            assert (rec.renormalizations, rec.max_trace_drift) == (0, 0.0)
+        krylov = invariant_set_probe(model, number_operator(n))
+        lv = liouvillian(model)
+        samples = dense_expm_samples(lv.basis, lv.matrix.T, vec(number_operator(n)),
+                                     np.linspace(0.0, 30.0, 33))
+        expm = [np.linalg.eigvalsh(hermitian_part(unvec(z)))[-1] for z in samples]
+        np.testing.assert_allclose(krylov.worst_case, expm, rtol=0, atol=1e-10 * (n - 1))
+        rec = krylov.step_controller
+        assert (rec.renormalizations, rec.max_trace_drift) == (0, 0.0)
 
-    @pytest.mark.parametrize("method", ["expm_fixed", "krylov"])
-    def test_one_liouvillian_per_probe(self, qubit_decay, monkeypatch, method):
+    def test_one_liouvillian_per_probe(self, qubit_decay, monkeypatch):
         calls = []
 
         def counting(*args, **kwargs):
@@ -182,7 +178,7 @@ class TestBlockPropagator:
             return liouvillian(*args, **kwargs)
 
         monkeypatch.setattr(dyn, "liouvillian", counting)
-        invariant_set_probe(qubit_decay, V_GROUND, t_final=5.0, method=method)
+        invariant_set_probe(qubit_decay, V_GROUND, t_final=5.0)
         assert len(calls) == 1
 
     def test_krylov_renormalization_returns_to_y0(self, rng):
@@ -204,15 +200,15 @@ class TestBlockPropagator:
     def test_krylov_matches_expm_on_the_vacuum(self, heisenberg):
         # the n = 24 damped oscillator's vacuum to t = 20 under R, and under
         # R^T with no trace check (the probe's path): 744 and 837 matvecs,
-        # 31 a step, where the Dormand-Prince loop took 3,308 and 4,400
+        # 31 a step, where the Dormand-Prince loop took 3,308 and 4,400;
+        # the reference steps a dense expm of the complex generator
         n = 24
         lv = liouvillian(oscillator(n))
         matrix = lv.matrix.T.tocsr() if heisenberg else lv.matrix
         trace_tol = None if heisenberg else 1e-11
-        (_, krylov, record), (_, expm, _) = (
-            dyn._propagate(lv, matrix, vec(vacuum(n)), 20.0, method, 41, trace_tol=trace_tol)
-            for method in ("krylov", "expm_fixed")
-        )
+        times, krylov, record = dyn._propagate(lv, matrix, vec(vacuum(n)), 20.0, 41,
+                                               trace_tol=trace_tol)
+        expm = dense_expm_samples(lv.basis, matrix, vec(vacuum(n)), times)
         assert record.n_rhs_evals == 31 * record.accepted <= 1000
         assert record.rejected_estimate <= 2
         assert record.renormalizations == 0
@@ -238,14 +234,10 @@ class TestBlockPropagator:
         # and Arnoldi breaks down on A y = 0 at once
         model = ModelSpec(np.zeros((dim, dim)), [np.zeros((dim, dim))])
         rho = np.eye(dim) / dim
-        traj = evolve(model, rho, 1.0, method="krylov", n_points=3)
+        traj = evolve(model, rho, 1.0, n_points=3)
         assert (traj.step_controller.accepted, traj.step_controller.n_rhs_evals) == (1, 1)
         for state in traj.states:
             assert np.array_equal(state.matrix, rho)
-
-    def test_rk_adaptive_is_an_unknown_method(self, qubit_decay):
-        with pytest.raises(OperatorError, match="unknown integration method 'rk_adaptive'"):
-            evolve(qubit_decay, EXCITED, 1.0, method="rk_adaptive")
 
     def test_step_underflow_names_time(self):
         # at t = 1e16 ten ulps are 20 time units, far above any step that
@@ -260,11 +252,9 @@ class TestBlockPropagator:
     @pytest.mark.parametrize("tols", [(1e-15, 1e-12), (0.0, 1e-12), (1e-9, -1e-12),
                                       (np.nan, 1e-12), (1e-9, np.nan)])
     def test_bad_rk_tolerance_is_an_input_error(self, qubit_decay, tols):
-        # whichever method runs: auto takes expm_fixed on this model
         rtol, atol = tols
-        for method in ("krylov", "auto"):
-            with pytest.raises(OperatorError, match="rtol|atol"):
-                evolve(qubit_decay, EXCITED, 1.0, method=method, rtol=rtol, atol=atol)
+        with pytest.raises(OperatorError, match="rtol|atol"):
+            evolve(qubit_decay, EXCITED, 1.0, rtol=rtol, atol=atol)
 
     def test_one_eigvalsh_per_sampled_state(self, qubit_decay, monkeypatch):
         calls = []
@@ -281,34 +271,6 @@ class TestBlockPropagator:
         # the probe diagonalizes its 11 sampled observables in one batched call
         invariant_set_probe(qubit_decay, V_GROUND, t_final=2.0, n_points=11)
         assert len(calls) == 1
-
-    @staticmethod
-    def _auto(model, rho, n_points=201):
-        lv = liouvillian(model)
-        frame, _ = dyn._frame(lv, lv.matrix, vec(rho).astype(complex))
-        return dyn._auto_method(frame, n_points)
-
-    def test_auto_method_takes_rk45_above_the_cost_ratio(self, rng):
-        # a random state touches both 800-coordinate sectors of the n = 40
-        # oscillator: cost ratio 7.8e4 at 201 points, so the Krylov steps win
-        assert self._auto(oscillator(40), random_density(40, rng)) == "krylov"
-
-    def test_auto_method_by_sector_size_not_dimension(self, rng):
-        # 60 small sectors of H = N, L = a at n = 60 (ratio 5.8e3), and one
-        # dense sector of a random dim-36 model: both above any dimension limit
-        n = 60
-        damped = ModelSpec(number_operator(n), [ladder_lowering(n)])
-        assert self._auto(damped, random_density(n, rng)) == "expm_fixed"
-        x, y, z = (rng.standard_normal((3, 36, 36)) + 1j * rng.standard_normal((3, 36, 36)))
-        dense = ModelSpec(x + x.conj().T, [y, z])
-        assert self._auto(dense, random_density(36, rng)) == "expm_fixed"
-
-    def test_auto_method_on_a_zero_generator(self):
-        # no nonzeros: the rows keep a Krylov matvec's cost positive
-        trivial = ModelSpec(np.zeros((1, 1)), [np.zeros((1, 1))])
-        assert self._auto(trivial, np.ones((1, 1))) == "expm_fixed"
-        zero = ModelSpec(np.zeros((4, 4)), [np.zeros((4, 4))])
-        assert self._auto(zero, np.eye(4) / 4) == "expm_fixed"
 
     def test_step_record_counts_sectors_and_propagated_coordinates(self):
         # the vacuum lies in one of the oscillator's two sectors; V = N
@@ -479,10 +441,9 @@ class TestInvariantSetProbe:
         with pytest.raises(OperatorError, match="threshold must be finite and non-negative"):
             invariant_set_probe(qubit_decay, V_GROUND, threshold=threshold)
 
-    @pytest.mark.parametrize("method", ["auto", "expm_fixed", "krylov"])
-    def test_zero_observable_is_an_input_error(self, method):
-        # a zero V has no coordinate to propagate on any path
+    def test_zero_observable_is_an_input_error(self):
+        # a zero V has no coordinate to propagate
         n = 3
         model = ModelSpec(number_operator(n), [ladder_lowering(n)])
         with pytest.raises(OperatorError, match="V is the zero operator"):
-            invariant_set_probe(model, np.zeros((n, n)), method=method)
+            invariant_set_probe(model, np.zeros((n, n)))

@@ -1,8 +1,8 @@
-"""The timing scripts that set `dynamics._EXPM_COST_RATIO` and
-`invariants._DENSE_EIG_DIM` (the latter times the three null-space solvers
-directly) still run, on the smallest sizes, as do the start-up timer (one
-subcommand, one cold run) and the report digest script that shows a
-refactor kept the report bytes."""
+"""The timing scripts still run, on the smallest sizes: the one that sets
+`invariants._DENSE_EIG_DIM` by timing the three null-space solvers
+directly, the serialization timer and the start-up timer (one subcommand,
+one cold run). So does the report digest script that shows a refactor kept
+the report bytes."""
 
 import importlib.util
 import sys
@@ -23,7 +23,6 @@ def _load(name):
 @pytest.mark.parametrize(
     "name, argv",
     [
-        ("time_propagators", ["--dims", "4", "--damped-dims", "4", "--repeats", "1"]),
         ("time_null_space", ["--dims", "3", "--repeats", "1"]),
         ("time_serialize", ["--dim", "4", "--rank", "3", "--repeats", "1"]),
         ("time_startup", ["--subcommands", "check-lyapunov", "--repeats", "1"]),
