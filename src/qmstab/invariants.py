@@ -7,8 +7,8 @@ of R bordered with the trace, which certifies a simple zero eigenvalue
 and by an Arnoldi window above it (`splu-arnoldi`). It classifies them:
 faithfulness (full-rank support), subharmonicity of support projections,
 the connectivity condition P L'(I-P) L P != 0 linking a projection to its
-complement, and a uniqueness test through commutant triviality of the
-algebra generated by the Hamiltonian and the couplings.
+complement, and uniqueness, read off the same kernel: the invariant state is
+unique exactly when that kernel is one-dimensional.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .operators import (
     PsdReport,
     _frozen,
     dag,
-    eigenlevels,
     hermitian_part,
     max_abs,
     op_norm,
@@ -70,9 +69,6 @@ _NULL_WINDOW = 8
 # out a second one within tol_abs. `onenormest` gives a lower bound: a margin.
 _BORDERED_MARGIN = 1e3
 _CONNECTIVITY_THRESHOLD = 1e-9
-# Largest commutant constraint matrix, in entries: the 2880 x 576 dense kron
-# system that the commutant test used to solve at dim 24 with two couplings.
-_COMMUTANT_MAX_ENTRIES = 2880 * 576
 
 
 @dataclass(frozen=True)
@@ -137,14 +133,11 @@ class ConnectivityScan:
 
 @dataclass(frozen=True)
 class UniquenessResult:
-    """Result of `uniqueness_check`. `span_dimension` is the dimension of
-    the *-algebra generated by {H, Lk, Lk'}, None when it was not computed;
-    `words_used` is 0, since the commutant is solved without forming words."""
+    """`steady_states`' uniqueness verdict and the kernel it rests on."""
 
     verdict: str
-    commutant_dimension: int | None
-    span_dimension: int | None
-    words_used: int
+    null_dimension: int
+    exhaustive: bool
 
 
 def _validate_projection(p, dim: int, allow_trivial: bool = False) -> np.ndarray:
@@ -272,8 +265,10 @@ def steady_states(model: ModelSpec, tol: float = 1e-9) -> InvariantStateReport:
     and renormalized to unit trace; tolerances scale with the 1-norm of the
     complex Liouvillian.
     Degenerate stationary spaces are returned as a basis of states with the
-    `not_unique` verdict.
+    `not_unique` verdict. A `tol` not finite and positive is an OperatorError.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise OperatorError(f"tolerance must be finite and positive, got {tol!r}")
     lv = liouvillian(model)
     tol_abs = tol * max(1.0, lv.norm)
     basis, null_dim, method, exhaustive, estimate = _null_space(lv.matrix, tol_abs)
@@ -448,75 +443,15 @@ def connectivity_scan(
 
 
 # ---------------------------------------------------------------------------
-# Uniqueness via commutant triviality
+# Uniqueness
 # ---------------------------------------------------------------------------
 
-def _commutant(gens: list[np.ndarray], tol: float) -> np.ndarray | None:
-    """Basis of the commutant {X : [X, g] = 0 for all g in `gens`} as a
-    stack of n x n matrices, or None when its constraint matrix would exceed
-    `_COMMUTANT_MAX_ENTRIES` entries.
-
-    `gens[0]` must be Hermitian. In its eigenbasis, with levels merged
-    within tol_abs = tol * (largest Frobenius norm of a generator), X is
-    block-diagonal, so only in-level entries X_ac are unknown. Each gives
-    the column vec(E_ac g - g E_ac) stacked over all rotated generators,
-    `gens[0]` included so that merged levels stay constrained. The kernel
-    holds the singular values (of the QR triangle) at most tol_abs: a bound
-    from the generators, since the largest singular value is itself
-    rounding noise when every generator is scalar within the levels.
-    """
-    n = gens[0].shape[0]
-    tol_abs = tol * max(float(np.linalg.norm(g)) for g in gens)
-    _, slices, u = eigenlevels(gens[0], tol_abs)
-    ia, ic = np.array(
-        [(a, c) for i, j in slices for a in range(i, j) for c in range(i, j)]
-    ).T
-    unknowns = len(ia)
-    if len(gens) * n * n * unknowns > _COMMUTANT_MAX_ENTRIES:
-        return None
-    rot = np.stack([dag(u) @ g @ u for g in gens])
-    k = np.arange(unknowns)
-    cols = np.zeros((len(gens), n, n, unknowns), dtype=complex)
-    cols[:, ia, :, k] = rot[:, ic, :].transpose(1, 0, 2)  # E_ac g: row a is row c of g
-    cols[:, :, ic, k] -= rot[:, :, ia]  # g E_ac: column c is column a of g
-    r = np.linalg.qr(cols.reshape(-1, unknowns), mode="r")
-    _, s, vh = np.linalg.svd(r)
-    kernel = vh[s <= tol_abs].conj()
-    x = np.zeros((len(kernel), n, n), dtype=complex)
-    x[:, ia, ic] = kernel
-    return u @ x @ dag(u)
-
-
 def uniqueness_check(model: ModelSpec, tol: float = 1e-9) -> UniquenessResult:
-    """Uniqueness of the invariant state through irreducibility (Theorem 3).
-
-    The commutant of {H, Lk, Lk'} comes from one kernel solve
-    (`_commutant`); by von Neumann's double commutant theorem it is trivial
-    exactly when these operators generate all n x n matrices, so no words
-    are formed (`words_used` is 0). `span_dimension`, the dimension of the
-    generated *-algebra, is n^2 or else the dimension of the commutant's
-    commutant, solved from two generic Hermitian elements that generate it.
-
-    A nontrivial commutant refutes uniqueness. A trivial one implies it only
-    when a faithful invariant state exists (Frigerio 1978), which is not
-    tested here: `fixtures/qutrit_branching_decay.json` has commutant 1 and
-    a 4-dimensional stationary set. Above the solve's size cap the verdict
-    is `inconclusive`, with no dimension.
-    """
-    n = model.dim
-    gens = [model.hamiltonian, *model.couplings, *(dag(l) for l in model.couplings)]
-    basis = _commutant(gens, tol)
-    if basis is None:
-        return UniquenessResult(INCONCLUSIVE, None, None, 0)
-    if len(basis) <= 1:  # I always commutes; a tol below rounding can lose it
-        return UniquenessResult(UNIQUE, 1, n * n, 0)
-    # a fixed generic draw keeps repeated runs bit-identical
-    rng = np.random.default_rng(0)
-    coef = rng.standard_normal((2, len(basis))) + 1j * rng.standard_normal((2, len(basis)))
-    generic = [hermitian_part(np.tensordot(c, basis, axes=1)) for c in coef]
-    double = _commutant(generic, tol)
-    span_dim = None if double is None else len(double)
-    return UniquenessResult(NOT_UNIQUE, len(basis), span_dim, 0)
+    """Uniqueness of the invariant state (Theorem 3) from the kernel that
+    `steady_states` solves: `not_unique` above dimension 1, `unique` at 1
+    when the solve was exhaustive, else `inconclusive`."""
+    report = steady_states(model, tol)
+    return UniquenessResult(report.unique, report.null_dimension, report.exhaustive)
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,7 @@ ENTRY_SCHEMA = {
     },
     "faithful[0]": {"rank": int, "support": list},
     "support-subharmonic[0]": {"min_eigenvalue": float},
-    "unique-invariant-state": {
-        "commutant_dimension": int, "span_dimension": int, "null_dimension": int, "note": str,
-    },
+    "unique-invariant-state": {"null_dimension": int},
     "connectivity(coordinate family)": {"note": str, "values": dict},
     "connectivity(spectral family of V)": {"note": str, "values": dict},
     "trace-preservation": {"step_controller": dict, "max_trace_deviation": float},
@@ -150,37 +148,25 @@ class TestAnalyze:
             assert (entry["verdict"], entry["tolerance"]) == (verdict, float(tol))
 
     def test_uniqueness_fails_with_degenerate_null_space(self, tmp_path):
-        # trivial commutant but no faithful invariant state: the commutant
-        # test alone would say unique next to a 4-dimensional null space
+        # the generators' commutant is trivial, but no invariant state is
+        # faithful: the 4-dimensional null space refutes uniqueness
         code = run(["analyze", "--model", str(FIXTURES / "qutrit_branching_decay.json")], tmp_path)
         assert code == 1
         checks = checks_by_name(read_report(tmp_path))
         assert checks["invariant-state-exists"]["null_dimension"] == 4
         unique = checks["unique-invariant-state"]
-        assert unique["commutant_dimension"] == 1
         assert unique["null_dimension"] == 4
         assert unique["verdict"] == "fails"
 
-    def test_commutant_solved_above_dim_24(self, tmp_path):
+    def test_unique_above_dim_24(self, tmp_path):
         run(["analyze", "--model", str(FIXTURES / "oscillator_n40.json")], tmp_path)
         unique = checks_by_name(read_report(tmp_path))["unique-invariant-state"]
-        assert unique["commutant_dimension"] == 1
-        assert unique["span_dimension"] == 1600
-        assert unique["verdict"] == "holds"
-
-    def test_commutant_above_size_cap_falls_back_to_null_dimension(self, tmp_path, monkeypatch):
-        import qmstab.invariants
-
-        monkeypatch.setattr(qmstab.invariants, "_COMMUTANT_MAX_ENTRIES", 0)
-        run(["analyze", "--model", str(FIXTURES / "twolevel.json")], tmp_path)
-        unique = checks_by_name(read_report(tmp_path))["unique-invariant-state"]
         assert unique.keys() == {*ENTRY_COMMON, *ENTRY_SCHEMA["unique-invariant-state"]}
-        assert (unique["commutant_dimension"], unique["span_dimension"]) == (None, None)
         assert (unique["null_dimension"], unique["verdict"]) == (1, "holds")
 
     def test_single_null_vector_from_partial_window_is_inconclusive(self, tmp_path, monkeypatch):
         # one null vector from an Arnoldi window that may have missed more
-        # proves no uniqueness, whatever the commutant says
+        # proves no uniqueness
         import qmstab.invariants
 
         null_space = qmstab.invariants._null_space
@@ -195,7 +181,6 @@ class TestAnalyze:
         checks = checks_by_name(read_report(tmp_path))
         assert checks["invariant-state-exists"]["exhaustive"] is False
         unique = checks["unique-invariant-state"]
-        assert unique["commutant_dimension"] == 1
         assert (unique["null_dimension"], unique["verdict"]) == (1, "inconclusive")
 
     def test_null_space_path_reported(self, tmp_path):
@@ -538,6 +523,16 @@ class TestExitCodes:
     def test_usage_error(self, capsys):
         assert main(["no-such-command"]) == 64
         assert main([]) == 64
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-9"])
+    def test_tolerance_must_be_finite_and_positive(self, tmp_path, capsys, tol):
+        # --tol inf would let every check pass, and --tol nan would write
+        # NaN, which is not JSON, into the report
+        args = ["check-lyapunov", "--model", str(FIXTURES / "twolevel.json"),
+                "--v", str(FIXTURES / "qubit_V.json"), f"--tol={tol}"]
+        assert run(args, tmp_path) == 64
+        assert "finite number > 0" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_simulate_has_no_method_flag(self, tmp_path, capsys):
         # `auto` alone picks the CLI's propagator

@@ -1,9 +1,8 @@
 """Randomized properties of the sparse Liouvillian, its real form in the
-Hermitian basis, the propagators, its null space and the commutant solve.
+Hermitian basis, the propagator and its null space.
 
 Models are drawn over dims 1-10 with random, zero and near-degenerate
-Hamiltonians and couplings; commutant generators over dims 1-6 with
-degenerate and scalar ones. Hypothesis runs derandomized with few examples,
+Hamiltonians and couplings. Hypothesis runs derandomized with few examples,
 so every run checks the same models.
 """
 
@@ -33,7 +32,6 @@ from qmstab.invariants import (
     NULL_SPACE_ARNOLDI,
     NULL_SPACE_BORDERED,
     NULL_SPACE_DENSE,
-    _commutant,
     _null_space,
     _null_space_arnoldi,
     _null_space_dense,
@@ -286,54 +284,3 @@ def test_kernel_wider_than_the_arnoldi_window_is_found_whole():
     assert len(report.states) == n
     assert report.unique == "not_unique"
     assert report.notes == ()
-
-
-def _structured(kind, n, rng, hermitian):
-    if kind == "zero":
-        return np.zeros((n, n), dtype=complex)
-    if kind == "random":
-        return random_hermitian(n, rng) if hermitian else random_matrix(n, rng)
-    values = rng.standard_normal(2)
-    if not hermitian:
-        values = values + 1j * rng.standard_normal(2)
-    if kind == "identity":
-        return values[0] * np.eye(n, dtype=complex)
-    # "repeated": a diagonal drawing its entries from two values
-    return np.diag(values[rng.integers(0, 2, n)]).astype(complex)
-
-
-@st.composite
-def commutant_generators(draw):
-    n = draw(st.integers(1, 6))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    h = _structured(draw(st.sampled_from(("random", "zero", "repeated"))), n, rng, True)
-    kinds = draw(st.lists(st.sampled_from(("random", "repeated", "identity")), min_size=1, max_size=3))
-    ls = [_structured(k, n, rng, False) for k in kinds]
-    return [h, *ls, *(l.conj().T for l in ls)]
-
-
-@settings(SETTINGS, max_examples=100)
-@given(commutant_generators())
-def test_commutant_dimension_matches_dense_kron_kernel(gens):
-    # relative to the largest generator norm, the zero singular values of the
-    # dense system kron(I, g) - kron(g.T, I) sit at rounding level (< 1e-15)
-    # for these structured generators, and the others above 1e-2
-    n = gens[0].shape[0]
-    eye = np.eye(n)
-    k = np.vstack([np.kron(eye, g) - np.kron(g.T, eye) for g in gens])
-    svals = np.linalg.svd(k, compute_uv=False)
-    expected = int(np.sum(svals <= 1e-8 * max(np.linalg.norm(g) for g in gens)))
-    event(f"commutant {expected} of {n * n}")
-    assert len(_commutant(gens, 1e-9)) == expected
-
-
-@SETTINGS
-@given(commutant_generators())
-def test_null_dimension_bounds_commutant_dimension(gens):
-    # each projection in a nontrivial commutant commutes with H and every Lk,
-    # so both of its blocks carry a stationary state: the CLI can take the
-    # uniqueness verdict from the null space without contradicting the
-    # commutant
-    n_couplings = (len(gens) - 1) // 2
-    model = ModelSpec(gens[0], gens[1 : 1 + n_couplings])
-    assert steady_states(model).null_dimension >= len(_commutant(gens, 1e-9))
