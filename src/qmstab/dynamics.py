@@ -370,11 +370,17 @@ def expectation_series(traj: Trajectory, x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MeanBoundCheck:
-    """Pointwise check of <V(t)> <= exp(-ct) <V(0)> + d/c."""
+    """Pointwise check of <V(t)> <= exp(-ct) <V(0)> + d/c.
+
+    `max_violation` is the largest excess of <V(t)> over the bound, which is
+    rounding noise when the bound holds with equality. `worst_time` is the
+    first sampled time whose excess is beyond the slack, the witness of
+    `fails`, and None when the bound holds.
+    """
 
     verdict: Verdict
     max_violation: float
-    worst_time: float
+    worst_time: float | None
     slack: float
 
 
@@ -385,12 +391,11 @@ def mean_bound_check(traj: Trajectory, v, c: float, d: float) -> MeanBoundCheck:
     bound = np.exp(-c * traj.times) * series[0] + d / c
     margin = _MEAN_BOUND_SLACK * np.maximum(1.0, np.abs(bound))
     violation = series - bound
-    worst = int(np.argmax(violation))
-    verdict = Verdict.HOLDS if np.all(violation <= margin) else Verdict.FAILS
+    over = np.flatnonzero(violation > margin)
     return MeanBoundCheck(
-        verdict=verdict,
-        max_violation=float(violation[worst]),
-        worst_time=float(traj.times[worst]),
+        verdict=Verdict.FAILS if over.size else Verdict.HOLDS,
+        max_violation=float(violation.max()),
+        worst_time=float(traj.times[over[0]]) if over.size else None,
         slack=_MEAN_BOUND_SLACK,
     )
 

@@ -32,12 +32,25 @@ from .operators import (
 if TYPE_CHECKING:
     import scipy.sparse as sps
 
-# The cap bounds the dim^2 x dim^2 problems handed to the null-space LU and
-# the propagator. At the cap, `steady_states` of the sparse oscillator
+# The cap bounds the dim^2 x dim^2 problems handed to the null-space solves
+# and the propagator. At the cap, `steady_states` of the sparse oscillator
 # H = N, L = a + a'/2 (n = 128) takes 0.26-0.31 s at 115 MB peak RSS on the
-# bordered LU (2 CPUs); a model with dense couplings has n^4 nonzeros and
-# needs far more memory.
+# bordered LU (2 CPUs). A model with dense couplings has n^4 nonzeros: at
+# n = 128 its dense R alone is 2.1 GB (the complex M 4.3 GB), so the cap
+# stays for it too.
 MAX_LIOUVILLIAN_DIM = 128
+
+# At a predicted fill of M at or above this, `liouvillian` assembles R dense,
+# and at an actual fill of R at or above it `invariants._null_space_bordered`
+# inverts the bordered R dense. Memory: CSR holds 12 bytes an entry (value
+# and column index) against 8 dense, so a dense R is smaller from a fill of
+# 2/3 and at most 4/3 the size of CSR from 1/2. Time: on the `banded` rows of
+# scripts/time_null_space.py (README "Numerical notes"; 2 CPUs) both dense
+# steps are as fast as the sparse ones from a predicted fill of about 0.3 at
+# n = 24 and 30, and faster from 1/2. A cut at or below 0.22 would move the
+# near-degenerate dim-9 Hamiltonian of the property tests onto the dense R,
+# whose different rounding ARPACK then fails to converge on.
+_DENSE_FILL = 0.5
 
 _SUPEROP_TOL = 1e-9
 
@@ -176,13 +189,15 @@ class Superoperator:
     tr(G*(rho) X) = tr(rho G(X)), the Heisenberg generator G is R^T in the
     same basis. `sectors` labels each coordinate with its decoupled sector;
     `norm` is the induced 1-norm of the complex M = T R T', the scale of
-    every null-space tolerance.
+    every null-space tolerance. `predicted_fill` is the bound on M's share
+    of nonzeros, at most 1, that chose how R was assembled.
     """
 
     basis: sps.csr_array
     matrix: sps.csr_array
     sectors: np.ndarray
     norm: float
+    predicted_fill: float
 
     @property
     def dim(self) -> int:
@@ -192,11 +207,16 @@ class Superoperator:
 def liouvillian(model: ModelSpec) -> Superoperator:
     """The Schroedinger generator of `model` in the Hermitian basis.
 
-    M is assembled in CSR from column-stacked Kronecker products,
-    vec(A X B) = kron(B^T, A) vec(X), and rotated once: a map that preserves
-    Hermiticity is real in the Hermitian basis (the coherence vector; Alicki
-    & Lendi, Lect. Notes Phys. 717, 2007), so R = (T' M T).real loses only
-    rounding. The weakly connected components of R's nonzeros are decoupled
+    With K = -iH - 1/2 sum Lk'Lk, G*(rho) = K rho + rho K' + sum Lk rho Lk',
+    and column-stacked, vec(A X B) = kron(B^T, A) vec(X), so M has at most
+    sum nnz(Lk)^2 + 2n nnz(K) nonzeros. Below a fill of `_DENSE_FILL` M is
+    assembled in CSR from Kronecker products and rotated once: a map that
+    preserves Hermiticity is real in the Hermitian basis (the coherence
+    vector; Alicki & Lendi, Lect. Notes Phys. 717, 2007), so
+    R = (T' M T).real loses only rounding. At or above it, M is one dense
+    product of the stacked couplings plus K on its block diagonals, and R is
+    gathered from M's rows and columns by index, without T, then stored as
+    CSR. The weakly connected components of R's nonzeros are decoupled
     sectors, weak symmetries that are diagonal in the basis (Buca & Prosen,
     New J. Phys. 14, 073007, 2012). The diagonal coordinates sum to the
     trace, so their rows of R must sum to zero (trace preservation).
@@ -212,10 +232,31 @@ def liouvillian(model: ModelSpec) -> Superoperator:
     if n > MAX_LIOUVILLIAN_DIM:
         raise OperatorError(f"dimension {n} exceeds the Liouvillian cap {MAX_LIOUVILLIAN_DIM}")
 
+    k_op = -1j * model.hamiltonian - 0.5 * sum(dag(l) @ l for l in model.couplings)
+    nnz = sum(np.count_nonzero(l) ** 2 for l in model.couplings) + 2 * n * np.count_nonzero(k_op)
+    fill = min(1.0, float(nnz) / n**4)
+
+    i, j = np.triu_indices(n, 1)
+    diag, up, lo = np.arange(n) * (n + 1), i + j * n, j + i * n
+    s = np.full(i.size, np.sqrt(0.5))
+    t = sps.csr_array((np.concatenate([np.ones(n), s, s, 1j * s, -1j * s]),
+                       (np.r_[diag, up, lo, up, lo], np.r_[diag, up, up, lo, lo])), shape=(n * n,) * 2)
+    r, norm = _dense_real(model.couplings, k_op) if fill >= _DENSE_FILL else _sparse_real(model, t)
+    residual = max_abs(r[diag].sum(axis=0))
+    if residual > _SUPEROP_TOL * max(1.0, norm):
+        raise OperatorError(f"Liouvillian does not preserve the trace (residual {residual:.3e})")
+    _, labels = connected_components(r, directed=True, connection="weak")
+    return Superoperator(t, r, labels, norm, fill)
+
+
+def _sparse_real(model: ModelSpec, basis: sps.csr_array) -> tuple[sps.csr_array, float]:
+    """R and the induced 1-norm of M, from M assembled in CSR."""
+    import scipy.sparse as sps
+
     def kron(a, b):
         return sps.kron(sps.csr_array(a), sps.csr_array(b), format="csr")
 
-    eye = sps.identity(n, dtype=complex, format="csr")
+    eye = sps.identity(model.dim, dtype=complex, format="csr")
     h = model.hamiltonian
     # G*(rho) = -i(H rho - rho H) + sum Lk rho Lk' - 1/2 {Lk'Lk, rho}
     m = 1j * (kron(h.T, eye) - kron(eye, h))
@@ -223,17 +264,37 @@ def liouvillian(model: ModelSpec) -> Superoperator:
         ldl = dag(l) @ l
         m += kron(l.conj(), l)
         m -= 0.5 * (kron(eye, ldl) + kron(ldl.T, eye))
-    norm = float(abs(m).sum(axis=0).max())  # induced 1-norm
-
-    i, j = np.triu_indices(n, 1)
-    diag, up, lo = np.arange(n) * (n + 1), i + j * n, j + i * n
-    s = np.full(i.size, np.sqrt(0.5))
-    t = sps.csr_array((np.concatenate([np.ones(n), s, s, 1j * s, -1j * s]),
-                       (np.r_[diag, up, lo, up, lo], np.r_[diag, up, up, lo, lo])), shape=m.shape)
-    r = sps.csr_array((t.conj().T @ m @ t).real)
+    r = sps.csr_array((basis.conj().T @ m @ basis).real)
     r.eliminate_zeros()
-    residual = max_abs(r[diag].sum(axis=0))
-    if residual > _SUPEROP_TOL * max(1.0, norm):
-        raise OperatorError(f"Liouvillian does not preserve the trace (residual {residual:.3e})")
-    _, labels = connected_components(r, directed=True, connection="weak")
-    return Superoperator(t, r, labels, norm)
+    return r, float(abs(m).sum(axis=0).max())
+
+
+def _dense_real(couplings, k_op: np.ndarray) -> tuple[sps.csr_array, float]:
+    """R and the induced 1-norm of M, from M assembled dense."""
+    import scipy.sparse as sps
+
+    n, idx = k_op.shape[0], np.arange(k_op.shape[0])
+    i, j = np.triu_indices(n, 1)
+    diag, up, lo = idx * (n + 1), i + j * n, j + i * n
+    # m[j, l, i, k] = M[i + jn, k + ln]: sum_k kron(conj(Lk), Lk) is one GEMM,
+    # and kron(I, K) and kron(conj(K), I) are added on the diagonals j = l
+    # and i = k
+    flat = np.reshape(couplings, (len(couplings), n * n))
+    m = (flat.conj().T @ flat).reshape(n, n, n, n)
+    m[idx, idx] += k_op
+    m[:, :, idx, idx] += k_op.conj()[:, :, None]
+    norm = float(np.abs(m).sum(axis=(0, 2)).max())
+    rows = np.r_[diag, up]
+
+    def block(cols):  # M[rows, cols]^T: the scatters below then write rows
+        return m[rows // n, cols[:, None] // n, rows % n, cols[:, None] % n]
+
+    # y = (M T)[rows]^T; M preserves Hermiticity, so (M T)[lo] = conj((M T)[up])
+    # and T' M T takes its rows up and lo from sqrt2 Re and sqrt2 Im of (M T)[up]
+    d, a, b = block(diag), block(up), block(lo)
+    del m  # one complex n^4 array at a time
+    s, y = np.sqrt(0.5), np.empty((n * n, rows.size), dtype=complex)
+    y[diag], y[up], y[lo] = d, s * (a + b), 1j * s * (a - b)
+    r = np.empty((n * n, n * n))
+    r[diag], r[up], r[lo] = y[:, :n].real.T, 2 * s * y[:, n:].real.T, 2 * s * y[:, n:].imag.T
+    return sps.csr_array(r), norm

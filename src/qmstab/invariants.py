@@ -1,9 +1,10 @@
 """Invariant states and their classification.
 
 Computes the stationary states of a model from the null space of the real
-Schroedinger-side Liouvillian R (`generator.liouvillian`): by one sparse LU
+Schroedinger-side Liouvillian R (`generator.liouvillian`): by one inverse
 of R bordered with the trace, which certifies a simple zero eigenvalue
-(`bordered-lu`); when it does not, by dense eig up to dim 24 (`dense-eig`)
+(`bordered-lu`; a sparse LU, or numpy's dense inverse when R is at least
+half nonzeros); when it does not, by dense eig up to dim 24 (`dense-eig`)
 and by an Arnoldi window above it (`splu-arnoldi`). It classifies them:
 faithfulness (full-rank support), subharmonicity of support projections,
 the connectivity condition P L'(I-P) L P != 0 linking a projection to its
@@ -21,6 +22,7 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from .generator import (
+    _DENSE_FILL,
     ModelSpec,
     generator_heisenberg,
     generator_schroedinger,
@@ -204,11 +206,34 @@ def _null_space_arnoldi(m: sps.csr_array, tol_abs: float):
 
 def _null_space_bordered(m: sps.csr_array):
     """The coordinates x with R x = 0 and trace t'x = 1, from B y = e_last
-    by one sparse LU of B (see `_BORDERED_MARGIN`), and the estimate of
-    ||B^-1||_1; None when B is exactly singular. `onenormest(t=1)` starts
-    from the ones vector: its default draws from numpy's global RNG."""
+    (see `_BORDERED_MARGIN`), and the estimate of ||B^-1||_1; None when B is
+    exactly singular. B is inverted dense when R holds at least `_DENSE_FILL`
+    nonzeros (`_bordered_dense`), else factored by one sparse LU
+    (`_bordered_sparse`)."""
     n2 = m.shape[0]
     t = (np.arange(n2) % (math.isqrt(n2) + 1) == 0).astype(float)  # diagonal coordinates
+    return (_bordered_dense if m.nnz >= _DENSE_FILL * n2**2 else _bordered_sparse)(m, t)
+
+
+def _bordered_dense(m: sps.csr_array, t: np.ndarray):
+    """B^-1 by numpy's inverse. Not by scipy's dense LU: alone it is faster,
+    but inside `analyze` its bundled OpenBLAS spins beside numpy's, and
+    `analyze` was slower. `onenormest` runs on the explicit inverse, so the
+    estimate is the same quantity as `_bordered_sparse`'s."""
+    n2 = m.shape[0]
+    b = np.zeros((n2 + 1,) * 2)
+    b[:n2, :n2], b[:n2, n2], b[n2, :n2] = m.toarray(), t, t
+    try:
+        inverse = np.linalg.inv(b)
+    except np.linalg.LinAlgError:  # exactly singular
+        return None
+    return inverse[:n2, n2], float(spla.onenormest(inverse, t=1))
+
+
+def _bordered_sparse(m: sps.csr_array, t: np.ndarray):
+    """B^-1 through one sparse LU (`splu`) and its solves. `onenormest(t=1)`
+    starts from the ones vector: its default draws from numpy's global RNG."""
+    n2 = m.shape[0]
     try:
         lu = spla.splu(sps.block_array([[m, t[:, None]], [t[None, :], None]], format="csc"))
     except RuntimeError:  # "Factor is exactly singular"

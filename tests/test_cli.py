@@ -49,7 +49,7 @@ ENTRY_SCHEMA = {
         "v_monotone": bool, "v_monotone_max_violation": float, "v_sup": float,
         "w_integral_estimate": float, "w_limit_estimate": float, "w_final": float, "notes": list,
     },
-    "mean-bound": {"max_violation": float, "worst_time": float},
+    "mean-bound": {"max_violation": float, "worst_time": (float, type(None))},
     "final-state": {"t": float, "state": list},
     "weak-lyapunov": {"c": float, "d": float, "metrics": dict},
     "strict-lyapunov": {"shift": float, "metrics": dict, "witness": type(None), "notes": list},

@@ -340,6 +340,17 @@ class TestMeanBound:
         res = mean_bound_check(traj, np.eye(2), c=1.0, d=1.0)
         assert res.verdict is Verdict.HOLDS
 
+    def test_witness_time_only_for_a_violation(self, qubit_decay):
+        # <V>(t) = e^{-t}: at c = 1 the bound holds with equality, so its excess
+        # is rounding noise and no time is a witness; at c = 2 every t > 0
+        # violates it, most at t = ln 2, and the witness is the first sample
+        traj = evolve(qubit_decay, EXCITED, 5.0, n_points=41)
+        holds = mean_bound_check(traj, V_GROUND, 1.0, 0.0)
+        assert (holds.verdict, holds.worst_time) == (Verdict.HOLDS, None)
+        fails = mean_bound_check(traj, V_GROUND, 2.0, 0.0)
+        assert (fails.verdict, fails.worst_time) == (Verdict.FAILS, traj.times[1])
+        assert fails.max_violation == pytest.approx(0.25, abs=1e-3)
+
     def test_pumped_oscillator_violates(self):
         n = 24
         traj = evolve(oscillator(n, alpha=0.5, beta=1.0), vacuum(n), 8.0, n_points=161)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
 import qmstab.generator as generator
 from qmstab import (
@@ -22,11 +23,39 @@ from qmstab import (
     vec,
 )
 from qmstab.operators import dag, random_matrix
+from qmstab.serialize import load_model
 
-from conftest import complex_form, oscillator, random_model
+from conftest import FIXTURES, complex_form, oscillator, random_model
 
 SM = pauli("minus")
 SP = pauli("plus")
+
+
+def row_major_reference(model):
+    """R from a dense row-major Liouvillian, vec(A X B) = kron(A, B^T) vec(X)
+    with vec(X)[i n + j] = X[i, j], in the orthonormal Hermitian basis that
+    `liouvillian` documents, each element at its column-stacked position
+    i + j n: E_ii at (i, i), and for p < q, (E_pq + E_qp)/sqrt2 at (p, q)
+    and i(E_pq - E_qp)/sqrt2 at (q, p)."""
+    n = model.dim
+    eye, h, s = np.eye(n), model.hamiltonian, np.sqrt(0.5)
+    m = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for l in model.couplings:
+        ldl = l.conj().T @ l
+        m += np.kron(l, l.conj()) - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
+    u = np.zeros((n * n, n * n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            e = np.zeros((n, n), dtype=complex)
+            if i == j:
+                e[i, i] = 1.0
+            elif i < j:
+                e[i, j] = e[j, i] = s
+            else:
+                e[j, i], e[i, j] = 1j * s, -1j * s
+            u[:, i + j * n] = e.reshape(-1)
+    u = sps.csr_array(u)  # two entries a column: products in O(n^4)
+    return (u.conj().T @ (m @ u)).real
 
 
 class TestDissipator:
@@ -206,10 +235,27 @@ class TestLiouvillian:
 
     def test_side_invariant_enforced(self, twolevel, monkeypatch):
         # with L' = 0 the anticommutator term drops, and L rho L' alone
-        # does not preserve the trace
+        # does not preserve the trace; on both assembly branches
+        models = [twolevel, random_model(6, np.random.default_rng(0), 2), oscillator(8)]
+        dense = [liouvillian(m).predicted_fill >= generator._DENSE_FILL for m in models]
+        assert dense == [True, True, False]
         monkeypatch.setattr(generator, "dag", np.zeros_like)
-        with pytest.raises(OperatorError, match="trace"):
-            liouvillian(twolevel)
+        for model in models:
+            with pytest.raises(OperatorError, match="trace"):
+                liouvillian(model)
+
+    @pytest.mark.parametrize("name, dense", [("oscillator_n40", False), ("random6", True),
+                                             ("random24", True)])
+    def test_both_assembly_branches_match_a_kronecker_reference(self, name, dense):
+        if name.startswith("random"):
+            model = random_model(int(name[6:]), np.random.default_rng(5), n_couplings=2)
+        else:
+            model, _ = load_model(FIXTURES / f"{name}.json")
+        lv = liouvillian(model)
+        assert (lv.predicted_fill >= generator._DENSE_FILL) == dense
+        r = lv.matrix.toarray()
+        scale = np.abs(r).sum(axis=0).max()
+        assert np.abs(r - row_major_reference(model)).max() <= 1e-12 * scale
 
 
 class TestModelSpec:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sps
+import scipy.sparse.linalg as spla
 
+import qmstab.generator as generator
 import qmstab.invariants as invariants
 from qmstab import (
     ModelSpec,
@@ -12,6 +15,7 @@ from qmstab import (
     generator_schroedinger,
     ket_bra,
     ladder_lowering,
+    liouvillian,
     number_operator,
     pauli,
     steady_states,
@@ -126,6 +130,37 @@ class TestSteadyStates:
             reports.append(steady_states(model))
         assert reports[0].cleanup_distances == reports[1].cleanup_distances
         assert reports[0].states[0].matrix.tobytes() == reports[1].states[0].matrix.tobytes()
+
+    @pytest.mark.parametrize("n", [6, 24])
+    def test_dense_bordered_estimate_matches_a_sparse_lu(self, n):
+        # numpy's inverse of B answers on a dense R; the estimate must be the
+        # one the LU's solves give, since the certificate compares it
+        m = liouvillian(random_model(n, np.random.default_rng(5), n_couplings=2)).matrix
+        n2 = m.shape[0]
+        assert m.nnz >= generator._DENSE_FILL * n2**2
+        t = (np.arange(n2) % (n + 1) == 0).astype(float)
+        lu = spla.splu(sps.block_array([[m, t[:, None]], [t[None, :], None]], format="csc"))
+        inverse = spla.LinearOperator((n2 + 1,) * 2, matvec=lu.solve, dtype=float,
+                                      rmatvec=lambda z: lu.solve(z, trans="T"))
+        x, estimate = invariants._null_space_bordered(m)
+        assert estimate == pytest.approx(spla.onenormest(inverse, t=1), rel=1e-10)
+        assert np.abs(x - lu.solve(np.eye(1, n2 + 1, n2)[0])[:n2]).max() <= 1e-10 * np.abs(x).max()
+
+    def test_dense_degenerate_kernel_falls_through_to_dense_eig(self):
+        # dephasing in a random basis: every U diag(p) U' is stationary, so B
+        # is singular and the dense inverse must not certify a simple zero
+        rng = np.random.default_rng(7)
+        u = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
+        model = ModelSpec(u @ np.diag(rng.standard_normal(6)) @ u.conj().T,
+                          [u @ np.diag(rng.standard_normal(6)) @ u.conj().T])
+        lv = liouvillian(model)
+        assert lv.matrix.nnz >= generator._DENSE_FILL * 36**2
+        bordered = invariants._null_space_bordered(lv.matrix)
+        tol_abs = 1e-9 * max(1.0, lv.norm)
+        assert bordered is None or bordered[1] > 1.0 / (invariants._BORDERED_MARGIN * tol_abs)
+        report = steady_states(model)
+        assert (report.null_space_method, report.null_dimension) == ("dense-eig", 6)
+        assert (report.unique, report.exhaustive) == ("not_unique", True)
 
     def test_degenerate_null_space(self, dephasing):
         report = steady_states(dephasing)
