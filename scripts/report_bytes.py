@@ -13,7 +13,8 @@ targets: the `certify-n32` recipe, degenerate and indefinite diagonal
 targets and a Hamiltonian with and without compensation. The `steady-state`
 and `analyze` runs reach every `null_space_method`: `bordered-lu` (simple
 kernels), `dense-eig` (`twoqubit`) and `splu-arnoldi` (`ladders26`, a
-degenerate kernel above dim 24). The inputs come from this script's own
+degenerate kernel above dim 24), and `simulate-unstable40` pins a failing
+`lasalle-diagnostics` entry. The inputs come from this script's own
 checkout, so two trees see identical files. To compare two trees:
 
     python3 scripts/report_bytes.py --src /path/to/old > old.txt
@@ -58,6 +59,9 @@ RUNS = (
     ("simulate-osc40", ["simulate", "--model", "{f}/oscillator_n40.json",
                         "--rho0", "{t}/vacuum40.json", "--t-final", "1", "--points", "5",
                         "--v", "{f}/number_n40.json"]),
+    ("simulate-unstable40", ["simulate", "--model", "{f}/oscillator_unstable_n40.json",
+                             "--rho0", "{t}/vacuum40.json", "--t-final", "5", "--points", "41",
+                             "--v", "{f}/number_n40.json", "--w", "{f}/number_n40.json"]),
     ("lyapunov-qubit", ["check-lyapunov", "--model", "{f}/qubit_decay.json",
                         "--v", "{f}/qubit_V.json"]),
     ("lyapunov-twoqubit", ["check-lyapunov", "--model", "{f}/twoqubit_dissipative.json",

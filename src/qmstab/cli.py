@@ -341,11 +341,14 @@ def cmd_simulate(run: _Run) -> None:
 
     if v is not None and w is not None:
         diag = lasalle_diagnostics(traj, v, w)
+        if not diag.v_monotone:  # a sampled rise of <V> refutes G(V) <= 0
+            verdict = Verdict.FAILS
+        else:
+            verdict = Verdict.HOLDS if diag.conclusive else Verdict.INCONCLUSIVE
         run.add_check(
-            "lasalle-diagnostics", "Theorem 5",
-            Verdict.HOLDS if diag.conclusive else Verdict.INCONCLUSIVE, run.args.tol, diag,
-            ("v_monotone", "v_monotone_max_violation", "v_sup", "w_integral_estimate",
-             "w_limit_estimate", "w_final", "notes"),
+            "lasalle-diagnostics", "Theorem 5", verdict, run.args.tol, diag,
+            ("v_monotone", "v_monotone_max_violation", "v_rise_time", "v_sup",
+             "w_integral_estimate", "w_limit_estimate", "w_final", "notes"),
         )
     if run.args.c is not None:
         bound = mean_bound_check(traj, v, run.args.c, run.args.d)

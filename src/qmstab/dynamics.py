@@ -20,13 +20,6 @@ identity, not the trace, so nothing is renormalized. Vectors are mapped
 back through the Hermitian basis, which gives exactly conjugate entries, so
 `_checked_state` need not symmetrize.
 
-`expm_multiply` (Al-Mohy & Higham 2011) on the active sectors was measured
-and rejected when the propagators were RK45 and fixed-step sector
-exponentials computed once per call: the n = 60 oscillator from the vacuum
-to t = 20 took 0.63-0.72 s against RK45's 0.41-0.55 s, and 20 states of
-H = N, L = a at n = 24 0.36-0.43 s against the fixed-step exponentials'
-0.08-0.14 s.
-
 Time is dimensionless, in units of the model's rate constants.
 """
 
@@ -36,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sps
+from scipy.sparse.csgraph import connected_components
 
 from .generator import ModelSpec, Superoperator, _check_dim, liouvillian, state_matrix, unvec, vec
 from .operators import (
@@ -162,7 +156,9 @@ def _propagate(
 @dataclass(frozen=True)
 class _Frame:
     """A real generator, R or R^T, on the sectors that an initial vector
-    touches; both have the sectors of `Superoperator.sectors`.
+    touches. Sectors, the weakly connected components of the nonzeros, are
+    the same for R and R^T: weak symmetries that are diagonal in the basis
+    (Buca & Prosen, New J. Phys. 14, 073007, 2012).
 
     `basis` holds the Hermitian basis vectors of the kept coordinates and
     `matrix` the generator on them. The kept diagonal coordinates,
@@ -184,9 +180,9 @@ class _Frame:
 
 
 def _frame(lv: Superoperator, matrix, v: np.ndarray) -> tuple[_Frame, np.ndarray]:
-    """The frame of `matrix`, R or R^T, on the sectors of `lv` where `v`
-    has weight, and the coordinates of `v` in it."""
-    labels = lv.sectors
+    """The frame of `matrix`, R or R^T, on its sectors where `v` has
+    weight, and the coordinates of `v` in it."""
+    _, labels = connected_components(matrix, directed=True, connection="weak")
     x = (lv.basis.conj().T @ v).real
     keep = np.flatnonzero(np.isin(labels, labels[x != 0]))
     n = lv.dim
@@ -408,12 +404,16 @@ class LaSalleDiagnostics:
     integral of <W> is a trapezoidal estimate plus an exponential-decay
     extrapolation beyond the horizon. Asymptotic statements only get a
     finite-horizon surrogate here, hence `conclusive` may be False.
+    `v_rise_time` is the first sampled time at which <V> has risen by more
+    than `_MONOTONE_SLACK` times its largest magnitude since the previous
+    sample, the witness that <V> is not monotone, and None when it is.
     """
 
     v_series: np.ndarray
     w_series: np.ndarray
     v_monotone: bool
     v_monotone_max_violation: float
+    v_rise_time: float | None
     v_sup: float
     v_limit_estimate: float
     w_integral_estimate: float
@@ -440,7 +440,7 @@ def lasalle_diagnostics(traj: Trajectory, v, w) -> LaSalleDiagnostics:
     diffs = np.diff(v_series)
     vscale = max(1.0, float(np.abs(v_series).max()))
     v_violation = float(diffs.max()) if len(diffs) else 0.0
-    v_monotone = v_violation <= _MONOTONE_SLACK * vscale
+    rises = np.flatnonzero(diffs > _MONOTONE_SLACK * vscale)
 
     w_clip = np.clip(w_series, 0.0, None)
     w_integral = float(np.trapezoid(w_clip, traj.times))
@@ -449,8 +449,9 @@ def lasalle_diagnostics(traj: Trajectory, v, w) -> LaSalleDiagnostics:
     return LaSalleDiagnostics(
         v_series=v_series,
         w_series=w_series,
-        v_monotone=v_monotone,
+        v_monotone=not rises.size,
         v_monotone_max_violation=v_violation,
+        v_rise_time=float(traj.times[rises[0] + 1]) if rises.size else None,
         v_sup=float(v_series.max()),
         v_limit_estimate=float(v_series[tail_start:].mean()),
         w_integral_estimate=w_integral + w_tail,

@@ -5,8 +5,8 @@ dissipator L(X) = sum_k (Lk' X Lk - 1/2 {Lk' Lk, X}), its Schroedinger
 (predual) counterpart G* acting on states, the dissipation functional
 D(X) = G(X'X) - G(X')X - X'G(X) and the per-coupling diffusion
 coefficients. `liouvillian` gives the one superoperator matrix: G* in an
-orthonormal basis of Hermitian matrices, where it is real, split into its
-decoupled sectors. The Heisenberg picture is its transpose.
+orthonormal basis of Hermitian matrices, where it is real. The Heisenberg
+picture is its transpose.
 
 Vectorization is column-stacking (`order="F"`); the convention is fixed and
 covered by consistency tests, so no consumer depends on it implicitly.
@@ -35,10 +35,17 @@ if TYPE_CHECKING:
 # The cap bounds the dim^2 x dim^2 problems handed to the null-space solves
 # and the propagator. At the cap, `steady_states` of the sparse oscillator
 # H = N, L = a + a'/2 (n = 128) takes 0.26-0.31 s at 115 MB peak RSS on the
-# bordered LU (2 CPUs). A model with dense couplings has n^4 nonzeros: at
-# n = 128 its dense R alone is 2.1 GB (the complex M 4.3 GB), so the cap
-# stays for it too.
+# bordered LU (2 CPUs).
 MAX_LIOUVILLIAN_DIM = 128
+
+# `liouvillian` refuses, before it allocates them, more predicted entries
+# (fill n^4) than this. Dense couplings give n^4, and assembling them peaked
+# at 57-61 bytes an entry above the baseline RSS (the complex M at 16, the
+# dense R at 8 and its CSR conversion; seeded random models with two
+# couplings, n = 32, 40 and 48, 2 CPUs): 2^24 entries, dense n = 64, take
+# about 1 GB, where the dimension cap alone admits 6 GB at n = 100 and
+# 16 GB at n = 128.
+MAX_LIOUVILLIAN_ENTRIES = 2**24
 
 # At a predicted fill of M at or above this, `liouvillian` assembles R dense,
 # and at an actual fill of R at or above it `invariants._null_space_bordered`
@@ -187,15 +194,13 @@ class Superoperator:
     column-stacked positions of (i, i), (i, j) and (j, i). `matrix` is the
     real CSR matrix R with vec(G*(X)) = T R T' vec(X). Since
     tr(G*(rho) X) = tr(rho G(X)), the Heisenberg generator G is R^T in the
-    same basis. `sectors` labels each coordinate with its decoupled sector;
-    `norm` is the induced 1-norm of the complex M = T R T', the scale of
-    every null-space tolerance. `predicted_fill` is the bound on M's share
-    of nonzeros, at most 1, that chose how R was assembled.
+    same basis. `norm` is the induced 1-norm of the complex M = T R T', the
+    scale of every null-space tolerance. `predicted_fill` is the bound on
+    M's share of nonzeros, at most 1, that chose how R was assembled.
     """
 
     basis: sps.csr_array
     matrix: sps.csr_array
-    sectors: np.ndarray
     norm: float
     predicted_fill: float
 
@@ -216,17 +221,15 @@ def liouvillian(model: ModelSpec) -> Superoperator:
     R = (T' M T).real loses only rounding. At or above it, M is one dense
     product of the stacked couplings plus K on its block diagonals, and R is
     gathered from M's rows and columns by index, without T, then stored as
-    CSR. The weakly connected components of R's nonzeros are decoupled
-    sectors, weak symmetries that are diagonal in the basis (Buca & Prosen,
-    New J. Phys. 14, 073007, 2012). The diagonal coordinates sum to the
-    trace, so their rows of R must sum to zero (trace preservation).
+    CSR. A model with more than `MAX_LIOUVILLIAN_ENTRIES` predicted entries
+    is refused before either. The diagonal coordinates sum to the trace, so
+    their rows of R must sum to zero (trace preservation).
     """
     # imported here, so that runs which build no Liouvillian (synthesis,
-    # Lyapunov and LaSalle checks) load no scipy: `scipy.sparse` and csgraph
-    # take `import qmstab.cli` from 0.11-0.18 s to 0.34-0.50 s and its peak
-    # RSS from 33 to 61 MB (2 CPUs, scipy 1.17.1)
+    # Lyapunov and LaSalle checks) load no scipy: `scipy.sparse`, measured
+    # with csgraph, took `import qmstab.cli` from 0.11-0.18 s to 0.34-0.50 s
+    # and its peak RSS from 33 to 61 MB (2 CPUs, scipy 1.17.1)
     import scipy.sparse as sps
-    from scipy.sparse.csgraph import connected_components
 
     n = model.dim
     if n > MAX_LIOUVILLIAN_DIM:
@@ -234,7 +237,11 @@ def liouvillian(model: ModelSpec) -> Superoperator:
 
     k_op = -1j * model.hamiltonian - 0.5 * sum(dag(l) @ l for l in model.couplings)
     nnz = sum(np.count_nonzero(l) ** 2 for l in model.couplings) + 2 * n * np.count_nonzero(k_op)
-    fill = min(1.0, float(nnz) / n**4)
+    entries = min(int(nnz), n**4)
+    if entries > MAX_LIOUVILLIAN_ENTRIES:
+        raise OperatorError(f"the Liouvillian of dimension {n} would hold {entries} entries, "
+                            f"more than {MAX_LIOUVILLIAN_ENTRIES}")
+    fill = entries / n**4
 
     i, j = np.triu_indices(n, 1)
     diag, up, lo = np.arange(n) * (n + 1), i + j * n, j + i * n
@@ -245,8 +252,7 @@ def liouvillian(model: ModelSpec) -> Superoperator:
     residual = max_abs(r[diag].sum(axis=0))
     if residual > _SUPEROP_TOL * max(1.0, norm):
         raise OperatorError(f"Liouvillian does not preserve the trace (residual {residual:.3e})")
-    _, labels = connected_components(r, directed=True, connection="weak")
-    return Superoperator(t, r, labels, norm, fill)
+    return Superoperator(t, r, norm, fill)
 
 
 def _sparse_real(model: ModelSpec, basis: sps.csr_array) -> tuple[sps.csr_array, float]:

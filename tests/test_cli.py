@@ -46,8 +46,9 @@ ENTRY_SCHEMA = {
     "trace-preservation": {"step_controller": dict, "max_trace_deviation": float},
     "series-emitted": {"series": dict},
     "lasalle-diagnostics": {
-        "v_monotone": bool, "v_monotone_max_violation": float, "v_sup": float,
-        "w_integral_estimate": float, "w_limit_estimate": float, "w_final": float, "notes": list,
+        "v_monotone": bool, "v_monotone_max_violation": float,
+        "v_rise_time": (float, type(None)), "v_sup": float, "w_integral_estimate": float,
+        "w_limit_estimate": float, "w_final": float, "notes": list,
     },
     "mean-bound": {"max_violation": float, "worst_time": (float, type(None))},
     "final-state": {"t": float, "state": list},
@@ -349,6 +350,28 @@ class TestSimulate:
         rec = checks_by_name(read_report(tmp_path))["trace-preservation"]["step_controller"]
         assert (rec["sectors"], rec["propagated_dim"]) == (3, 2)
 
+    def test_rising_v_fails_lasalle_diagnostics(self, tmp_path):
+        # the pumped oscillator's <N> rises from the vacuum at once: a
+        # sampled rise refutes G(V) <= 0, whatever W's tail looks like
+        vacuum = tmp_path / "vacuum40.json"
+        vacuum.write_text(json.dumps(
+            {"matrix": [[[float(i == j == 0), 0.0] for j in range(40)] for i in range(40)]}
+        ))
+        number = str(FIXTURES / "number_n40.json")
+        code = run(
+            [
+                "simulate",
+                "--model", str(FIXTURES / "oscillator_unstable_n40.json"),
+                "--rho0", str(vacuum), "--t-final", "5", "--points", "41",
+                "--v", number, "--w", number,
+            ],
+            tmp_path,
+        )
+        assert code == 1
+        check = checks_by_name(read_report(tmp_path))["lasalle-diagnostics"]
+        assert (check["verdict"], check["v_monotone"]) == ("fails", False)
+        assert check["v_rise_time"] == 0.125  # the first sample after t = 0
+
     def test_long_horizon_finishes_on_the_stationary_state(self, tmp_path):
         # t = 1e9 on the n = 40 oscillator, whose vacuum takes the Krylov
         # steps: the Dormand-Prince loop needed about 1e11 steps, and a
@@ -441,18 +464,40 @@ assert "scipy.sparse" in sys.modules and "scipy.integrate" not in sys.modules
 """
 
 
+def _run_script(script, *args):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+    )
+
+
 def test_numpy_only_subcommands_load_no_scipy(tmp_path):
     # synthesize and the Lyapunov and LaSalle checks need n x n algebra
     # only, so their process loads no scipy module at all; a Liouvillian
     # loads scipy.sparse, and no propagator loads scipy.integrate, not even
     # krylov, which the n = 40 oscillator's vacuum takes. The Theorem 8
     # check takes the shifted V, since it needs V >= 0.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_CONTRACT, str(tmp_path), str(FIXTURES)],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
-    )
+    proc = _run_script(_IMPORT_CONTRACT, tmp_path, FIXTURES)
+    assert proc.returncode == 0, proc.stderr
+
+
+_KERNEL_IMPORTS = """
+import sys
+from qmstab.cli import main
+
+out, f = sys.argv[1:]
+assert main(["steady-state", "--model", f"{f}/oscillator_n40.json", "--out", out]) == 0
+assert main(["analyze", "--model", f"{f}/twoqubit.json", "--out", out]) == 1  # not unique
+assert "scipy.sparse.csgraph" not in sys.modules
+"""
+
+
+def test_kernel_subcommands_label_no_sectors(tmp_path):
+    # only the propagator reads sector labels, so steady-state and analyze
+    # run no weak-components pass and load no scipy.sparse.csgraph
+    proc = _run_script(_KERNEL_IMPORTS, tmp_path, FIXTURES)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -233,6 +233,17 @@ class TestLiouvillian:
         with pytest.raises(OperatorError, match="cap"):
             liouvillian(model)
 
+    def test_oversized_dense_model_refused_before_assembly(self, monkeypatch):
+        # dense couplings at n = 65 predict 65^4 > 2^24 entries
+        def assemble(*args):
+            raise AssertionError("assembled an oversized Liouvillian")
+
+        monkeypatch.setattr(generator, "_dense_real", assemble)
+        monkeypatch.setattr(generator, "_sparse_real", assemble)
+        model = random_model(65, np.random.default_rng(0), n_couplings=1)
+        with pytest.raises(OperatorError, match=f"would hold {65**4} entries"):
+            liouvillian(model)
+
     def test_side_invariant_enforced(self, twolevel, monkeypatch):
         # with L' = 0 the anticommutator term drops, and L rho L' alone
         # does not preserve the trace; on both assembly branches

@@ -2,7 +2,8 @@
 Hermitian basis, the propagator and its null space.
 
 Models are drawn over dims 1-10 with random, zero and near-degenerate
-Hamiltonians and couplings. Hypothesis runs derandomized with few examples,
+Hamiltonians and couplings; the propagator's frame is also checked on
+ladder models, which split into many sectors. Hypothesis runs derandomized with few examples,
 so every run checks the same models.
 """
 
@@ -28,6 +29,7 @@ from qmstab import (
     unvec,
     vec,
 )
+from qmstab.dynamics import _frame
 from qmstab.invariants import (
     NULL_SPACE_ARNOLDI,
     NULL_SPACE_BORDERED,
@@ -65,6 +67,16 @@ def models(draw, min_dim=1, max_dim=10):
     h = _operator(draw(st.sampled_from(KINDS)), n, rng, hermitian=True)
     kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=3))
     return ModelSpec(h, [_operator(k, n, rng, hermitian=False) for k in kinds]), rng
+
+
+@st.composite
+def ladder_models(draw, max_dim=10):
+    # a diagonal Hamiltonian and a weighted lowering coupling conserve the
+    # coherence order i - j, so the real Liouvillian splits into dim sectors
+    n = draw(st.integers(1, max_dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lowering = np.diag(rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1), 1)
+    return ModelSpec(np.diag(rng.standard_normal(n)), [lowering]), rng
 
 
 def _tol(*arrays):
@@ -151,17 +163,27 @@ def test_oscillator_liouvillian_is_sparse(n):
 
 
 @SETTINGS
-@given(models())
+@given(st.one_of(models(), ladder_models()))
 def test_real_form_is_a_unitary_change_of_basis_into_sectors(drawn):
     # that T R T' is the complex Liouvillian is checked elementwise in
     # test_liouvillian_matches_elementwise_generators
-    model, _ = drawn
+    # the propagator's frame on the sectors of one basis vector is closed
+    # under R and under R^T: no nonzero links a kept coordinate to a dropped
+    # one, which is what the Krylov steps on the kept block rely on
+    model, rng = drawn
     lv = liouvillian(model)
-    t, labels = lv.basis, lv.sectors
+    t = lv.basis
     assert np.abs((t.conj().T @ t - sps.identity(t.shape[0])).data).max(initial=0.0) <= 1e-15
-    coo = lv.matrix.tocoo()
-    assert np.array_equal(labels[coo.row], labels[coo.col])
-    event(f"{labels.max() + 1} sectors")
+    start = int(rng.integers(t.shape[0]))
+    for matrix in (lv.matrix, lv.matrix.T.tocsr()):
+        frame, x = _frame(lv, matrix, t[:, [start]].toarray().ravel())
+        keep = np.abs((t.conj().T @ frame.basis).toarray()).argmax(axis=0)
+        drop = np.setdiff1d(np.arange(t.shape[0]), keep)
+        assert np.allclose(x, keep == start, rtol=0, atol=1e-15)
+        assert (frame.matrix != matrix[keep][:, keep]).count_nonzero() == 0
+        assert matrix[keep][:, drop].count_nonzero() == matrix[drop][:, keep].count_nonzero() == 0
+    event(f"{frame.sectors} sectors")
+    event("coordinates dropped" if drop.size else "no coordinate dropped")
 
 
 @SETTINGS
