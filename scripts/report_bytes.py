@@ -12,8 +12,8 @@ The list covers every subcommand on `fixtures/` plus seeded `synthesize`
 targets: the `certify-n32` recipe, degenerate and indefinite diagonal
 targets and a Hamiltonian with and without compensation. The `steady-state`
 and `analyze` runs reach every `null_space_method`: `bordered-lu` (simple
-kernels), `dense-eig` (`twoqubit`) and `splu-arnoldi` (`ladders26`, a
-degenerate kernel above dim 24), and `simulate-unstable40` pins a failing
+kernels), `dense-svd` (`twoqubit`) and `splu-arnoldi` (`ladders42`, a
+degenerate kernel above dim 40), and `simulate-unstable40` pins a failing
 `lasalle-diagnostics` entry. The inputs come from this script's own
 checkout, so two trees see identical files. To compare two trees:
 
@@ -49,7 +49,7 @@ RUNS = (
     ("analyze-osc40", ["analyze", "--model", "{f}/oscillator_n40.json"]),
     ("steady-osc60", ["steady-state", "--model", "{f}/oscillator_n60.json"]),
     ("steady-twoqubit", ["steady-state", "--model", "{f}/twoqubit.json"]),
-    ("steady-ladders26", ["steady-state", "--model", "{t}/ladders26.json"]),
+    ("steady-ladders42", ["steady-state", "--model", "{t}/ladders42.json"]),
     ("simulate-pops", ["simulate", "--model", "{f}/qubit_decay.json",
                        "--rho0", "{f}/qubit_excited.json", "--t-final", "5", "--points", "41"]),
     ("simulate-vw", ["simulate", "--model", "{f}/qubit_decay.json",
@@ -129,12 +129,12 @@ def write_targets(root: Path) -> None:
     model = {"dim": 24, "hamiltonian": _cjson((x + x.conj().T) / 2),
              "couplings": [_cjson(_random_matrix(rng, 24, 24) / np.sqrt(2)) for _ in range(2)]}
     (root / "random24.json").write_text(json.dumps(model))
-    # two damped 13-level ladders, the second shifted by 0.3: a singular
+    # two damped 21-level ladders, the second shifted by 0.3: a singular
     # bordered matrix above the dense limit, so the Arnoldi window answers
-    a = np.diag(np.sqrt(np.arange(1.0, 13.0)), 1)
-    model = {"dim": 26, "hamiltonian": _cjson(np.diag(np.r_[np.arange(13), np.arange(13) + 0.3])),
+    a = np.diag(np.sqrt(np.arange(1.0, 21.0)), 1)
+    model = {"dim": 42, "hamiltonian": _cjson(np.diag(np.r_[np.arange(21), np.arange(21) + 0.3])),
              "couplings": [_cjson(np.kron(np.eye(2), a))]}
-    (root / "ladders26.json").write_text(json.dumps(model))
+    (root / "ladders42.json").write_text(json.dumps(model))
 
 
 def digest(path: Path, tmp: str) -> str:

@@ -8,12 +8,12 @@ at the tolerance `steady_states` uses. The models are a seeded random one
 (Hermitian H, two random couplings), the criterion-2 oscillator
 (L = a + a'/2), both with a simple kernel, and two damped ladders side by
 side, the second one's levels shifted by 0.3 (`ladders`) or not (`twins`),
-whose ground states make the bordered matrix singular, so that only dense
-eig or the window can answer. After the times come what each solver found:
-dense eig's null dimension, whether the bordered estimate certifies a
-simple zero (or B is singular), and the window's null dimension and whether
-it was exhaustive (or that ARPACK did not converge). The `ladders` and
-`twins` rows set `invariants._DENSE_EIG_DIM`.
+whose ground states make the bordered matrix singular, so that only the
+dense SVD or the window can answer. After the times come what each solver
+found: the dense SVD's null dimension, whether the bordered estimate
+certifies a simple zero (or B is singular), and the window's null dimension
+and whether it was exhaustive (or that ARPACK did not converge). The
+`ladders` and `twins` rows set `invariants._DENSE_KERNEL_DIM`.
 
 The second table adds a `banded` family, a seeded random H and one random
 coupling, both of bandwidth w, whose fill sweeps across 1/2 at n = 16 and
@@ -24,7 +24,7 @@ the bordered solve by sparse LU (`invariants._bordered_sparse`) or by
 numpy's dense inverse (`_bordered_dense`). These rows set
 `generator._DENSE_FILL`.
 
-    PYTHONPATH=src python3 scripts/time_null_space.py [--dims 6 8 10 12 16 24]
+    PYTHONPATH=src python3 scripts/time_null_space.py [--dims 6 8 10 12 16 24 32 40]
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def median_time(solve, repeats: int):
 
 def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--dims", type=int, nargs="+", default=[6, 8, 10, 12, 16, 24])
+    ap.add_argument("--dims", type=int, nargs="+", default=[6, 8, 10, 12, 16, 24, 32, 40])
     ap.add_argument("--repeats", type=int, default=7)
     args = ap.parse_args(argv)
     inv.steady_states(random_model(4))  # load BLAS/LAPACK and SuperLU before timing
@@ -101,8 +101,7 @@ def main(argv: list[str] | None = None) -> None:
         for name, make in MODELS:
             lv = liouvillian(make(n))
             m, tol_abs = lv.matrix, 1e-9 * max(1.0, lv.norm)
-            dense, (_, null_dim) = median_time(lambda: inv._null_space_dense(m, tol_abs),
-                                               args.repeats)
+            dense, basis = median_time(lambda: inv._null_space_dense(m, tol_abs), args.repeats)
             bordered, found = median_time(lambda: inv._null_space_bordered(m), args.repeats)
             arnoldi, window = median_time(lambda: inv._null_space_arnoldi(m, tol_abs),
                                           args.repeats)
@@ -112,9 +111,9 @@ def main(argv: list[str] | None = None) -> None:
                 else "no"
             )
             window = ("stalled" if window is None
-                      else f"{window[1]}, {'exhaustive' if window[2] else 'partial'}")
+                      else f"{window[0].shape[1]}, {'exhaustive' if window[1] else 'partial'}")
             print(f"{n:3d}  {name:10s}  {dense:7.4f}  {bordered:10.4f}  {arnoldi:9.4f}"
-                  f"  {null_dim:4d}  {certified:8s}  {window}", flush=True)
+                  f"  {basis.shape[1]:4d}  {certified:8s}  {window}", flush=True)
 
     print("\ndim  model        fill  R_fill  csr_R_s  dense_R_s  splu_s  inverse_s")
     for n in args.dims:

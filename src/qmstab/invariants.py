@@ -4,12 +4,12 @@ Computes the stationary states of a model from the null space of the real
 Schroedinger-side Liouvillian R (`generator.liouvillian`): by one inverse
 of R bordered with the trace, which certifies a simple zero eigenvalue
 (`bordered-lu`; a sparse LU, or numpy's dense inverse when R is at least
-half nonzeros); when it does not, by dense eig up to dim 24 (`dense-eig`)
-and by an Arnoldi window above it (`splu-arnoldi`). It classifies them:
-faithfulness (full-rank support), subharmonicity of support projections,
-the connectivity condition P L'(I-P) L P != 0 linking a projection to its
-complement, and uniqueness, read off the same kernel: the invariant state is
-unique exactly when that kernel is one-dimensional.
+half nonzeros); when it does not, by one dense SVD up to dim 40
+(`dense-svd`) and by an Arnoldi window above it (`splu-arnoldi`). It
+classifies them: faithfulness (full-rank support), subharmonicity of support
+projections, the connectivity condition P L'(I-P) L P != 0 linking a
+projection to its complement, and uniqueness, read off the same kernel: the
+invariant state is unique exactly when that kernel is one-dimensional.
 """
 
 from __future__ import annotations
@@ -49,15 +49,16 @@ UNIQUE = "unique"
 NOT_UNIQUE = "not_unique"
 INCONCLUSIVE = "inconclusive"
 
-NULL_SPACE_DENSE = "dense-eig"
+NULL_SPACE_DENSE = "dense-svd"
 NULL_SPACE_ARNOLDI = "splu-arnoldi"
 NULL_SPACE_BORDERED = "bordered-lu"
 
-# When the bordered LU certifies nothing, dense eig of R answers up to this
-# dimension: it is exact, where the Arnoldi window can stall or miss copies
-# of a repeated null eigenvalue, and takes 0.2-0.3 s at dim 24 but grows as
-# dim^6 (scripts/time_null_space.py; numbers in README "Numerical notes").
-_DENSE_EIG_DIM = 24
+# When the bordered LU certifies nothing, one dense SVD of R answers up to
+# this dimension: it is exact, where the Arnoldi window can stall or miss
+# copies of a repeated null eigenvalue, and takes 0.12 / 0.56 / 1.56 s at
+# dims 24 / 32 / 40 against 0.36 / 1.02 / 2.36 s for dense eig, growing as
+# dim^6 (scripts/time_null_space.py; 2 CPUs; README "Numerical notes").
+_DENSE_KERNEL_DIM = 40
 # Shift-inverted Arnoldi asks ARPACK for this many eigenvalues nearest the
 # shift: 100-150 LU solves on the `osc-n60` and `small-n24` models when
 # forced, and room for every null vector of a model with up to 8 stationary
@@ -81,10 +82,10 @@ class InvariantStateReport:
     kernel dimension of the real Liouvillian before cleanup. A state whose
     cleanup moved it by more than 10x the tolerance is flagged unreliable
     rather than silently accepted. `null_space_method` names the kernel solver
-    whose answer is reported (`dense-eig`, `bordered-lu` or `splu-arnoldi`,
+    whose answer is reported (`dense-svd`, `bordered-lu` or `splu-arnoldi`,
     see `_null_space`); `inverse_norm_estimate` certifies a `bordered-lu`
     answer and is None otherwise. `exhaustive` is False when an Arnoldi window
-    (only above dim 24) may have missed null vectors, making
+    (only above dim 40) may have missed null vectors, making
     `null_dimension` a lower bound.
     """
 
@@ -159,19 +160,11 @@ def _validate_projection(p, dim: int, allow_trivial: bool = False) -> np.ndarray
 # Stationary states
 # ---------------------------------------------------------------------------
 
-def _real_span(v: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, int]:
-    """Orthonormal real basis of the eigenvectors `v[:, mask]` of a real
-    matrix, which span their eigenspace through their real and imaginary
-    parts, and its dimension."""
-    null = v[:, mask]
-    u = np.linalg.svd(np.hstack([null.real, null.imag]), full_matrices=False)[0]
-    return u[:, : null.shape[1]], null.shape[1]
-
-
-def _null_space_dense(m: sps.csr_array, tol_abs: float):
-    """Null space basis and dimension by dense eigendecomposition."""
-    w, v = np.linalg.eig(m.toarray())
-    return _real_span(v, np.abs(w) <= tol_abs)
+def _null_space_dense(m: sps.csr_array, tol_abs: float) -> np.ndarray:
+    """Orthonormal null space basis by one dense SVD: the right singular
+    vectors with singular values (distances to singularity) at most tol_abs."""
+    _, s, vt = np.linalg.svd(m.toarray())
+    return vt[s <= tol_abs].T
 
 
 def _null_space_arnoldi(m: sps.csr_array, tol_abs: float):
@@ -183,8 +176,9 @@ def _null_space_arnoldi(m: sps.csr_array, tol_abs: float):
     so a second run finds the nearest eigenvalue left once the null vectors
     found are deflated. The window is exhaustive when that one lies outside
     the disc |w - sigma| <= sigma + tol_abs, which holds every eigenvalue
-    within tol_abs of zero. Raises ArpackNoConvergence when ARPACK does not
-    converge, as when the spectrum clusters near sigma.
+    within tol_abs of zero. Returns the basis and whether the window is
+    exhaustive. Raises ArpackNoConvergence when ARPACK does not converge, as
+    when the spectrum clusters near sigma.
     """
     n2 = m.shape[0]
     sigma = max(10 * tol_abs, 1e-8)
@@ -193,7 +187,10 @@ def _null_space_arnoldi(m: sps.csr_array, tol_abs: float):
     v0 = np.random.default_rng(0).standard_normal(n2)
     op = spla.LinearOperator(m.shape, matvec=lu.solve, dtype=float)
     w_inv, v = spla.eigs(op, k=min(_NULL_WINDOW, n2 - 2), which="LM", v0=v0)
-    basis, null_dim = _real_span(v, np.abs(sigma + 1.0 / w_inv) <= tol_abs)
+    null = v[:, np.abs(sigma + 1.0 / w_inv) <= tol_abs]
+    # the real and imaginary parts of a real matrix's eigenvectors span their eigenspace
+    u = np.linalg.svd(np.hstack([null.real, null.imag]), full_matrices=False)[0]
+    basis = u[:, : null.shape[1]]
 
     def deflated(x):  # the basis spans an invariant subspace: Schur deflation
         y = lu.solve(x - basis @ (basis.T @ x))
@@ -201,7 +198,7 @@ def _null_space_arnoldi(m: sps.csr_array, tol_abs: float):
 
     rest = spla.LinearOperator(m.shape, matvec=deflated, dtype=float)
     w_inv = spla.eigs(rest, k=1, which="LM", v0=v0, return_eigenvectors=False)
-    return basis, null_dim, bool(abs(1.0 / w_inv[0]) > sigma + tol_abs)
+    return basis, bool(abs(1.0 / w_inv[0]) > sigma + tol_abs)
 
 
 def _null_space_bordered(m: sps.csr_array):
@@ -244,28 +241,29 @@ def _bordered_sparse(m: sps.csr_array, t: np.ndarray):
 
 
 def _null_space(m: sps.csr_array, tol_abs: float):
-    """Orthonormal null space basis and dimension of a real Liouvillian.
+    """Orthonormal null space basis of a real Liouvillian.
 
-    Returns (basis, null_dim, method, exhaustive, inverse_norm_estimate).
-    The bordered LU answers when its estimate certifies a simple zero
-    eigenvalue; otherwise dense eig, which is exact, up to `_DENSE_EIG_DIM`,
-    and shift-inverted Arnoldi above it, whose window that is not exhaustive
-    is a lower bound and whose non-convergence raises.
+    Returns (basis, method, exhaustive, inverse_norm_estimate); the null
+    dimension is the basis' column count. The bordered LU answers when its
+    estimate certifies a simple zero eigenvalue; otherwise one dense SVD,
+    which is exact, up to `_DENSE_KERNEL_DIM`, and shift-inverted Arnoldi
+    above it, whose window that is not exhaustive is a lower bound and whose
+    non-convergence raises.
     """
     bordered = _null_space_bordered(m)
     if bordered is not None and bordered[1] <= 1.0 / (_BORDERED_MARGIN * tol_abs):
         x, estimate = bordered
-        return x[:, None] / np.linalg.norm(x), 1, NULL_SPACE_BORDERED, True, estimate
-    if m.shape[0] <= _DENSE_EIG_DIM**2:
-        return (*_null_space_dense(m, tol_abs), NULL_SPACE_DENSE, True, None)
+        return x[:, None] / np.linalg.norm(x), NULL_SPACE_BORDERED, True, estimate
+    if m.shape[0] <= _DENSE_KERNEL_DIM**2:
+        return _null_space_dense(m, tol_abs), NULL_SPACE_DENSE, True, None
     try:
-        vecs, null_dim, exhaustive = _null_space_arnoldi(m, tol_abs)
+        vecs, exhaustive = _null_space_arnoldi(m, tol_abs)
     except spla.ArpackNoConvergence as exc:
         raise InvariantAnalysisError(
             "shift-inverted Arnoldi did not converge: the Liouvillian spectrum "
             "clusters at the tolerance scale near zero"
         ) from exc
-    return vecs, null_dim, NULL_SPACE_ARNOLDI, exhaustive, None
+    return vecs, NULL_SPACE_ARNOLDI, exhaustive, None
 
 
 def _orthonormal_append(basis: list[np.ndarray], x: np.ndarray, floor: float) -> bool:
@@ -296,7 +294,8 @@ def steady_states(model: ModelSpec, tol: float = 1e-9) -> InvariantStateReport:
         raise OperatorError(f"tolerance must be finite and positive, got {tol!r}")
     lv = liouvillian(model)
     tol_abs = tol * max(1.0, lv.norm)
-    basis, null_dim, method, exhaustive, estimate = _null_space(lv.matrix, tol_abs)
+    basis, method, exhaustive, estimate = _null_space(lv.matrix, tol_abs)
+    null_dim = basis.shape[1]
     if null_dim == 0:
         raise InvariantAnalysisError(
             "no Liouvillian null vector within tolerance; a trace-preserving "

@@ -95,3 +95,10 @@ def random_model(dim, rng, n_couplings=1):
         random_hermitian(dim, rng),
         [random_matrix(dim, rng) for _ in range(n_couplings)],
     )
+
+
+def certify_n32_target():
+    """The `certify-n32` recipe's target: V = AA' with A of shape 32 x 24."""
+    rng = np.random.default_rng([0, 1])
+    a = (rng.standard_normal((32, 24)) + 1j * rng.standard_normal((32, 24))) / np.sqrt(2)
+    return a @ a.conj().T

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
@@ -8,6 +10,7 @@ import qmstab.invariants as invariants
 from qmstab import (
     ModelSpec,
     OperatorError,
+    SynthesisSpec,
     Verdict,
     connectivity_check,
     connectivity_scan,
@@ -20,11 +23,12 @@ from qmstab import (
     pauli,
     steady_states,
     subharmonicity_check,
+    synthesize_coupling,
     uniqueness_check,
 )
 from qmstab.serialize import load_model
 
-from conftest import FIXTURES, oscillator, random_model
+from conftest import FIXTURES, certify_n32_target, oscillator, random_model
 
 
 def two_ladders(n, offset):
@@ -83,26 +87,38 @@ class TestSteadyStates:
         assert first.states[0].matrix.tobytes() == second.states[0].matrix.tobytes()
 
     def test_arnoldi_path_repeatable(self):
-        # two damped 13-level ladders side by side (dim 26): one ground state
+        # two damped 21-level ladders side by side (dim 42): one ground state
         # each, so the bordered matrix is singular and, above the dense
         # limit, the Arnoldi window answers
-        model = two_ladders(13, 0.3)
+        model = two_ladders(21, 0.3)
         first, second = steady_states(model), steady_states(model)
         assert (first.null_space_method, first.exhaustive) == ("splu-arnoldi", True)
         assert (first.null_dimension, first.inverse_norm_estimate) == (2, None)
         for a_state, b_state in zip(first.states, second.states):
             assert a_state.matrix.tobytes() == b_state.matrix.tobytes()
 
-    def test_identical_ladders_take_dense_eig(self):
+    def test_identical_ladders_take_dense_svd(self):
         # two identical damped 5-level ladders (dim 10): four stationary
         # directions, on which the Arnoldi window stalls
         report = steady_states(two_ladders(5, 0.0))
-        assert (report.null_space_method, report.exhaustive) == ("dense-eig", True)
+        assert (report.null_space_method, report.exhaustive) == ("dense-svd", True)
         assert (report.null_dimension, report.notes) == (4, ())
 
-    @pytest.mark.parametrize("n, called", [(5, False), (12, False), (13, True)])
+    def test_synthesized_n32_kernel_is_found_whole(self):
+        # the certify-n32 recipe's synthesized model (dim 32, 24 rank-1
+        # couplings): the Arnoldi window found 8 of its 64 null directions
+        # and called the count a lower bound; below the dense limit the SVD
+        # holds the kernel whole
+        model = synthesize_coupling(SynthesisSpec(v=certify_n32_target())).model
+        start = time.perf_counter()
+        report = steady_states(model)
+        assert time.perf_counter() - start < 3.0
+        assert (report.null_dimension, report.exhaustive, report.notes) == (64, True, ())
+        assert (report.null_space_method, len(report.states)) == ("dense-svd", 64)
+
+    @pytest.mark.parametrize("n, called", [(5, False), (12, False), (21, True)])
     def test_arnoldi_window_runs_only_above_the_dense_limit(self, monkeypatch, n, called):
-        # a singular bordered matrix: dense eig answers up to dim 24, the
+        # a singular bordered matrix: the dense SVD answers up to dim 40, the
         # window above it
         def window(*args):
             raise AssertionError("Arnoldi window called")
@@ -113,7 +129,7 @@ class TestSteadyStates:
             with pytest.raises(AssertionError, match="Arnoldi window called"):
                 steady_states(model)
         else:
-            assert steady_states(model).null_space_method == "dense-eig"
+            assert steady_states(model).null_space_method == "dense-svd"
 
     def test_cleanup_does_not_depend_on_the_sign_of_the_null_basis(self, monkeypatch):
         # the solver fixes no sign; a direction with negative trace must be
@@ -146,7 +162,7 @@ class TestSteadyStates:
         assert estimate == pytest.approx(spla.onenormest(inverse, t=1), rel=1e-10)
         assert np.abs(x - lu.solve(np.eye(1, n2 + 1, n2)[0])[:n2]).max() <= 1e-10 * np.abs(x).max()
 
-    def test_dense_degenerate_kernel_falls_through_to_dense_eig(self):
+    def test_dense_degenerate_kernel_falls_through_to_dense_svd(self):
         # dephasing in a random basis: every U diag(p) U' is stationary, so B
         # is singular and the dense inverse must not certify a simple zero
         rng = np.random.default_rng(7)
@@ -159,7 +175,7 @@ class TestSteadyStates:
         tol_abs = 1e-9 * max(1.0, lv.norm)
         assert bordered is None or bordered[1] > 1.0 / (invariants._BORDERED_MARGIN * tol_abs)
         report = steady_states(model)
-        assert (report.null_space_method, report.null_dimension) == ("dense-eig", 6)
+        assert (report.null_space_method, report.null_dimension) == ("dense-svd", 6)
         assert (report.unique, report.exhaustive) == ("not_unique", True)
 
     def test_degenerate_null_space(self, dephasing):

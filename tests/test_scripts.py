@@ -1,5 +1,5 @@
 """The timing scripts still run, on the smallest sizes: the one that sets
-`invariants._DENSE_EIG_DIM` by timing the three null-space solvers
+`invariants._DENSE_KERNEL_DIM` by timing the three null-space solvers
 directly, the serialization timer and the start-up timer (one subcommand,
 one cold run). So does the report digest script that shows a refactor kept
 the report bytes."""

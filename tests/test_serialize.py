@@ -28,7 +28,7 @@ from qmstab.serialize import (
     save_operator,
 )
 
-from conftest import FIXTURES
+from conftest import FIXTURES, certify_n32_target
 
 
 class TestComplexMatrixFormat:
@@ -143,10 +143,7 @@ def _factored(left, right) -> dict:
 
 class TestFactoredCouplings:
     def test_synthesized_model_reloads_bit_identical(self, tmp_path):
-        # the certify-n32 recipe target, V = AA' with A of shape 32 x 24
-        rng = np.random.default_rng([0, 1])
-        a = (rng.standard_normal((32, 24)) + 1j * rng.standard_normal((32, 24))) / np.sqrt(2)
-        v = a @ a.conj().T
+        v = certify_n32_target()
         result = synthesize_coupling(SynthesisSpec(v=v))
         path = tmp_path / "synthesized_model.json"
         save_model(result.model, path, factors=result.factors)

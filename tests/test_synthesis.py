@@ -20,6 +20,8 @@ from qmstab import (
 )
 from qmstab.operators import dag
 
+from conftest import certify_n32_target
+
 V_GROUND = np.diag([1.0, 0.0]).astype(complex)
 
 
@@ -139,9 +141,7 @@ class TestSynthesizeCoupling:
         # PSD within tolerance though its smallest eigenvalue is a rounding
         # error below 0: neither check shifts it; both shift an indefinite V
         # by the same amount, with the same note
-        rng = np.random.default_rng([0, 1])
-        a = (rng.standard_normal((32, 24)) + 1j * rng.standard_normal((32, 24))) / np.sqrt(2)
-        for v, shift in ((a @ dag(a), 0.0), (np.diag([1.0, 0.0, -1.0]).astype(complex), 1.0)):
+        for v, shift in ((certify_n32_target(), 0.0), (np.diag([1.0, 0.0, -1.0]).astype(complex), 1.0)):
             result = synthesize_coupling(SynthesisSpec(v=v))
             direct = check_lyapunov(result.model, v)
             assert result.certificate.shift == direct.shift == shift
