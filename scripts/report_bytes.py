@@ -13,8 +13,9 @@ targets: the `certify-n32` recipe, degenerate and indefinite diagonal
 targets and a Hamiltonian with and without compensation. The `steady-state`
 and `analyze` runs reach every `null_space_method`: `bordered-lu` (simple
 kernels), `dense-svd` (`twoqubit`) and `splu-arnoldi` (`ladders42`, a
-degenerate kernel above dim 40), and `simulate-unstable40` pins a failing
-`lasalle-diagnostics` entry. The inputs come from this script's own
+degenerate kernel above dim 40), `simulate-unstable40` pins a failing
+`lasalle-diagnostics` entry and `simulate-json` the series embedded by
+`--format json`. The inputs come from this script's own
 checkout, so two trees see identical files. To compare two trees:
 
     python3 scripts/report_bytes.py --src /path/to/old > old.txt
@@ -56,6 +57,9 @@ RUNS = (
                      "--rho0", "{f}/qubit_excited.json", "--t-final", "5", "--points", "41",
                      "--v", "{f}/qubit_V.json", "--w", "{f}/qubit_V.json",
                      "--c", "1", "--d", "0"]),
+    ("simulate-json", ["simulate", "--model", "{f}/qubit_decay.json",
+                       "--rho0", "{f}/qubit_excited.json", "--t-final", "5", "--points", "41",
+                       "--v", "{f}/qubit_V.json", "--format", "json"]),
     ("simulate-osc40", ["simulate", "--model", "{f}/oscillator_n40.json",
                         "--rho0", "{t}/vacuum40.json", "--t-final", "1", "--points", "5",
                         "--v", "{f}/number_n40.json"]),

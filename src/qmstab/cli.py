@@ -42,7 +42,6 @@ from .operators import (
 from .serialize import (
     FormatError,
     emit_series,
-    jsonable,
     load_model,
     load_operator,
     save_model,
@@ -200,10 +199,8 @@ class _Run:
         self, name: str, anchor: str, verdict, tolerance: float, result=None, fields=(), **data
     ) -> None:
         """Append one entry: each attribute of `result` named in `fields`, then `data`."""
-        verdict = verdict.value if isinstance(verdict, Verdict) else str(verdict)
         entry = {"name": name, "anchor": anchor, "verdict": verdict, "tolerance": tolerance}
-        data = {**{f: getattr(result, f) for f in fields}, **data}
-        entry.update({k: jsonable(v) for k, v in data.items()})
+        entry.update({f: getattr(result, f) for f in fields}, **data)
         self.checks.append(entry)
 
     def add_series(self, stem: str, times, values) -> dict:
@@ -229,9 +226,9 @@ class _Run:
             },
         }
         write_json(report, self.outdir / "report.json")
-        if any(v == "fails" for v in verdicts):
+        if Verdict.FAILS in verdicts:
             return EXIT_FAILS
-        if self.args.strict and any(v == "inconclusive" for v in verdicts):
+        if self.args.strict and Verdict.INCONCLUSIVE in verdicts:
             return EXIT_INCONCLUSIVE
         return EXIT_OK
 
@@ -341,10 +338,8 @@ def cmd_simulate(run: _Run) -> None:
 
     if v is not None and w is not None:
         diag = lasalle_diagnostics(traj, v, w)
-        if not diag.v_monotone:  # a sampled rise of <V> refutes G(V) <= 0
-            verdict = Verdict.FAILS
-        else:
-            verdict = Verdict.HOLDS if diag.conclusive else Verdict.INCONCLUSIVE
+        # a sampled rise of <V> refutes G(V) <= 0; samples prove nothing
+        verdict = Verdict.INCONCLUSIVE if diag.v_monotone else Verdict.FAILS
         run.add_check(
             "lasalle-diagnostics", "Theorem 5", verdict, run.args.tol, diag,
             ("v_monotone", "v_monotone_max_violation", "v_rise_time", "v_sup",
@@ -403,10 +398,7 @@ def cmd_check_lasalle(run: _Run) -> None:
 
 def cmd_synthesize(run: _Run) -> None:
     varr = _load_operator_arg(run, "v", "v")
-    h = None
-    if run.args.hamiltonian:
-        h = load_operator(run.args.hamiltonian, "hamiltonian")
-        run.inputs["hamiltonian"] = str(run.args.hamiltonian)
+    h = _load_operator_arg(run, "hamiltonian", "hamiltonian") if run.args.hamiltonian else None
     pairs = None
     if run.args.pairs:
         try:

@@ -303,4 +303,10 @@ def _dense_real(couplings, k_op: np.ndarray) -> tuple[sps.csr_array, float]:
     y[diag], y[up], y[lo] = d, s * (a + b), 1j * s * (a - b)
     r = np.empty((n * n, n * n))
     r[diag], r[up], r[lo] = y[:, :n].real.T, 2 * s * y[:, n:].real.T, 2 * s * y[:, n:].imag.T
-    return sps.csr_array(r), norm
+    # the CSR arrays straight from the nonzero mask, with the int32 indices
+    # that sps.csr_array(r) picks below MAX_LIOUVILLIAN_ENTRIES; its detour
+    # through COO took 6.5-8.7 ms against 2.2-2.8 ms on a dim-24 R (2 CPUs)
+    nz = r != 0
+    cols = np.nonzero(nz)[1].astype(np.int32)
+    indptr = np.r_[0, np.cumsum(np.count_nonzero(nz, axis=1))].astype(np.int32)
+    return sps.csr_array((r[nz], cols, indptr), shape=r.shape), norm

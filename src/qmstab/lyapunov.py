@@ -13,7 +13,7 @@ tolerance (default 1e-9), overridable per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,12 +34,6 @@ from .operators import (
     require_hermitian,
 )
 
-MODE_STRICT = "strict"
-MODE_WEAK = "weak"
-MODE_LASALLE = "lasalle"
-MODE_RELAXED = "relaxed"
-MODE_EQUALITY = "equality"
-
 THEOREM_5 = "t5"
 THEOREM_6 = "t6"
 THEOREM_7 = "t7"
@@ -55,7 +49,6 @@ class LyapunovCertificate:
     inequality itself is unaffected.
     """
 
-    mode: str
     verdict: Verdict
     v: np.ndarray
     c: float | None = None
@@ -80,7 +73,7 @@ def _require_psd_input(name: str, a: np.ndarray, tol: float) -> None:
 
 
 def strict_certificate(
-    g: np.ndarray, v: np.ndarray, tol: float, shift: float = 0.0
+    g: np.ndarray, v: np.ndarray, tol: float, shift: float = 0.0, notes: tuple[str, ...] = ()
 ) -> LyapunovCertificate:
     """Certificate of G(V) <= 0 for the Hermitian generator matrix `g` of `v`.
 
@@ -93,13 +86,13 @@ def strict_certificate(
     if not report.holds:
         witness = EigWitness(-report.min_eigenvalue, report.witness.vector)
     return LyapunovCertificate(
-        mode=MODE_STRICT,
         verdict=report.verdict,
         v=_frozen(v),
         tolerance=tol,
         shift=shift,
         witness=witness,
         metrics={"generator_max_eigenvalue": -report.min_eigenvalue},
+        notes=notes,
     )
 
 
@@ -111,8 +104,9 @@ def check_lyapunov(model: ModelSpec, v, tol: float = PSD_TOL) -> LyapunovCertifi
     does the verdict. The shift and a note are recorded on the certificate.
     """
     varr, shift, notes = _shifted_psd(require_hermitian(v), tol)
-    cert = strict_certificate(hermitian_part(generator_heisenberg(model, varr)), varr, tol, shift)
-    return replace(cert, notes=tuple(notes))
+    return strict_certificate(
+        hermitian_part(generator_heisenberg(model, varr)), varr, tol, shift, tuple(notes)
+    )
 
 
 def check_weak_lyapunov(
@@ -132,7 +126,6 @@ def check_weak_lyapunov(
     report = psd_check(slack, tol)
     witness = report.witness
     return LyapunovCertificate(
-        mode=MODE_WEAK,
         verdict=report.verdict,
         v=_frozen(varr),
         c=float(c),
@@ -238,59 +231,49 @@ def check_lasalle_pair(
     corollary1: G(V) <= U - W; the integrability of <U(t)> must be
     confirmed by simulation and is flagged as such.
     """
+    if theorem not in (THEOREM_5, THEOREM_6, THEOREM_7, COROLLARY_1):
+        raise OperatorError(f"unknown LaSalle mode {theorem!r}")
     varr, shift, notes = _shifted_psd(require_hermitian(v), tol)
     warr = require_hermitian(w)
     uarr = None
     gv = hermitian_part(generator_heisenberg(model, varr))
     gw = hermitian_part(generator_heisenberg(model, warr))
     metrics: dict = {"generator_w_norm": op_norm(gw)}
+    verdict, witness = Verdict.HOLDS, None
 
-    if theorem in (THEOREM_5, THEOREM_6):
-        _require_psd_input("W", warr, tol)
-        main = psd_check(-gv - warr, tol)
-        verdict = main.verdict
-        witness = main.witness
-        metrics["slack_min_eigenvalue"] = main.min_eigenvalue
-        if theorem == THEOREM_6:
-            decay = psd_check(-gw, tol)
-            metrics["generator_w_max_eigenvalue"] = -decay.min_eigenvalue
-            if not decay.holds:
-                verdict = Verdict.FAILS
-                witness = witness or decay.witness
-                notes.append("G(W) <= 0 fails")
-        mode = MODE_LASALLE
-    elif theorem == THEOREM_7:
+    if theorem == THEOREM_7:
         residual = max_abs(gv - warr)
         scale = max(1.0, max_abs(warr))
         metrics["equality_residual"] = residual
+        if residual > tol * scale:
+            verdict = Verdict.FAILS
+            notes.append(f"G(V) = W residual {residual:.3e} exceeds {tol * scale:.3e}")
+    else:
+        if theorem == COROLLARY_1:
+            if u is None:
+                raise OperatorError("corollary1 mode needs the companion operator U")
+            uarr = require_hermitian(u)
+            notes.append(
+                "finite integral of <U(t)> is a hypothesis this check cannot certify; "
+                "confirm it by simulation (lasalle_diagnostics)"
+            )
+        _require_psd_input("W", warr, tol)
+        if uarr is not None:
+            _require_psd_input("U", uarr, tol)
+        # the slack of G(V) <= -W (t5, t6) or of G(V) <= U - W (corollary1)
+        main = psd_check(-gv - warr if uarr is None else uarr - warr - gv, tol)
+        verdict, witness = main.verdict, main.witness
+        metrics["slack_min_eigenvalue"] = main.min_eigenvalue
+
+    if theorem in (THEOREM_6, THEOREM_7):
         decay = psd_check(-gw, tol)
         metrics["generator_w_max_eigenvalue"] = -decay.min_eigenvalue
-        ok = residual <= tol * scale and decay.holds
-        verdict = Verdict.HOLDS if ok else Verdict.FAILS
-        witness = None if ok else decay.witness
-        if residual > tol * scale:
-            notes.append(f"G(V) = W residual {residual:.3e} exceeds {tol * scale:.3e}")
-        mode = MODE_EQUALITY
-    elif theorem == COROLLARY_1:
-        if u is None:
-            raise OperatorError("corollary1 mode needs the companion operator U")
-        uarr = require_hermitian(u)
-        _require_psd_input("W", warr, tol)
-        _require_psd_input("U", uarr, tol)
-        main = psd_check(uarr - warr - gv, tol)
-        verdict = main.verdict
-        witness = main.witness
-        metrics["slack_min_eigenvalue"] = main.min_eigenvalue
-        notes.append(
-            "finite integral of <U(t)> is a hypothesis this check cannot certify; "
-            "confirm it by simulation (lasalle_diagnostics)"
-        )
-        mode = MODE_RELAXED
-    else:
-        raise OperatorError(f"unknown LaSalle mode {theorem!r}")
+        if not decay.holds:
+            verdict, witness = Verdict.FAILS, witness or decay.witness
+            if theorem == THEOREM_6:
+                notes.append("G(W) <= 0 fails")
 
     return LyapunovCertificate(
-        mode=mode,
         verdict=verdict,
         v=_frozen(varr),
         w=_frozen(warr),

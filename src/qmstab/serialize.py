@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -202,16 +202,26 @@ _LEAF_JSON = {
 
 
 def _render(obj, indent: int) -> str:
+    """Canonical text of `obj`. Besides JSON values it takes numpy arrays and
+    scalars, complex numbers, `Verdict`s and dataclasses, converted one level
+    at a time after the dict and list branches: a 2-D array or a complex
+    vector becomes [re, im] rows, another array its nested list, a complex
+    number [re, im], a verdict its string value and a dataclass the dict of
+    its fields."""
     leaf = _LEAF_JSON.get(type(obj))
     if leaf is not None:
         return leaf(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
+        try:
+            keys = sorted(obj)
+        except TypeError:  # keys that do not compare, like 5 and "a"
+            keys = sorted(obj, key=str)
         pad = " " * (indent + 2)
         items = [
             f"{pad}{encode_basestring_ascii(str(k))}: {_render(obj[k], indent + 2)}"
-            for k in sorted(obj)
+            for k in keys
         ]
         return "{\n" + ",\n".join(items) + "\n" + " " * indent + "}"
     if isinstance(obj, (list, tuple)):
@@ -227,42 +237,23 @@ def _render(obj, indent: int) -> str:
             return inline
         pad = " " * (indent + 2)
         return "[\n" + ",\n".join(pad + r for r in rendered) + "\n" + " " * indent + "]"
+    if isinstance(obj, np.ndarray):
+        if obj.ndim == 2 or (obj.ndim == 1 and np.iscomplexobj(obj)):
+            return _render(complex_matrix_to_json(obj), indent)
+        return _render(obj.tolist(), indent)
+    if isinstance(obj, np.generic):
+        return _render(obj.item(), indent)
+    if isinstance(obj, complex):
+        return _render([obj.real, obj.imag], indent)
+    if isinstance(obj, Verdict):
+        return _render(obj.value, indent)
+    if is_dataclass(obj):
+        return _render({f.name: getattr(obj, f.name) for f in fields(obj)}, indent)
     return json.dumps(obj)
 
 
 def write_json(doc, path) -> None:
     _atomic_write(path, dumps_canonical(doc))
-
-
-def jsonable(obj):
-    """Best-effort conversion of result dataclasses into report-friendly
-    JSON: matrices become [re, im] row arrays, verdicts their string value."""
-    if type(obj) in _LEAF_JSON:
-        return obj
-    if isinstance(obj, Verdict):
-        return obj.value
-    if isinstance(obj, np.ndarray):
-        if obj.ndim == 2 or (obj.ndim == 1 and np.iscomplexobj(obj)):
-            return complex_matrix_to_json(obj)
-        return [jsonable(x) for x in obj.tolist()]
-    # bool before int: True is an int, and np.bool_ is neither int nor float
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, str):
-        return obj
-    if is_dataclass(obj):
-        return {k: jsonable(v) for k, v in asdict(obj).items()}
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(x) for x in obj]
-    return str(obj)
 
 
 # ---------------------------------------------------------------------------

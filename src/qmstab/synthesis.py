@@ -135,12 +135,16 @@ def synthesize_coupling(spec: SynthesisSpec, tol: float = PSD_TOL) -> SynthesisR
         # here are positions in the descending-ordered levels
         pairs = [(i, i + 1) for i in range(n_levels - 1)]
     else:
-        # user indices refer to ascending distinct eigenvalues
-        pairs = []
+        # user indices refer to ascending distinct eigenvalues, so hi > lo
+        # is a positive gap
         for hi, lo in spec.pair_selection:
             if not (0 <= hi < n_levels and 0 <= lo < n_levels):
                 raise OperatorError(f"pair ({hi}, {lo}) out of range for {n_levels} levels")
-            pairs.append((n_levels - 1 - hi, n_levels - 1 - lo))
+            if hi <= lo:
+                raise OperatorError(
+                    f"pair ({hi}, {lo}) needs hi > lo: couple a higher level down to a lower one"
+                )
+        pairs = [(n_levels - 1 - hi, n_levels - 1 - lo) for hi, lo in spec.pair_selection]
 
     if n_levels == 1:
         notes.append(
@@ -152,20 +156,6 @@ def synthesize_coupling(spec: SynthesisSpec, tol: float = PSD_TOL) -> SynthesisR
     h_eigen = dag(q) @ spec.hamiltonian @ q if spec.hamiltonian is not None else None
 
     for hi_pos, lo_pos in pairs:
-        v_hi = values[hi_pos]
-        v_lo = values[lo_pos]
-        gap = v_hi - v_lo
-        if gap <= DEGENERACY_TOL:
-            if abs(gap) <= DEGENERACY_TOL:
-                notes.append(
-                    f"levels {hi_pos} and {lo_pos} are degenerate; coupling them "
-                    "leaves the generator untouched (case A), pair skipped"
-                )
-                cases.append(CASE_DEGENERATE)
-                continue
-            raise OperatorError(
-                f"pair ({hi_pos}, {lo_pos}) has negative gap; couple higher to lower"
-            )
         hs, he = slices[hi_pos]
         ls, le = slices[lo_pos]
         d_hi, d_lo = he - hs, le - ls

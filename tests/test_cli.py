@@ -372,6 +372,33 @@ class TestSimulate:
         assert (check["verdict"], check["v_monotone"]) == ("fails", False)
         assert check["v_rise_time"] == 0.125  # the first sample after t = 0
 
+    def test_sampled_trajectory_never_proves_lasalle(self, tmp_path):
+        # <V> falls at every sample: that refutes nothing and proves nothing,
+        # so the entry is inconclusive whatever the tail estimates say
+        args = ["simulate", "--model", str(FIXTURES / "qubit_decay.json"),
+                "--rho0", str(FIXTURES / "qubit_excited.json"), "--t-final", "5",
+                "--points", "41", "--v", str(FIXTURES / "qubit_V.json"),
+                "--w", str(FIXTURES / "qubit_V.json"), "--c", "1", "--d", "0"]
+        assert run(args, tmp_path / "plain") == 0
+        check = checks_by_name(read_report(tmp_path / "plain"))["lasalle-diagnostics"]
+        assert (check["verdict"], check["v_monotone"], check["v_rise_time"]) == (
+            "inconclusive", True, None)
+        assert run([*args, "--strict"], tmp_path / "strict") == 2
+
+    def test_json_format_embeds_the_csv_series(self, tmp_path):
+        args = ["simulate", "--model", str(FIXTURES / "qubit_decay.json"),
+                "--rho0", str(FIXTURES / "qubit_excited.json"), "--t-final", "5",
+                "--points", "41", "--v", str(FIXTURES / "qubit_V.json")]
+        assert run(args, tmp_path / "csv") == 0
+        assert run([*args, "--format", "json"], tmp_path / "json") == 0
+        report = read_report(tmp_path / "json")
+        assert report["run"]["series_files"] == []
+        assert [p.name for p in (tmp_path / "json").iterdir()] == ["report.json"]
+        series = checks_by_name(report)["series-emitted"]["series"]["series_v"]
+        rows = (tmp_path / "csv" / "series_v.csv").read_text().splitlines()[1:]
+        t, value = zip(*(map(float, row.split(",")) for row in rows))
+        assert (series["t"], series["value"]) == (list(t), list(value))
+
     def test_long_horizon_finishes_on_the_stationary_state(self, tmp_path):
         # t = 1e9 on the n = 40 oscillator, whose vacuum takes the Krylov
         # steps: the Dormand-Prince loop needed about 1e11 steps, and a
@@ -434,6 +461,19 @@ class TestSynthesizeCommand:
         couplings = json.loads(model.read_text())["couplings"]
         assert couplings and all(sorted(c) == ["left", "right"] for c in couplings)
         assert run(["check-lyapunov", "--model", str(model), "--v", v], tmp_path / "check") == 0
+
+
+    @pytest.mark.parametrize("pairs, message", [
+        ("0:0", "pair (0, 0) needs hi > lo"),
+        ("0:1", "pair (0, 1) needs hi > lo"),
+        ("5:0", "pair (5, 0) out of range for 2 levels"),
+        ("x", "cannot parse --pairs 'x'"),
+    ])
+    def test_bad_pairs_are_an_input_error(self, tmp_path, capsys, pairs, message):
+        # the message names the pair in the indices given, ascending levels
+        args = ["synthesize", "--v", str(FIXTURES / "qubit_V.json"), "--pairs", pairs]
+        assert run(args, tmp_path) == 65
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

@@ -268,6 +268,23 @@ class TestLiouvillian:
         scale = np.abs(r).sum(axis=0).max()
         assert np.abs(r - row_major_reference(model)).max() <= 1e-12 * scale
 
+    @pytest.mark.parametrize("name", ["twolevel", "random24"])
+    def test_dense_branch_csr_equals_scipys_conversion(self, name):
+        # the dense branch builds R's CSR arrays from its nonzero mask; they
+        # equal sps.csr_array of the dense R, index dtypes included (twolevel's
+        # R has 9 zeros of 16, the seeded random24's none)
+        if name == "twolevel":
+            model, _ = load_model(FIXTURES / "twolevel.json")
+        else:
+            model = random_model(24, np.random.default_rng(5), n_couplings=2)
+        lv = liouvillian(model)
+        assert lv.predicted_fill >= generator._DENSE_FILL
+        reference = sps.csr_array(lv.matrix.toarray())
+        for part in ("data", "indices", "indptr"):
+            got, want = getattr(lv.matrix, part), getattr(reference, part)
+            assert got.dtype == want.dtype, part
+            np.testing.assert_array_equal(got, want, err_msg=part)
+
 
 class TestModelSpec:
     def test_requires_hermitian_hamiltonian(self):

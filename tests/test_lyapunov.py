@@ -173,6 +173,19 @@ class TestLaSallePairs:
         cert = check_lasalle_pair(qubit_decay, V_GROUND, w, theorem="t7")
         assert cert.verdict is Verdict.FAILS
 
+    def test_theorem7_keeps_the_decay_witness_when_both_conditions_fail(self, qubit_decay):
+        # W = diag(-1, 1) misses G(V) = diag(-1, 0) by 1, and G(W) = diag(2, 0)
+        # breaks G(W) <= 0 along |0>; the witness is G(W)'s, as when only
+        # the decay fails
+        w = generator_heisenberg(qubit_decay, V_GROUND) + np.diag([0.0, 1.0])
+        cert = check_lasalle_pair(qubit_decay, V_GROUND, w, theorem="t7")
+        assert cert.verdict is Verdict.FAILS
+        assert cert.metrics["equality_residual"] == pytest.approx(1.0)
+        assert cert.metrics["generator_w_max_eigenvalue"] == pytest.approx(2.0)
+        assert cert.witness.eigenvalue == pytest.approx(-2.0)
+        np.testing.assert_allclose(np.abs(cert.witness.vector), [1.0, 0.0], atol=1e-12)
+        assert len(cert.notes) == 1 and "residual" in cert.notes[0]
+
     def test_corollary1(self, qubit_decay):
         w = np.diag([1.0, 0.0])
         u = np.diag([0.5, 0.5])
@@ -183,6 +196,10 @@ class TestLaSallePairs:
     def test_corollary1_needs_u(self, qubit_decay):
         with pytest.raises(OperatorError, match="U"):
             check_lasalle_pair(qubit_decay, V_GROUND, np.eye(2), theorem="corollary1")
+
+    def test_unknown_theorem_rejected(self, qubit_decay):
+        with pytest.raises(OperatorError, match="unknown LaSalle mode 't9'"):
+            check_lasalle_pair(qubit_decay, V_GROUND, np.eye(2), theorem="t9")
 
     def test_non_psd_w_rejected(self, qubit_decay):
         with pytest.raises(OperatorError):

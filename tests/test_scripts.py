@@ -42,4 +42,4 @@ def test_report_bytes_digests_every_run(capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     exits = [line for line in lines if line.startswith("exit ")]
     assert [line.split()[-1] for line in exits] == [name for name, _ in module.RUNS]
-    assert len(lines) == 75
+    assert len(lines) == 77
