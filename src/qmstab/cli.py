@@ -341,14 +341,15 @@ def cmd_simulate(run: _Run) -> None:
         # a sampled rise of <V> refutes G(V) <= 0; samples prove nothing
         verdict = Verdict.INCONCLUSIVE if diag.v_monotone else Verdict.FAILS
         run.add_check(
-            "lasalle-diagnostics", "Theorem 5", verdict, run.args.tol, diag,
+            "lasalle-diagnostics", "Theorem 5", verdict, diag.slack, diag,
             ("v_monotone", "v_monotone_max_violation", "v_rise_time", "v_sup",
-             "w_integral_estimate", "w_limit_estimate", "w_final", "notes"),
+             "w_integral_estimate", "w_final"),
         )
     if run.args.c is not None:
         bound = mean_bound_check(traj, v, run.args.c, run.args.d)
         run.add_check(
-            "mean-bound", "Eq. (1)", bound.verdict, 1e-6, bound, ("max_violation", "worst_time")
+            "mean-bound", "Eq. (1)", bound.verdict, bound.slack, bound,
+            ("max_violation", "worst_time"),
         )
     run.add_check(
         "final-state", "Definition 7", Verdict.HOLDS, run.args.tol,

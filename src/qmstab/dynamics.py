@@ -2,9 +2,9 @@
 
 Integrates the state evolution generated by the Schroedinger-side
 Liouvillian and provides the trajectory-level diagnostics used by the
-invariance analysis: monotone decrease of <V>, integrability and decay of
-<W>, the exponential mean bound, and the worst case of <V> over all initial
-states, which probes convergence onto ground sets.
+invariance analysis: monotone decrease of <V>, the integral of <W> over
+the samples, the exponential mean bound, and the worst case of <V> over
+all initial states, which probes convergence onto ground sets.
 
 `evolve` and `invariant_set_probe` share one propagator. It builds the
 Liouvillian once per call and advances one real coordinate vector
@@ -42,11 +42,9 @@ from .operators import (
 
 METHOD_KRYLOV = "krylov"
 
-# Relative slack of the pointwise mean bound; the tail is the final
-# _TAIL_FRACTION of the samples; <V> counts as monotone while no step rises
-# by more than _MONOTONE_SLACK times its largest magnitude.
+# Relative slack of the pointwise mean bound; <V> counts as monotone while
+# no step rises by more than _MONOTONE_SLACK times its largest magnitude.
 _MEAN_BOUND_SLACK = 1e-6
-_TAIL_FRACTION = 0.1
 _MONOTONE_SLACK = 1e-8
 
 
@@ -398,15 +396,14 @@ def mean_bound_check(traj: Trajectory, v, c: float, d: float) -> MeanBoundCheck:
 
 @dataclass(frozen=True)
 class LaSalleDiagnostics:
-    """Trajectory-level evidence for the invariance conclusions.
+    """Sampled evidence for the invariance conclusions, with nothing
+    extrapolated past the horizon.
 
-    The final `_TAIL_FRACTION` of the horizon is declared the tail; the
-    integral of <W> is a trapezoidal estimate plus an exponential-decay
-    extrapolation beyond the horizon. Asymptotic statements only get a
-    finite-horizon surrogate here, hence `conclusive` may be False.
-    `v_rise_time` is the first sampled time at which <V> has risen by more
-    than `_MONOTONE_SLACK` times its largest magnitude since the previous
-    sample, the witness that <V> is not monotone, and None when it is.
+    `w_integral_estimate` is the trapezoidal integral of <W>, clipped at 0,
+    over the sampled times only. `v_rise_time` is the first sampled time at
+    which <V> has risen by more than `slack` times its largest magnitude
+    since the previous sample, the witness that <V> is not monotone, and
+    None when it is.
     """
 
     v_series: np.ndarray
@@ -415,70 +412,30 @@ class LaSalleDiagnostics:
     v_monotone_max_violation: float
     v_rise_time: float | None
     v_sup: float
-    v_limit_estimate: float
     w_integral_estimate: float
-    w_tail_estimate: float
-    w_limit_estimate: float
     w_final: float
-    tail_start_index: int
-    conclusive: bool
-    notes: tuple[str, ...] = ()
+    slack: float
 
 
 def lasalle_diagnostics(traj: Trajectory, v, w) -> LaSalleDiagnostics:
+    """<V> and <W> on the trajectory's samples: whether <V> rises between
+    samples, and the integral of <W> up to the last sample."""
     v_series = expectation_series(traj, v)
     w_series = expectation_series(traj, w)
-    n = len(traj.times)
-    tail_start = int(np.floor(n * (1.0 - _TAIL_FRACTION)))
-    notes: list[str] = []
-    conclusive = True
-    if n < 20 or n - tail_start < 4:
-        conclusive = False
-        notes.append("trajectory too short for tail estimation; diagnostics inconclusive")
-        tail_start = max(0, n - 2)
-
     diffs = np.diff(v_series)
     vscale = max(1.0, float(np.abs(v_series).max()))
-    v_violation = float(diffs.max()) if len(diffs) else 0.0
     rises = np.flatnonzero(diffs > _MONOTONE_SLACK * vscale)
-
-    w_clip = np.clip(w_series, 0.0, None)
-    w_integral = float(np.trapezoid(w_clip, traj.times))
-    w_tail = _tail_integral_estimate(traj.times[tail_start:], w_clip[tail_start:], notes)
-
     return LaSalleDiagnostics(
         v_series=v_series,
         w_series=w_series,
         v_monotone=not rises.size,
-        v_monotone_max_violation=v_violation,
+        v_monotone_max_violation=float(diffs.max()) if len(diffs) else 0.0,
         v_rise_time=float(traj.times[rises[0] + 1]) if rises.size else None,
         v_sup=float(v_series.max()),
-        v_limit_estimate=float(v_series[tail_start:].mean()),
-        w_integral_estimate=w_integral + w_tail,
-        w_tail_estimate=w_tail,
-        w_limit_estimate=float(w_series[tail_start:].mean()),
+        w_integral_estimate=float(np.trapezoid(np.clip(w_series, 0.0, None), traj.times)),
         w_final=float(w_series[-1]),
-        tail_start_index=tail_start,
-        conclusive=conclusive,
-        notes=tuple(notes),
+        slack=_MONOTONE_SLACK,
     )
-
-
-def _tail_integral_estimate(t: np.ndarray, w: np.ndarray, notes: list[str]) -> float:
-    """Extrapolate the integral beyond the horizon from a fitted
-    exponential decay over the tail window; 0 when <W> has already hit the
-    noise floor or shows no decay."""
-    floor = 1e-14 * max(1.0, float(w.max()) if w.size else 1.0)
-    if w.size < 3 or w[-1] <= floor:
-        return 0.0
-    mask = w > floor
-    if mask.sum() < 3:
-        return 0.0
-    slope, _ = np.polyfit(t[mask], np.log(w[mask]), 1)
-    if slope >= 0:
-        notes.append("tail of <W> is not decaying; integral extrapolation omitted")
-        return 0.0
-    return float(w[-1] / (-slope))
 
 
 @dataclass(frozen=True)

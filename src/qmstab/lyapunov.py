@@ -228,8 +228,8 @@ def check_lasalle_pair(
     t5: G(V) <= -W with W >= 0; ||G(W)|| is recorded (always finite here).
     t6: additionally G(W) <= 0.
     t7: G(V) = W for Hermitian W, with G(W) <= 0.
-    corollary1: G(V) <= U - W; the integrability of <U(t)> must be
-    confirmed by simulation and is flagged as such.
+    corollary1: G(V) <= U - W; the integrability of <U(t)> is not certified,
+    so a nonzero U makes a holding slack check inconclusive.
     """
     if theorem not in (THEOREM_5, THEOREM_6, THEOREM_7, COROLLARY_1):
         raise OperatorError(f"unknown LaSalle mode {theorem!r}")
@@ -255,7 +255,7 @@ def check_lasalle_pair(
             uarr = require_hermitian(u)
             notes.append(
                 "finite integral of <U(t)> is a hypothesis this check cannot certify; "
-                "confirm it by simulation (lasalle_diagnostics)"
+                "only U = 0 satisfies it by itself"
             )
         _require_psd_input("W", warr, tol)
         if uarr is not None:
@@ -264,6 +264,8 @@ def check_lasalle_pair(
         main = psd_check(-gv - warr if uarr is None else uarr - warr - gv, tol)
         verdict, witness = main.verdict, main.witness
         metrics["slack_min_eigenvalue"] = main.min_eigenvalue
+        if uarr is not None and verdict is Verdict.HOLDS and max_abs(uarr) > tol:
+            verdict = Verdict.INCONCLUSIVE
 
     if theorem in (THEOREM_6, THEOREM_7):
         decay = psd_check(-gw, tol)

@@ -156,6 +156,7 @@ def synthesize_coupling(spec: SynthesisSpec, tol: float = PSD_TOL) -> SynthesisR
     h_eigen = dag(q) @ spec.hamiltonian @ q if spec.hamiltonian is not None else None
 
     for hi_pos, lo_pos in pairs:
+        label = f"pair ({n_levels - 1 - hi_pos}, {n_levels - 1 - lo_pos})"  # ascending indices
         hs, he = slices[hi_pos]
         ls, le = slices[lo_pos]
         d_hi, d_lo = he - hs, le - ls
@@ -165,7 +166,7 @@ def synthesize_coupling(spec: SynthesisSpec, tol: float = PSD_TOL) -> SynthesisR
             l_eigen[ls + j, hs + j] = spec.coupling_magnitude
         if d_hi != d_lo:
             notes.append(
-                f"pair ({hi_pos}, {lo_pos}) has mismatched eigenspace dimensions "
+                f"{label} has mismatched eigenspace dimensions "
                 f"({d_hi} vs {d_lo}); {hops} lowering channel(s) emitted"
             )
         case = CASE_LOWERING
@@ -174,7 +175,7 @@ def synthesize_coupling(spec: SynthesisSpec, tol: float = PSD_TOL) -> SynthesisR
             h_block = h_eigen[ls:le, hs:he]
             if max_abs(h_block) <= tol:
                 notes.append(
-                    f"pair ({hi_pos}, {lo_pos}): Hamiltonian has no cross term "
+                    f"{label}: Hamiltonian has no cross term "
                     "between these levels; plain lowering coupling suffices (case B)"
                 )
             else:
@@ -192,7 +193,7 @@ def synthesize_coupling(spec: SynthesisSpec, tol: float = PSD_TOL) -> SynthesisR
                 l_eigen[ls:le, ls:le] = dag(l00_dag)
                 if residual > 1e-9 * max(1.0, max_abs(h_block)):
                     notes.append(
-                        f"pair ({hi_pos}, {lo_pos}): Hamiltonian cross term only "
+                        f"{label}: Hamiltonian cross term only "
                         f"partially compensated (residual {residual:.3e})"
                     )
         cases.append(case)

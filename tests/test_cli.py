@@ -48,7 +48,7 @@ ENTRY_SCHEMA = {
     "lasalle-diagnostics": {
         "v_monotone": bool, "v_monotone_max_violation": float,
         "v_rise_time": (float, type(None)), "v_sup": float, "w_integral_estimate": float,
-        "w_limit_estimate": float, "w_final": float, "notes": list,
+        "w_final": float,
     },
     "mean-bound": {"max_violation": float, "worst_time": (float, type(None))},
     "final-state": {"t": float, "state": list},
@@ -287,6 +287,21 @@ class TestCheckCommands:
         assert run(args, tmp_path) == 0
         assert run([*args, "--strict"], tmp_path) == 2
 
+    def test_corollary1_with_nonzero_u_is_inconclusive(self, tmp_path):
+        # the slack G(V) <= U - W holds, but for U != 0 the finite integral
+        # of <U(t)> is assumed, not checked
+        args = [
+            "check-lasalle", "--theorem", "c1",
+            "--model", str(FIXTURES / "twoqubit_dissipative.json"),
+            "--v", str(FIXTURES / "twoqubit_V.json"),
+            "--w", str(FIXTURES / "twoqubit_W.json"),
+            "--u", str(FIXTURES / "twoqubit_W.json"),
+        ]
+        assert run(args, tmp_path / "plain") == 0
+        assert checks_by_name(read_report(tmp_path / "plain"))["lasalle-c1"]["verdict"] == (
+            "inconclusive")
+        assert run([*args, "--strict"], tmp_path / "strict") == 2
+
 
 class TestSimulate:
     def test_decay_series(self, tmp_path):
@@ -352,7 +367,7 @@ class TestSimulate:
 
     def test_rising_v_fails_lasalle_diagnostics(self, tmp_path):
         # the pumped oscillator's <N> rises from the vacuum at once: a
-        # sampled rise refutes G(V) <= 0, whatever W's tail looks like
+        # sampled rise refutes G(V) <= 0, whatever <W> does
         vacuum = tmp_path / "vacuum40.json"
         vacuum.write_text(json.dumps(
             {"matrix": [[[float(i == j == 0), 0.0] for j in range(40)] for i in range(40)]}
@@ -374,7 +389,7 @@ class TestSimulate:
 
     def test_sampled_trajectory_never_proves_lasalle(self, tmp_path):
         # <V> falls at every sample: that refutes nothing and proves nothing,
-        # so the entry is inconclusive whatever the tail estimates say
+        # so the entry is inconclusive whatever <W> does between the samples
         args = ["simulate", "--model", str(FIXTURES / "qubit_decay.json"),
                 "--rho0", str(FIXTURES / "qubit_excited.json"), "--t-final", "5",
                 "--points", "41", "--v", str(FIXTURES / "qubit_V.json"),
@@ -462,6 +477,15 @@ class TestSynthesizeCommand:
         assert couplings and all(sorted(c) == ["left", "right"] for c in couplings)
         assert run(["check-lyapunov", "--model", str(model), "--v", v], tmp_path / "check") == 0
 
+    def test_notes_name_pairs_by_the_indices_given(self, tmp_path):
+        from qmstab.serialize import save_operator
+
+        v = tmp_path / "v.json"
+        save_operator(np.diag([3.0, 2.0, 2.0, 2.0, 1.0, 0.0, 0.0]).astype(complex), v)
+        assert run(["synthesize", "--v", str(v), "--pairs", "3:0,2:1"], tmp_path) == 0
+        notes = checks_by_name(read_report(tmp_path))["synthesis"]["notes"]
+        assert [note.split(" has")[0] for note in notes if note.startswith("pair")] == [
+            "pair (3, 0)", "pair (2, 1)"]
 
     @pytest.mark.parametrize("pairs, message", [
         ("0:0", "pair (0, 0) needs hi > lo"),
