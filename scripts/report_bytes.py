@@ -78,7 +78,7 @@ RUNS = (
         (f"lasalle-t{flag}", ["check-lasalle", "--theorem", flag,
                               "--model", "{f}/twoqubit_dissipative.json",
                               "--v", "{f}/twoqubit_V.json", "--w", "{f}/twoqubit_W.json",
-                              "--u", "{f}/twoqubit_W.json"])
+                              *(["--u", "{f}/twoqubit_W.json"] if flag == "c1" else [])])
         for flag in ("5", "6", "7", "c1")
     ),
     ("lasalle-t8", ["check-lasalle", "--theorem", "8", "--model", "{f}/twoqubit_dissipative.json",

@@ -251,9 +251,10 @@ def _load_operator_arg(run: _Run, flag: str, what: str):
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
-# `invariants` and `dynamics` import scipy, so only the subcommands that run
-# them import them: check-lyapunov, check-lasalle and synthesize load numpy
-# alone.
+# `invariants` and `dynamics` import scipy.sparse, so only the subcommands
+# that run them import them: check-lyapunov, check-lasalle and synthesize
+# load numpy alone. scipy.sparse.linalg, and with it scipy.linalg, loads only
+# where a sparse LU runs.
 
 def _cmd_steady_common(run: _Run, model: ModelSpec):
     from .invariants import steady_states
@@ -376,9 +377,14 @@ def cmd_check_lyapunov(run: _Run) -> None:
 
 
 def cmd_check_lasalle(run: _Run) -> None:
+    theorem, anchor = _THEOREMS[run.args.theorem]
+    # an operator the theorem never reads would be recorded in `inputs` as if used
+    if run.args.u and theorem != COROLLARY_1:
+        raise FormatError(f"theorem {run.args.theorem} reads no --u; only c1 does")
+    if run.args.w and theorem == "t8":
+        raise FormatError("theorem 8 reads no --w")
     model = _load_model_arg(run)
     varr = _load_operator_arg(run, "v", "v")
-    theorem, anchor = _THEOREMS[run.args.theorem]
     if theorem == "t8":
         rep = check_theorem8(model, varr, tol=run.args.tol)
         run.add_check(

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sps
-from scipy.sparse.csgraph import connected_components
 
 from .generator import ModelSpec, Superoperator, _check_dim, liouvillian, state_matrix, unvec, vec
 from .operators import (
@@ -180,13 +179,39 @@ class _Frame:
 def _frame(lv: Superoperator, matrix, v: np.ndarray) -> tuple[_Frame, np.ndarray]:
     """The frame of `matrix`, R or R^T, on its sectors where `v` has
     weight, and the coordinates of `v` in it."""
-    _, labels = connected_components(matrix, directed=True, connection="weak")
+    labels = _sector_labels(matrix)
     x = (lv.basis.conj().T @ v).real
     keep = np.flatnonzero(np.isin(labels, labels[x != 0]))
     n = lv.dim
     diagonal = np.flatnonzero(np.isin(keep, np.arange(n) * (n + 1)))
-    frame = _Frame(lv.basis[:, keep], matrix[keep][:, keep], diagonal, int(labels.max()) + 1)
+    sectors = int(np.count_nonzero(labels == np.arange(labels.size)))  # the roots
+    frame = _Frame(lv.basis[:, keep], matrix[keep][:, keep], diagonal, sectors)
     return frame, x[keep]
+
+
+def _sector_labels(matrix: sps.csr_array) -> np.ndarray:
+    """The weakly connected components of the stored entries of a square
+    CSR (or CSC) matrix: each coordinate labelled by the smallest coordinate
+    of its component. Every stored entry hooks the larger of its two root
+    labels to the smaller, then pointer jumping takes each label to its
+    root, until no entry joins two roots (Shiloach & Vishkin, J. Algorithms
+    3, 57 (1982)). A label never exceeds its coordinate, and each round that
+    finds such an entry leaves one root fewer, so the loop ends."""
+    n = matrix.shape[0]
+    rows, cols = np.repeat(np.arange(n), np.diff(matrix.indptr)), matrix.indices
+    labels = np.arange(n)
+    while True:
+        a, b = labels[rows], labels[cols]
+        cross = a != b
+        if not cross.any():
+            return labels
+        a, b = a[cross], b[cross]
+        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
 
 
 def _checked_state(

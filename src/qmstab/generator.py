@@ -226,9 +226,10 @@ def liouvillian(model: ModelSpec) -> Superoperator:
     their rows of R must sum to zero (trace preservation).
     """
     # imported here, so that runs which build no Liouvillian (synthesis,
-    # Lyapunov and LaSalle checks) load no scipy: `scipy.sparse`, measured
-    # with csgraph, took `import qmstab.cli` from 0.11-0.18 s to 0.34-0.50 s
-    # and its peak RSS from 33 to 61 MB (2 CPUs, scipy 1.17.1)
+    # Lyapunov and LaSalle checks) load no scipy: a cold `import scipy.sparse`
+    # took 0.33 s and 49 MB against 0.19 s and 27 MB for numpy alone, and
+    # `scipy.sparse.linalg`, which loads `scipy.linalg`, 0.12 s and 10 MB more,
+    # so `invariants` imports it only where a sparse LU runs (2 CPUs, scipy 1.17.1)
     import scipy.sparse as sps
 
     n = model.dim

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sps
-import scipy.sparse.linalg as spla
 
 from .generator import (
     _DENSE_FILL,
@@ -69,7 +68,8 @@ _NULL_WINDOW = 8
 # one of B = [[R, t], [t', 0]] (its eigenvector has t'v = 0), and a repeated
 # or defective zero eigenvalue of R makes B singular: ||B^-1||_1 >= 1/|lambda|
 # for every eigenvalue of R but a simple zero, so ||B^-1||_1 < 1/tol_abs rules
-# out a second one within tol_abs. `onenormest` gives a lower bound: a margin.
+# out a second one within tol_abs. The dense path's norm is exact; the sparse
+# path's `onenormest` gives a lower bound: a margin.
 _BORDERED_MARGIN = 1e3
 _CONNECTIVITY_THRESHOLD = 1e-9
 
@@ -177,27 +177,35 @@ def _null_space_arnoldi(m: sps.csr_array, tol_abs: float):
     found are deflated. The window is exhaustive when that one lies outside
     the disc |w - sigma| <= sigma + tol_abs, which holds every eigenvalue
     within tol_abs of zero. Returns the basis and whether the window is
-    exhaustive. Raises ArpackNoConvergence when ARPACK does not converge, as
-    when the spectrum clusters near sigma.
+    exhaustive. Raises InvariantAnalysisError when ARPACK does not converge,
+    as when the spectrum clusters near sigma.
     """
+    import scipy.sparse.linalg as spla  # it loads scipy.linalg: only where used
+
     n2 = m.shape[0]
     sigma = max(10 * tol_abs, 1e-8)
     lu = spla.splu(sps.csc_array(m - sigma * sps.identity(n2)))
     # a fixed generic start vector keeps repeated runs bit-identical
     v0 = np.random.default_rng(0).standard_normal(n2)
     op = spla.LinearOperator(m.shape, matvec=lu.solve, dtype=float)
-    w_inv, v = spla.eigs(op, k=min(_NULL_WINDOW, n2 - 2), which="LM", v0=v0)
-    null = v[:, np.abs(sigma + 1.0 / w_inv) <= tol_abs]
-    # the real and imaginary parts of a real matrix's eigenvectors span their eigenspace
-    u = np.linalg.svd(np.hstack([null.real, null.imag]), full_matrices=False)[0]
-    basis = u[:, : null.shape[1]]
+    try:
+        w_inv, v = spla.eigs(op, k=min(_NULL_WINDOW, n2 - 2), which="LM", v0=v0)
+        null = v[:, np.abs(sigma + 1.0 / w_inv) <= tol_abs]
+        # the real and imaginary parts of a real matrix's eigenvectors span their eigenspace
+        u = np.linalg.svd(np.hstack([null.real, null.imag]), full_matrices=False)[0]
+        basis = u[:, : null.shape[1]]
 
-    def deflated(x):  # the basis spans an invariant subspace: Schur deflation
-        y = lu.solve(x - basis @ (basis.T @ x))
-        return y - basis @ (basis.T @ y)
+        def deflated(x):  # the basis spans an invariant subspace: Schur deflation
+            y = lu.solve(x - basis @ (basis.T @ x))
+            return y - basis @ (basis.T @ y)
 
-    rest = spla.LinearOperator(m.shape, matvec=deflated, dtype=float)
-    w_inv = spla.eigs(rest, k=1, which="LM", v0=v0, return_eigenvectors=False)
+        rest = spla.LinearOperator(m.shape, matvec=deflated, dtype=float)
+        w_inv = spla.eigs(rest, k=1, which="LM", v0=v0, return_eigenvectors=False)
+    except spla.ArpackNoConvergence as exc:
+        raise InvariantAnalysisError(
+            "shift-inverted Arnoldi did not converge: the Liouvillian spectrum "
+            "clusters at the tolerance scale near zero"
+        ) from exc
     return basis, bool(abs(1.0 / w_inv[0]) > sigma + tol_abs)
 
 
@@ -215,8 +223,8 @@ def _null_space_bordered(m: sps.csr_array):
 def _bordered_dense(m: sps.csr_array, t: np.ndarray):
     """B^-1 by numpy's inverse. Not by scipy's dense LU: alone it is faster,
     but inside `analyze` its bundled OpenBLAS spins beside numpy's, and
-    `analyze` was slower. `onenormest` runs on the explicit inverse, so the
-    estimate is the same quantity as `_bordered_sparse`'s."""
+    `analyze` was slower. The explicit inverse gives ||B^-1||_1 exactly, its
+    largest column sum, where `_bordered_sparse` has a lower bound."""
     n2 = m.shape[0]
     b = np.zeros((n2 + 1,) * 2)
     b[:n2, :n2], b[:n2, n2], b[n2, :n2] = m.toarray(), t, t
@@ -224,12 +232,14 @@ def _bordered_dense(m: sps.csr_array, t: np.ndarray):
         inverse = np.linalg.inv(b)
     except np.linalg.LinAlgError:  # exactly singular
         return None
-    return inverse[:n2, n2], float(spla.onenormest(inverse, t=1))
+    return inverse[:n2, n2], float(np.linalg.norm(inverse, 1))
 
 
 def _bordered_sparse(m: sps.csr_array, t: np.ndarray):
     """B^-1 through one sparse LU (`splu`) and its solves. `onenormest(t=1)`
     starts from the ones vector: its default draws from numpy's global RNG."""
+    import scipy.sparse.linalg as spla  # it loads scipy.linalg: only where used
+
     n2 = m.shape[0]
     try:
         lu = spla.splu(sps.block_array([[m, t[:, None]], [t[None, :], None]], format="csc"))
@@ -256,13 +266,7 @@ def _null_space(m: sps.csr_array, tol_abs: float):
         return x[:, None] / np.linalg.norm(x), NULL_SPACE_BORDERED, True, estimate
     if m.shape[0] <= _DENSE_KERNEL_DIM**2:
         return _null_space_dense(m, tol_abs), NULL_SPACE_DENSE, True, None
-    try:
-        vecs, exhaustive = _null_space_arnoldi(m, tol_abs)
-    except spla.ArpackNoConvergence as exc:
-        raise InvariantAnalysisError(
-            "shift-inverted Arnoldi did not converge: the Liouvillian spectrum "
-            "clusters at the tolerance scale near zero"
-        ) from exc
+    vecs, exhaustive = _null_space_arnoldi(m, tol_abs)
     return vecs, NULL_SPACE_ARNOLDI, exhaustive, None
 
 

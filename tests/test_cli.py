@@ -287,6 +287,23 @@ class TestCheckCommands:
         assert run(args, tmp_path) == 0
         assert run([*args, "--strict"], tmp_path) == 2
 
+    @pytest.mark.parametrize("theorem, flag", [
+        ("5", "--u"), ("6", "--u"), ("7", "--u"), ("8", "--u"), ("8", "--w"),
+    ])
+    def test_lasalle_refuses_an_operator_its_theorem_never_reads(
+        self, tmp_path, capsys, theorem, flag
+    ):
+        args = [
+            "check-lasalle", "--theorem", theorem,
+            "--model", str(FIXTURES / "twoqubit_dissipative.json"),
+            "--v", str(FIXTURES / "twoqubit_Vshifted.json"),
+            *(["--w", str(FIXTURES / "twoqubit_W.json")] if theorem != "8" else []),
+            flag, str(FIXTURES / "twoqubit_W.json"),
+        ]
+        assert run(args, tmp_path) == 65
+        assert f"reads no {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_corollary1_with_nonzero_u_is_inconclusive(self, tmp_path):
         # the slack G(V) <= U - W holds, but for U != 0 the finite integral
         # of <U(t)> is assumed, not checked
@@ -595,6 +612,43 @@ def test_kernel_subcommands_label_no_sectors(tmp_path):
     # only the propagator reads sector labels, so steady-state and analyze
     # run no weak-components pass and load no scipy.sparse.csgraph
     proc = _run_script(_KERNEL_IMPORTS, tmp_path, FIXTURES)
+    assert proc.returncode == 0, proc.stderr
+
+
+_NO_FACTORIZATION_IMPORTS = """
+import json
+import sys
+
+import numpy as np
+from qmstab.cli import main
+
+out, f = sys.argv[1:]
+vacuum, model = f"{out}/vacuum40.json", f"{out}/random24.json"
+with open(vacuum, "w") as fh:
+    json.dump({"matrix": [[[float(i == j == 0), 0.0] for j in range(40)] for i in range(40)]}, fh)
+rng = np.random.default_rng(0)
+x = rng.standard_normal((3, 24, 24)) + 1j * rng.standard_normal((3, 24, 24))
+cjson = lambda a: np.stack((a.real, a.imag), -1).tolist()
+with open(model, "w") as fh:
+    json.dump({"dim": 24, "hamiltonian": cjson((x[0] + x[0].conj().T) / 2),
+               "couplings": [cjson(x[1]), cjson(x[2])]}, fh)
+assert main(["simulate", "--model", f"{f}/oscillator_n40.json", "--rho0", vacuum,
+             "--t-final", "1", "--points", "5", "--out", f"{out}/simulate"]) == 0
+assert main(["probe-invariant-set", "--model", f"{f}/qubit_decay.json",
+             "--v", f"{f}/qubit_V.json", "--out", f"{out}/probe"]) == 0
+assert main(["analyze", "--model", model, "--out", f"{out}/analyze"]) == 0
+with open(f"{out}/analyze/report.json") as fh:
+    assert '"null_space_method": "bordered-lu"' in fh.read()
+loaded = {"scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph"} & set(sys.modules)
+assert not loaded, loaded
+"""
+
+
+def test_runs_without_a_sparse_factorization_load_no_scipy_linalg(tmp_path):
+    # sector labels are numpy, and the dense bordered inverse gives its norm
+    # itself, so simulate, the probe and analyze of a dense model load no
+    # scipy.linalg: only splu, eigs and onenormest need scipy.sparse.linalg
+    proc = _run_script(_NO_FACTORIZATION_IMPORTS, tmp_path, FIXTURES)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -149,8 +149,8 @@ class TestSteadyStates:
 
     @pytest.mark.parametrize("n", [6, 24])
     def test_dense_bordered_estimate_matches_a_sparse_lu(self, n):
-        # numpy's inverse of B answers on a dense R; the estimate must be the
-        # one the LU's solves give, since the certificate compares it
+        # numpy's inverse of B answers on a dense R; its value is the exact
+        # ||B^-1||_1, and here the LU's `onenormest` reaches it too
         m = liouvillian(random_model(n, np.random.default_rng(5), n_couplings=2)).matrix
         n2 = m.shape[0]
         assert m.nnz >= generator._DENSE_FILL * n2**2
@@ -160,6 +160,8 @@ class TestSteadyStates:
                                       rmatvec=lambda z: lu.solve(z, trans="T"))
         x, estimate = invariants._null_space_bordered(m)
         assert estimate == pytest.approx(spla.onenormest(inverse, t=1), rel=1e-10)
+        b = sps.block_array([[m, t[:, None]], [t[None, :], None]]).toarray()
+        assert estimate == pytest.approx(np.linalg.norm(np.linalg.inv(b), 1), rel=1e-12)
         assert np.abs(x - lu.solve(np.eye(1, n2 + 1, n2)[0])[:n2]).max() <= 1e-10 * np.abs(x).max()
 
     def test_dense_degenerate_kernel_falls_through_to_dense_svd(self):

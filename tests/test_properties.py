@@ -14,10 +14,12 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from qmstab import (
+    InvariantAnalysisError,
     ModelSpec,
     evolve,
     expectation_series,
@@ -31,7 +33,7 @@ from qmstab import (
     unvec,
     vec,
 )
-from qmstab.dynamics import _frame
+from qmstab.dynamics import _frame, _sector_labels
 from qmstab.invariants import (
     NULL_SPACE_ARNOLDI,
     NULL_SPACE_BORDERED,
@@ -145,7 +147,8 @@ def test_dense_and_splu_null_spaces_agree(drawn):
         assert max_abs(states[0] - states[1]) <= 1e-10
     try:
         window, window_exhaustive = _null_space_arnoldi(real, tol_abs)
-    except spla.ArpackNoConvergence:
+    except InvariantAnalysisError as exc:
+        assert isinstance(exc.__cause__, spla.ArpackNoConvergence)
         event("window did not converge")
         return
     event(f"window exhaustive: {window_exhaustive}")
@@ -186,6 +189,36 @@ def test_real_form_is_a_unitary_change_of_basis_into_sectors(drawn):
         assert matrix[keep][:, drop].count_nonzero() == matrix[drop][:, keep].count_nonzero() == 0
     event(f"{frame.sectors} sectors")
     event("coordinates dropped" if drop.size else "no coordinate dropped")
+
+
+def _assert_csgraph_sectors(matrix) -> int:
+    """The sector labels of R and R^T partition the coordinates as csgraph's
+    weak components do; returns the count."""
+    for m in (matrix, matrix.T):
+        count, expected = connected_components(m, directed=True, connection="weak")
+        labels = _sector_labels(m)
+        # a bijection between the two labellings: as many pairs as labels on each side
+        pairs = np.unique(np.stack([labels, expected]), axis=1)
+        assert pairs.shape[1] == np.unique(labels).size == count
+        # each label is the smallest coordinate of its sector
+        assert np.array_equal(labels[labels], labels) and np.all(labels <= np.arange(labels.size))
+    return count
+
+
+@SETTINGS
+@given(st.one_of(models(), ladder_models()))
+def test_sector_labels_are_csgraph_weak_components(drawn):
+    model, _ = drawn
+    event(f"{_assert_csgraph_sectors(liouvillian(model).matrix)} sectors")
+
+
+def test_sector_labels_split_dephasing_into_every_coherence():
+    # diagonal H and L: each population and each coherence pair is its own sector
+    rng = np.random.default_rng(2)
+    n = 64
+    model = ModelSpec(np.diag(rng.standard_normal(n)),
+                      [np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n))])
+    assert _assert_csgraph_sectors(liouvillian(model).matrix) == n * (n + 1) // 2
 
 
 @SETTINGS
@@ -241,8 +274,9 @@ def test_arnoldi_non_convergence_falls_back_to_dense():
     lv = liouvillian(model)
     tol_abs = 1e-9 * max(1.0, lv.norm)
     real = lv.matrix
-    with pytest.raises(spla.ArpackNoConvergence):
+    with pytest.raises(InvariantAnalysisError, match="did not converge") as info:
         _null_space_arnoldi(real, tol_abs)
+    assert isinstance(info.value.__cause__, spla.ArpackNoConvergence)
     basis, method, exhaustive, _ = _null_space(real, tol_abs)
     assert (basis.shape[1], method, exhaustive) == (9, NULL_SPACE_DENSE, True)
 
