@@ -15,7 +15,9 @@ and `analyze` runs reach every `null_space_method`: `bordered-lu` (simple
 kernels), `dense-svd` (`twoqubit`) and `splu-arnoldi` (`ladders42`, a
 degenerate kernel above dim 40), `simulate-unstable40` pins a failing
 `lasalle-diagnostics` entry and `simulate-json` the series embedded by
-`--format json`. The inputs come from this script's own
+`--format json`. The three `lyapunov-weak` runs reach each branch of the
+weak entry's `best_c`: a positive rate, none (`null`) and a singular
+dI - G(V) (`0.0`). The inputs come from this script's own
 checkout, so two trees see identical files. To compare two trees:
 
     python3 scripts/report_bytes.py --src /path/to/old > old.txt
@@ -74,6 +76,10 @@ RUNS = (
                              "--v", "{f}/twoqubit_V.json"]),
     ("lyapunov-weak", ["check-lyapunov", "--model", "{f}/qubit_decay.json",
                        "--v", "{f}/qubit_V.json", "--c", "0.5", "--d", "0"]),
+    ("lyapunov-weak-none", ["check-lyapunov", "--model", "{f}/oscillator_unstable_n40.json",
+                            "--v", "{f}/number_n40.json", "--c", "0.1", "--d", "1"]),
+    ("lyapunov-weak-singular", ["check-lyapunov", "--model", "{f}/twoqubit_dissipative.json",
+                                "--v", "{f}/twoqubit_Vshifted.json", "--c", "0.1", "--d", "0"]),
     *(
         (f"lasalle-t{flag}", ["check-lasalle", "--theorem", flag,
                               "--model", "{f}/twoqubit_dissipative.json",

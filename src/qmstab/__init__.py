@@ -30,8 +30,7 @@ _EXPORTS = {
     ),
     "lyapunov": (
         "GroundConvergenceReport", "LyapunovCertificate", "TailBound", "check_lasalle_pair",
-        "check_lyapunov", "check_theorem8", "check_weak_lyapunov", "lyapunov_search",
-        "tightness_tail_bound",
+        "check_lyapunov", "check_theorem8", "check_weak_lyapunov", "tightness_tail_bound",
     ),
     "invariants": (
         "ConnectivityResult", "ConnectivityScan", "FaithfulnessResult", "InvariantStateReport",

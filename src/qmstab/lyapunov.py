@@ -3,9 +3,8 @@
 Checks the Lyapunov conditions G(V) <= 0 and G(V) <= -cV + dI, the tail
 projection bound implied by a mean bound on a coercive observable, the
 invariance-principle hypothesis pairs (tags t5-t7 plus the relaxed form with
-a companion operator), the ground-set convergence conditions (tag t8 on the
-CLI), and a best-effort feasibility search for weak Lyapunov certificates
-over an operator basis.
+a companion operator) and the ground-set convergence conditions (tag t8 on
+the CLI). The weak check also reports the best rate c for its V and d.
 
 All inequalities are certified through `psd_check` at a single relative
 tolerance (default 1e-9), overridable per call.
@@ -114,26 +113,51 @@ def check_weak_lyapunov(
 ) -> LyapunovCertificate:
     """Weak (exponential) Lyapunov condition G(V) <= -cV + dI, c > 0, d >= 0.
 
-    V must be PSD. An indefinite V is rejected, not shifted: V + sI meets
-    the condition with offset d + cs, not d.
+    V must be PSD and nonzero. An indefinite V is rejected, not shifted:
+    V + sI meets the condition with offset d + cs, not d. A zero V meets it
+    at every c, so it has no best rate. `metrics["best_c"]` is the largest
+    c that holds at this d (`_best_rate`).
     """
     if c <= 0 or d < 0:
         raise OperatorError(f"weak Lyapunov condition needs c > 0 and d >= 0, got c={c}, d={d}")
     varr = require_hermitian(v)
     _require_psd_input("V", varr, tol)
+    if not varr.any():
+        raise OperatorError("V is the zero operator; the weak condition needs a nonzero V")
     gv = hermitian_part(generator_heisenberg(model, varr))
     slack = -gv - c * varr + d * np.eye(model.dim)
     report = psd_check(slack, tol)
-    witness = report.witness
     return LyapunovCertificate(
         verdict=report.verdict,
         v=_frozen(varr),
         c=float(c),
         d=float(d),
         tolerance=tol,
-        witness=witness,
-        metrics={"slack_min_eigenvalue": report.min_eigenvalue},
+        witness=report.witness,
+        metrics={
+            "slack_min_eigenvalue": report.min_eigenvalue,
+            "best_c": _best_rate(d * np.eye(model.dim) - gv, varr, tol),
+        },
     )
+
+
+def _best_rate(a: np.ndarray, v: np.ndarray, tol: float) -> float | None:
+    """sup{c >= 0 : A - cV >= 0} for A = dI - G(V) and a nonzero V >= 0,
+    or None when A itself is not PSD.
+
+    The sup is 1/lambda_max of the pencil (V, A). On a singular A it is 0
+    when V is nonzero on ker A, and else the pencil restricted to A's
+    range: with S = Q_range / sqrt(w_range), 1/lambda_max(S'VS).
+    """
+    w, q = np.linalg.eigh(a)
+    scale = max(1.0, float(np.abs(w).max()))
+    if w[0] < -tol * scale:
+        return None
+    in_range = w > tol * scale
+    if max_abs(v @ q[:, ~in_range]) > tol * max(1.0, max_abs(v)):
+        return 0.0
+    s = q[:, in_range] / np.sqrt(w[in_range])
+    return 1.0 / float(np.linalg.eigvalsh(dag(s) @ v @ s)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -391,93 +415,3 @@ def check_theorem8(model: ModelSpec, v, tol: float = PSD_TOL) -> GroundConvergen
         kernel_dim=kernel_dim,
         notes=tuple(notes),
     )
-
-
-# ---------------------------------------------------------------------------
-# Certificate search
-# ---------------------------------------------------------------------------
-
-def lyapunov_search(
-    model: ModelSpec,
-    basis,
-    c: float,
-    d: float,
-    max_iter: int = 2000,
-    tol: float = PSD_TOL,
-    seed: int = 0,
-) -> np.ndarray | None:
-    """Search for V = sum_j x_j B_j with V >= 0 and G(V) <= -cV + dI.
-
-    Subgradient ascent on the smaller of the two constraint margins
-    (eigenvalue-penalty descent), with the trace normalized to the
-    dimension to exclude the trivial V = 0. Best effort: a None return
-    means "not found", never "infeasible". Deterministic for a fixed seed.
-    """
-    mats = [require_hermitian(b) for b in basis]
-    if not mats:
-        raise OperatorError("search basis must be nonempty")
-    n = model.dim
-    stacked = np.stack([m.ravel() for m in mats])
-    if np.linalg.matrix_rank(stacked) < len(mats):
-        raise OperatorError("search basis is linearly dependent")
-
-    eye = np.eye(n)
-    gb = [hermitian_part(generator_heisenberg(model, b)) for b in mats]
-    traces = np.array([np.trace(b).real for b in mats])
-
-    def assemble(x):
-        v = np.zeros((n, n), dtype=complex)
-        for xi, b in zip(x, mats):
-            v += xi * b
-        return v
-
-    def normalize(x):
-        tr = float(traces @ x)
-        if abs(tr) > 1e-9:
-            return x * (n / tr)
-        nrm = np.linalg.norm(x)
-        return x / nrm if nrm > 0 else x
-
-    def margins(x):
-        v = assemble(x)
-        s = -sum(xi * g for xi, g in zip(x, gb)) - c * v + d * eye
-        wv, pv = np.linalg.eigh(v)
-        ws, ps = np.linalg.eigh(hermitian_part(s))
-        return (float(wv[0]), pv[:, 0]), (float(ws[0]), ps[:, 0])
-
-    rng = np.random.default_rng(seed)
-    # Start from the identity direction when it is in the span, else random.
-    x0, *_ = np.linalg.lstsq(stacked.T, eye.astype(complex).ravel(), rcond=None)
-    x = np.real(x0)
-    if max_abs(assemble(x) - eye) > 1e-8:
-        x = rng.standard_normal(len(mats))
-    x = normalize(x)
-
-    margin_goal = 0.0
-    for it in range(max_iter):
-        (mv, vecv), (ms, vecs_) = margins(x)
-        if min(mv, ms) >= margin_goal:
-            break
-        if mv <= ms:
-            grad = np.array([np.real(vecv.conj() @ b @ vecv) for b in mats])
-        else:
-            grad = np.array(
-                [np.real(vecs_.conj() @ (-g - c * b) @ vecs_) for b, g in zip(mats, gb)]
-            )
-        gn = np.linalg.norm(grad)
-        if gn < 1e-14:
-            break
-        step = 0.5 / (1 + it / 50)
-        x = normalize(x + step * grad / gn)
-    else:
-        return None
-
-    v = hermitian_part(assemble(x))
-    # No unverified solution escapes: certify through the standard checker.
-    try:
-        cert = check_weak_lyapunov(model, v, c, d, tol)
-    except OperatorError:
-        return None
-    if cert.verdict is not Verdict.HOLDS:
-        return None
-    return _frozen(v)

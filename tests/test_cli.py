@@ -260,6 +260,34 @@ class TestCheckCommands:
             tmp_path,
         )
         assert code == 0
+        # G(N) = -0.75 N + 0.25 I on the interior, so 0.75 is the best rate
+        entry = checks_by_name(read_report(tmp_path))["weak-lyapunov"]
+        assert entry["metrics"]["best_c"] == pytest.approx(0.75, rel=1e-12)
+
+    @pytest.mark.parametrize("model,v,d,best", [
+        ("oscillator_unstable_n40.json", "number_n40.json", "1", None),
+        ("twoqubit_dissipative.json", "twoqubit_Vshifted.json", "0", 0.0),
+    ])
+    def test_weak_lyapunov_reports_no_or_zero_rate(self, tmp_path, model, v, d, best):
+        code = run(
+            ["check-lyapunov", "--model", str(FIXTURES / model), "--v", str(FIXTURES / v),
+             "--c", "0.1", "--d", d],
+            tmp_path,
+        )
+        assert code == 1
+        assert checks_by_name(read_report(tmp_path))["weak-lyapunov"]["metrics"]["best_c"] == best
+
+    def test_weak_lyapunov_refuses_zero_v(self, tmp_path, capsys):
+        from qmstab.serialize import save_operator
+
+        save_operator(np.zeros((2, 2), dtype=complex), tmp_path / "zero.json")
+        code = run(
+            ["check-lyapunov", "--model", str(FIXTURES / "qubit_decay.json"),
+             "--v", str(tmp_path / "zero.json"), "--c", "1", "--d", "1"],
+            tmp_path,
+        )
+        assert code == 65
+        assert "zero operator" in capsys.readouterr().err
 
     def test_strict_lyapunov_fails_on_pumped_oscillator(self, tmp_path):
         code = run(
@@ -604,13 +632,13 @@ from qmstab.cli import main
 out, f = sys.argv[1:]
 assert main(["steady-state", "--model", f"{f}/oscillator_n40.json", "--out", out]) == 0
 assert main(["analyze", "--model", f"{f}/twoqubit.json", "--out", out]) == 1  # not unique
-assert "scipy.sparse.csgraph" not in sys.modules
+assert "qmstab.dynamics" not in sys.modules
 """
 
 
 def test_kernel_subcommands_label_no_sectors(tmp_path):
     # only the propagator reads sector labels, so steady-state and analyze
-    # run no weak-components pass and load no scipy.sparse.csgraph
+    # never import qmstab.dynamics, where the labels are computed
     proc = _run_script(_KERNEL_IMPORTS, tmp_path, FIXTURES)
     assert proc.returncode == 0, proc.stderr
 

@@ -11,7 +11,6 @@ from qmstab import (
     check_weak_lyapunov,
     generator_heisenberg,
     ket_bra,
-    lyapunov_search,
     number_operator,
     pauli,
     psd_check,
@@ -20,7 +19,9 @@ from qmstab import (
     tightness_tail_bound,
 )
 
-from conftest import oscillator
+from qmstab.serialize import load_model, load_operator
+
+from conftest import FIXTURES, oscillator
 
 V_GROUND = np.diag([1.0, 0.0]).astype(complex)
 
@@ -100,6 +101,42 @@ class TestWeakLyapunov:
     def test_rejects_bad_constants(self, twolevel):
         with pytest.raises(OperatorError):
             check_weak_lyapunov(twolevel, np.eye(2), c=0.0, d=1.0)
+
+
+def _fixture_pair(model, v):
+    return load_model(FIXTURES / f"{model}.json")[0], load_operator(FIXTURES / f"{v}.json")
+
+
+class TestBestRate:
+    @pytest.mark.parametrize("model,v,d,best", [
+        ("qubit_decay", "qubit_V", 0.0, 1.0),
+        ("qubit_decay", "qubit_V", 1.0, 2.0000000000000004),
+        ("oscillator_n40", "number_n40", 1.0, 0.7697368421052633),
+        ("oscillator_unstable_n40", "number_n40", 40.0, 0.2763157894736842),
+    ])
+    def test_fixture_rates_are_the_boundary(self, model, v, d, best):
+        model, varr = _fixture_pair(model, v)
+        assert check_weak_lyapunov(model, varr, c=0.1, d=d).metrics["best_c"] == best
+        inside = check_weak_lyapunov(model, varr, c=(1 - 1e-6) * best, d=d)
+        assert inside.verdict is Verdict.HOLDS and inside.metrics["best_c"] == best
+        assert check_weak_lyapunov(model, varr, c=(1 + 1e-3) * best, d=d).verdict is Verdict.FAILS
+
+    def test_no_rate_when_the_offset_is_too_small(self):
+        # the pumped oscillator's G(N) exceeds 1 * I, so A = I - G(N) is not PSD
+        model, varr = _fixture_pair("oscillator_unstable_n40", "number_n40")
+        cert = check_weak_lyapunov(model, varr, c=0.1, d=1.0)
+        assert cert.verdict is Verdict.FAILS and cert.metrics["best_c"] is None
+
+    def test_singular_offset_gives_rate_zero(self):
+        # d = 0: A = -G(V) is singular and V is nonzero on its kernel
+        model, varr = _fixture_pair("twoqubit_dissipative", "twoqubit_Vshifted")
+        cert = check_weak_lyapunov(model, varr, c=1e-3, d=0.0)
+        assert cert.metrics["best_c"] == 0.0
+        assert cert.verdict is Verdict.FAILS
+
+    def test_zero_v_refused(self, qubit_decay):
+        with pytest.raises(OperatorError, match="zero operator"):
+            check_weak_lyapunov(qubit_decay, np.zeros((2, 2)), c=1.0, d=1.0)
 
 
 class TestTailBound:
@@ -234,41 +271,3 @@ class TestGroundConvergence:
         report = check_theorem8(model, v)
         assert report.verdict is Verdict.FAILS
         assert report.commutator_norm > 1e-3
-
-
-class TestSearch:
-    def test_oscillator_certificate_found(self):
-        model = oscillator(12)
-        basis = [np.eye(12, dtype=complex), number_operator(12)]
-        v = lyapunov_search(model, basis, c=0.5, d=1.0)
-        assert v is not None
-        assert check_weak_lyapunov(model, v, c=0.5, d=1.0).verdict is Verdict.HOLDS
-
-    def test_identity_basis(self, qubit_decay):
-        v = lyapunov_search(qubit_decay, [np.eye(2, dtype=complex)], c=0.5, d=1.0)
-        assert v is not None
-        off = v - (np.trace(v).real / 2) * np.eye(2)
-        assert np.abs(off).max() < 1e-9
-
-    def test_identity_basis_infeasible_when_d_below_c(self, qubit_decay):
-        assert lyapunov_search(qubit_decay, [np.eye(2, dtype=complex)], c=1.0, d=0.5) is None
-
-    def test_restricted_basis_not_found(self):
-        # pumped oscillator, trace-normalized number-operator direction only:
-        # the slack d I cannot absorb the growing spectrum
-        model = oscillator(12, alpha=0.5, beta=1.0)
-        assert lyapunov_search(model, [number_operator(12)], c=0.5, d=1.0) is None
-
-    def test_output_always_certified(self, rng):
-        # whatever comes back from random bases re-passes the checker
-        model = oscillator(8)
-        for _ in range(5):
-            g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-            basis = [np.eye(8, dtype=complex), (g + g.conj().T) / 2]
-            v = lyapunov_search(model, basis, c=0.3, d=1.0, max_iter=300)
-            if v is not None:
-                assert check_weak_lyapunov(model, v, c=0.3, d=1.0).verdict is Verdict.HOLDS
-
-    def test_degenerate_basis_rejected(self, qubit_decay):
-        with pytest.raises(OperatorError, match="dependent"):
-            lyapunov_search(qubit_decay, [np.eye(2), 2 * np.eye(2)], c=0.5, d=1.0)

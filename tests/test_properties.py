@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from qmstab import (
     InvariantAnalysisError,
     ModelSpec,
+    check_weak_lyapunov,
     evolve,
     expectation_series,
     generator_heisenberg,
@@ -262,6 +263,26 @@ def test_heisenberg_probe_is_the_worst_case_over_states(drawn):
     top = np.linalg.eigh((v_final + v_final.conj().T) / 2)[1][:, -1]
     traj = evolve(model, np.outer(top, top.conj()), 3.0, n_points=5)
     assert abs(expectation_series(traj, v)[-1] - low - probe.worst_final) <= tol
+
+
+@SETTINGS
+@given(models())
+def test_probe_stays_under_the_best_rate_bound(drawn):
+    # G(V) <= -cV + dI and a positive unital e^{tG} give
+    # V(t) <= e^{-ct} V + (d/c)(1 - e^{-ct}) I; d above lambda_max(G(V))
+    # makes dI - G(V) positive definite, so the best c is positive
+    model, rng = drawn
+    a = random_matrix(model.dim, rng)
+    v = a @ a.conj().T
+    top = float(np.linalg.eigvalsh(generator_heisenberg(model, v))[-1])
+    d = max(0.0, top) + 1.0
+    c = check_weak_lyapunov(model, v, c=1.0, d=d).metrics["best_c"]
+    assert c > 0
+    spectrum = np.linalg.eigvalsh(v)
+    probe = invariant_set_probe(model, v, t_final=3.0, n_points=7)
+    decay = np.exp(-c * np.linspace(0.0, 3.0, 7))
+    bound = decay * spectrum[-1] + (d / c) * (1.0 - decay)
+    assert np.all(probe.worst_case + spectrum[0] <= bound * (1.0 + 1e-12))
 
 
 def test_arnoldi_non_convergence_falls_back_to_dense():
