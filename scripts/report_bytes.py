@@ -11,14 +11,15 @@ digests cover exactly the bytes that the determinism contract fixes.
 The list covers every subcommand on `fixtures/` plus seeded `synthesize`
 targets: the `certify-n32` recipe, degenerate and indefinite diagonal
 targets and a Hamiltonian with and without compensation. The `steady-state`
-and `analyze` runs reach every `null_space_method`: `bordered-lu` (simple
-kernels), `dense-svd` (`twoqubit`) and `splu-arnoldi` (`ladders42`, a
-degenerate kernel above dim 40), `simulate-unstable40` pins a failing
-`lasalle-diagnostics` entry and `simulate-json` the series embedded by
-`--format json`. The three `lyapunov-weak` runs reach each branch of the
-weak entry's `best_c`: a positive rate, none (`null`) and a singular
-dI - G(V) (`0.0`). The inputs come from this script's own
-checkout, so two trees see identical files. To compare two trees:
+and `analyze` runs reach both `null_space_method`s and a doubled border:
+`bordered-lu` at width 1 (simple kernels), `dense-svd` (`twoqubit`) and
+`bordered-lu` at width 2 (`ladders42`, a degenerate kernel above dim 40).
+`simulate-unstable40` pins a failing `lasalle-diagnostics` entry and
+`simulate-json` the series embedded by `--format json`. The three
+`lyapunov-weak` runs reach each branch of the weak entry's `best_c`: a
+positive rate, none (`null`) and a singular dI - G(V) (`0.0`). The inputs
+come from this script's own checkout, so two trees see identical files.
+To compare two trees:
 
     python3 scripts/report_bytes.py --src /path/to/old > old.txt
     python3 scripts/report_bytes.py --src . > new.txt
@@ -140,7 +141,7 @@ def write_targets(root: Path) -> None:
              "couplings": [_cjson(_random_matrix(rng, 24, 24) / np.sqrt(2)) for _ in range(2)]}
     (root / "random24.json").write_text(json.dumps(model))
     # two damped 21-level ladders, the second shifted by 0.3: a singular
-    # bordered matrix above the dense limit, so the Arnoldi window answers
+    # width-1 bordered matrix above the dense limit, so the border doubles
     a = np.diag(np.sqrt(np.arange(1.0, 21.0)), 1)
     model = {"dim": 42, "hamiltonian": _cjson(np.diag(np.r_[np.arange(21), np.arange(21) + 0.3])),
              "couplings": [_cjson(np.kron(np.eye(2), a))]}

@@ -2,18 +2,18 @@
 of the Liouvillian's assembly and bordered solve directly.
 
 The first table has one row per dimension and model: the median wall time
-over `--repeats` calls of `_null_space_dense`, `_null_space_bordered` and
-`_null_space_arnoldi` on the real Liouvillian `liouvillian(model).matrix`,
-at the tolerance `steady_states` uses. The models are a seeded random one
-(Hermitian H, two random couplings), the criterion-2 oscillator
-(L = a + a'/2), both with a simple kernel, and two damped ladders side by
-side, the second one's levels shifted by 0.3 (`ladders`) or not (`twins`),
-whose ground states make the bordered matrix singular, so that only the
-dense SVD or the window can answer. After the times come what each solver
-found: the dense SVD's null dimension, whether the bordered estimate
-certifies a simple zero (or B is singular), and the window's null dimension
-and whether it was exhaustive (or that ARPACK did not converge). The
-`ladders` and `twins` rows set `invariants._DENSE_KERNEL_DIM`.
+over `--repeats` calls of `_null_space_dense`, of `_null_space_bordered` at
+width 1, and of the border doubled from width 1 until `_null_space_bordered`
+certifies (`width_s`; at most to width dim^2), on the real Liouvillian
+`liouvillian(model).matrix`, at the tolerance `steady_states` uses. The
+models are a seeded random one (Hermitian H, two random couplings), the
+criterion-2 oscillator (L = a + a'/2), both with a simple kernel, and two
+damped ladders side by side, the second one's levels shifted by 0.3
+(`ladders`) or not (`twins`), whose ground states make the width-1 bordered
+matrix singular. After the times come what each solver found: the dense
+SVD's null dimension, whether width 1 certifies a simple zero, and the
+width that certified (or `none`). These rows set
+`invariants._DENSE_KERNEL_DIM`.
 
 The second table adds a `banded` family, a seeded random H and one random
 coupling, both of bandwidth w, whose fill sweeps across 1/2 at n = 16 and
@@ -34,7 +34,6 @@ import statistics
 import time
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 import qmstab.generator as gen
 import qmstab.invariants as inv
@@ -82,12 +81,20 @@ def median_time(solve, repeats: int):
     times, result = [], None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        try:
-            result = solve()
-        except spla.ArpackNoConvergence:
-            result = None
+        result = solve()
         times.append(time.perf_counter() - t0)
     return statistics.median(times), result
+
+
+def certified_width(m, tol_abs: float):
+    """The first border width, doubled from 1, at which the bordered LU
+    certifies the kernel; None up to width dim^2."""
+    k = 1
+    while k <= m.shape[0]:
+        if inv._null_space_bordered(m, k, tol_abs) is not None:
+            return k
+        k *= 2
+    return None
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -96,24 +103,18 @@ def main(argv: list[str] | None = None) -> None:
     ap.add_argument("--repeats", type=int, default=7)
     args = ap.parse_args(argv)
     inv.steady_states(random_model(4))  # load BLAS/LAPACK and SuperLU before timing
-    print("dim  model       dense_s  bordered_s  arnoldi_s  null  bordered   window")
+    print("dim  model       dense_s  bordered_s  width_s  null  bordered  width")
     for n in args.dims:
         for name, make in MODELS:
             lv = liouvillian(make(n))
             m, tol_abs = lv.matrix, 1e-9 * max(1.0, lv.norm)
             dense, basis = median_time(lambda: inv._null_space_dense(m, tol_abs), args.repeats)
-            bordered, found = median_time(lambda: inv._null_space_bordered(m), args.repeats)
-            arnoldi, window = median_time(lambda: inv._null_space_arnoldi(m, tol_abs),
+            bordered, found = median_time(lambda: inv._null_space_bordered(m, 1, tol_abs),
                                           args.repeats)
-            certified = (
-                "singular" if found is None
-                else "simple" if found[1] <= 1.0 / (inv._BORDERED_MARGIN * tol_abs)
-                else "no"
-            )
-            window = ("stalled" if window is None
-                      else f"{window[0].shape[1]}, {'exhaustive' if window[1] else 'partial'}")
-            print(f"{n:3d}  {name:10s}  {dense:7.4f}  {bordered:10.4f}  {arnoldi:9.4f}"
-                  f"  {basis.shape[1]:4d}  {certified:8s}  {window}", flush=True)
+            doubled, width = median_time(lambda: certified_width(m, tol_abs), args.repeats)
+            print(f"{n:3d}  {name:10s}  {dense:7.4f}  {bordered:10.4f}  {doubled:7.4f}"
+                  f"  {basis.shape[1]:4d}  {'simple' if found else 'no':8s}  {width or 'none'}",
+                  flush=True)
 
     print("\ndim  model        fill  R_fill  csr_R_s  dense_R_s  splu_s  inverse_s")
     for n in args.dims:
@@ -124,7 +125,7 @@ def main(argv: list[str] | None = None) -> None:
             lv = liouvillian(model)
             m, n2 = lv.matrix, n * n
             k_op = -1j * model.hamiltonian - 0.5 * sum(l.conj().T @ l for l in model.couplings)
-            t = (np.arange(n2) % (n + 1) == 0).astype(float)
+            t = (np.arange(n2) % (n + 1) == 0).astype(float)[:, None]
             times = [median_time(solve, args.repeats)[0] for solve in (
                 lambda: gen._sparse_real(model, lv.basis),
                 lambda: gen._dense_real(model.couplings, k_op),

@@ -63,11 +63,6 @@ _THEOREMS = {
     "8": ("t8", "Theorem 8"),
     "c1": (COROLLARY_1, "Corollary 1"),
 }
-_UNIQUENESS_VERDICTS = {
-    "unique": Verdict.HOLDS,
-    "not_unique": Verdict.FAILS,
-    "inconclusive": Verdict.INCONCLUSIVE,
-}
 
 
 def _verdict(ok) -> Verdict:
@@ -262,7 +257,7 @@ def _cmd_steady_common(run: _Run, model: ModelSpec):
     report = steady_states(model, tol=run.args.tol)
     run.add_check(
         "invariant-state-exists", "Theorem 1", _verdict(report.states), run.args.tol, report,
-        ("null_dimension", "null_space_method", "exhaustive", "inverse_norm_estimate",
+        ("null_dimension", "null_space_method", "inverse_norm_estimate",
          "residuals", "cleanup_distances", "reliable", "notes"),
         states=[s.matrix for s in report.states],
     )
@@ -275,7 +270,7 @@ def cmd_steady_state(run: _Run) -> None:
 
 
 def cmd_analyze(run: _Run) -> None:
-    from .invariants import connectivity_scan, subharmonicity_check
+    from .invariants import UNIQUE, connectivity_scan, subharmonicity_check
 
     model = _load_model_arg(run)
     report = _cmd_steady_common(run, model)
@@ -292,7 +287,7 @@ def cmd_analyze(run: _Run) -> None:
         )
 
     run.add_check(
-        "unique-invariant-state", "Theorem 3", _UNIQUENESS_VERDICTS[report.unique], run.args.tol,
+        "unique-invariant-state", "Theorem 3", _verdict(report.unique == UNIQUE), run.args.tol,
         report, ("null_dimension",),
     )
 

@@ -44,7 +44,8 @@ MAX_LIOUVILLIAN_DIM = 128
 # dense R at 8 and its CSR conversion; seeded random models with two
 # couplings, n = 32, 40 and 48, 2 CPUs): 2^24 entries, dense n = 64, take
 # about 1 GB, where the dimension cap alone admits 6 GB at n = 100 and
-# 16 GB at n = 128.
+# 16 GB at n = 128. `invariants._null_space` doubles its bordered matrix no
+# further than this many stored entries either.
 MAX_LIOUVILLIAN_ENTRIES = 2**24
 
 # At a predicted fill of M at or above this, `liouvillian` assembles R dense,
@@ -54,9 +55,7 @@ MAX_LIOUVILLIAN_ENTRIES = 2**24
 # 2/3 and at most 4/3 the size of CSR from 1/2. Time: on the `banded` rows of
 # scripts/time_null_space.py (README "Numerical notes"; 2 CPUs) both dense
 # steps are as fast as the sparse ones from a predicted fill of about 0.3 at
-# n = 24 and 30, and faster from 1/2. A cut at or below 0.22 would move the
-# near-degenerate dim-9 Hamiltonian of the property tests onto the dense R,
-# whose different rounding ARPACK then fails to converge on.
+# n = 24 and 30, and faster from 1/2.
 _DENSE_FILL = 0.5
 
 _SUPEROP_TOL = 1e-9

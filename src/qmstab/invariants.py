@@ -5,11 +5,13 @@ Schroedinger-side Liouvillian R (`generator.liouvillian`): by one inverse
 of R bordered with the trace, which certifies a simple zero eigenvalue
 (`bordered-lu`; a sparse LU, or numpy's dense inverse when R is at least
 half nonzeros); when it does not, by one dense SVD up to dim 40
-(`dense-svd`) and by an Arnoldi window above it (`splu-arnoldi`). It
-classifies them: faithfulness (full-rank support), subharmonicity of support
-projections, the connectivity condition P L'(I-P) L P != 0 linking a
-projection to its complement, and uniqueness, read off the same kernel: the
-invariant state is unique exactly when that kernel is one-dimensional.
+(`dense-svd`), and above it by the bordered inverse again, its border
+doubled in width until it certifies the whole kernel (`bordered-lu`). Every
+answer holds the whole kernel. It classifies them: faithfulness (full-rank
+support), subharmonicity of support projections, the connectivity condition
+P L'(I-P) L P != 0 linking a projection to its complement, and uniqueness,
+read off the same kernel: the invariant state is unique exactly when that
+kernel is one-dimensional.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import scipy.sparse as sps
 
 from .generator import (
     _DENSE_FILL,
+    MAX_LIOUVILLIAN_ENTRIES,
     ModelSpec,
     generator_heisenberg,
     generator_schroedinger,
@@ -46,30 +49,26 @@ from .operators import (
 
 UNIQUE = "unique"
 NOT_UNIQUE = "not_unique"
-INCONCLUSIVE = "inconclusive"
 
 NULL_SPACE_DENSE = "dense-svd"
-NULL_SPACE_ARNOLDI = "splu-arnoldi"
 NULL_SPACE_BORDERED = "bordered-lu"
 
-# When the bordered LU certifies nothing, one dense SVD of R answers up to
-# this dimension: it is exact, where the Arnoldi window can stall or miss
-# copies of a repeated null eigenvalue, and takes 0.12 / 0.56 / 1.56 s at
-# dims 24 / 32 / 40 against 0.36 / 1.02 / 2.36 s for dense eig, growing as
-# dim^6 (scripts/time_null_space.py; 2 CPUs; README "Numerical notes").
+# When the width-1 bordered LU certifies nothing, one dense SVD of R answers
+# up to this dimension: it is exact, also on spectra near-degenerate at the
+# tolerance scale, where no border width certifies, and takes 0.12 / 0.56 /
+# 1.56 s at dims 24 / 32 / 40, growing as dim^6 (scripts/time_null_space.py;
+# 2 CPUs; README "Numerical notes"). Doubling the border width instead took
+# 0.75-1.44 s against the SVD's 0.44 s on the dim-32 synthesized model of
+# the `certify-n32` recipe.
 _DENSE_KERNEL_DIM = 40
-# Shift-inverted Arnoldi asks ARPACK for this many eigenvalues nearest the
-# shift: 100-150 LU solves on the `osc-n60` and `small-n24` models when
-# forced, and room for every null vector of a model with up to 8 stationary
-# directions. The deflated rerun in `_null_space_arnoldi` says when a wider
-# kernel, or a repeated null eigenvalue, was not held whole.
-_NULL_WINDOW = 8
 # t'R = 0 for the trace functional t, so each eigenvalue lambda != 0 of R is
 # one of B = [[R, t], [t', 0]] (its eigenvector has t'v = 0), and a repeated
 # or defective zero eigenvalue of R makes B singular: ||B^-1||_1 >= 1/|lambda|
 # for every eigenvalue of R but a simple zero, so ||B^-1||_1 < 1/tol_abs rules
-# out a second one within tol_abs. The dense path's norm is exact; the sparse
-# path's `onenormest` gives a lower bound: a margin.
+# out a second one within tol_abs. A border of k columns absorbs up to k null
+# directions, and the same bound certifies that B_k is far from singular. The
+# dense path's norm is exact; the sparse path's `onenormest` gives a lower
+# bound: a margin.
 _BORDERED_MARGIN = 1e3
 _CONNECTIVITY_THRESHOLD = 1e-9
 
@@ -82,11 +81,10 @@ class InvariantStateReport:
     kernel dimension of the real Liouvillian before cleanup. A state whose
     cleanup moved it by more than 10x the tolerance is flagged unreliable
     rather than silently accepted. `null_space_method` names the kernel solver
-    whose answer is reported (`dense-svd`, `bordered-lu` or `splu-arnoldi`,
-    see `_null_space`); `inverse_norm_estimate` certifies a `bordered-lu`
-    answer and is None otherwise. `exhaustive` is False when an Arnoldi window
-    (only above dim 40) may have missed null vectors, making
-    `null_dimension` a lower bound.
+    whose answer is reported (`dense-svd` or `bordered-lu`, see
+    `_null_space`); either holds the whole kernel. `inverse_norm_estimate`
+    certifies a `bordered-lu` answer and is None otherwise; `notes` names the
+    border width when it is above 1.
     """
 
     states: tuple[DensityMatrix, ...]
@@ -100,7 +98,6 @@ class InvariantStateReport:
     liouvillian_norm: float
     tolerance: float
     null_space_method: str
-    exhaustive: bool
     inverse_norm_estimate: float | None
     notes: tuple[str, ...] = ()
 
@@ -140,7 +137,6 @@ class UniquenessResult:
 
     verdict: str
     null_dimension: int
-    exhaustive: bool
 
 
 def _validate_projection(p, dim: int, allow_trivial: bool = False) -> np.ndarray:
@@ -167,107 +163,115 @@ def _null_space_dense(m: sps.csr_array, tol_abs: float) -> np.ndarray:
     return vt[s <= tol_abs].T
 
 
-def _null_space_arnoldi(m: sps.csr_array, tol_abs: float):
-    """Null space basis of a real matrix by shift-inverted Arnoldi near zero.
-
-    m - sigma I is factored once by sparse LU (`splu`, CSC) and its solve
-    drives ARPACK for the `_NULL_WINDOW` eigenvalues nearest sigma. Krylov
-    methods see the copies of a repeated eigenvalue only through rounding,
-    so a second run finds the nearest eigenvalue left once the null vectors
-    found are deflated. The window is exhaustive when that one lies outside
-    the disc |w - sigma| <= sigma + tol_abs, which holds every eigenvalue
-    within tol_abs of zero. Returns the basis and whether the window is
-    exhaustive. Raises InvariantAnalysisError when ARPACK does not converge,
-    as when the spectrum clusters near sigma.
+def _null_space_bordered(m: sps.csr_array, k: int, tol_abs: float):
+    """Orthonormal null space basis of R from B_k = [[R, U], [U', 0]], with k
+    border columns U, and the estimate of ||B_k^-1||_1 that certifies it (see
+    `_BORDERED_MARGIN`); None when that estimate does not, or B_k is exactly
+    singular. U is the trace functional t, then k - 1 columns drawn from a
+    fixed seed and made orthogonal, of t's norm sqrt(dim): B_2k's border
+    extends B_k's. From B_k [X; Y] = [0; I_k], R X = -U Y and U'X = I, so a
+    unit vector in the span of X c has residual at most dim ||Y c|| / ||c||:
+    the basis spans X ker(dim Y), cut at tol_abs as the dense SVD cuts. At
+    width 1 the certificate itself rules out a second null direction, and the
+    basis is X normalized. B_k is inverted dense when R holds at least
+    `_DENSE_FILL` nonzeros (`_bordered_dense`), else factored by one sparse
+    LU (`_bordered_sparse`).
     """
-    import scipy.sparse.linalg as spla  # it loads scipy.linalg: only where used
-
     n2 = m.shape[0]
-    sigma = max(10 * tol_abs, 1e-8)
-    lu = spla.splu(sps.csc_array(m - sigma * sps.identity(n2)))
-    # a fixed generic start vector keeps repeated runs bit-identical
-    v0 = np.random.default_rng(0).standard_normal(n2)
-    op = spla.LinearOperator(m.shape, matvec=lu.solve, dtype=float)
-    try:
-        w_inv, v = spla.eigs(op, k=min(_NULL_WINDOW, n2 - 2), which="LM", v0=v0)
-        null = v[:, np.abs(sigma + 1.0 / w_inv) <= tol_abs]
-        # the real and imaginary parts of a real matrix's eigenvectors span their eigenspace
-        u = np.linalg.svd(np.hstack([null.real, null.imag]), full_matrices=False)[0]
-        basis = u[:, : null.shape[1]]
-
-        def deflated(x):  # the basis spans an invariant subspace: Schur deflation
-            y = lu.solve(x - basis @ (basis.T @ x))
-            return y - basis @ (basis.T @ y)
-
-        rest = spla.LinearOperator(m.shape, matvec=deflated, dtype=float)
-        w_inv = spla.eigs(rest, k=1, which="LM", v0=v0, return_eigenvectors=False)
-    except spla.ArpackNoConvergence as exc:
-        raise InvariantAnalysisError(
-            "shift-inverted Arnoldi did not converge: the Liouvillian spectrum "
-            "clusters at the tolerance scale near zero"
-        ) from exc
-    return basis, bool(abs(1.0 / w_inv[0]) > sigma + tol_abs)
+    dim = math.isqrt(n2)
+    t = (np.arange(n2) % (dim + 1) == 0).astype(float)  # diagonal coordinates
+    u = t[:, None]
+    if k > 1:  # drawn row by row, so that B_2k's border extends B_k's
+        draws = np.random.default_rng(0).standard_normal((k - 1, n2))
+        u = np.linalg.qr(np.column_stack([t, draws.T]))[0] * math.sqrt(dim)
+        u[:, 0] = t
+    solved = (_bordered_dense if m.nnz >= _DENSE_FILL * n2**2 else _bordered_sparse)(m, u)
+    if solved is None or not solved[2] <= 1.0 / (_BORDERED_MARGIN * tol_abs):  # or NaN
+        return None
+    x, y, estimate = solved
+    if k == 1:
+        return x / np.linalg.norm(x), estimate
+    _, s, vt = np.linalg.svd(dim * y)
+    return np.linalg.qr(x @ vt[s <= tol_abs].T)[0], estimate
 
 
-def _null_space_bordered(m: sps.csr_array):
-    """The coordinates x with R x = 0 and trace t'x = 1, from B y = e_last
-    (see `_BORDERED_MARGIN`), and the estimate of ||B^-1||_1; None when B is
-    exactly singular. B is inverted dense when R holds at least `_DENSE_FILL`
-    nonzeros (`_bordered_dense`), else factored by one sparse LU
-    (`_bordered_sparse`)."""
-    n2 = m.shape[0]
-    t = (np.arange(n2) % (math.isqrt(n2) + 1) == 0).astype(float)  # diagonal coordinates
-    return (_bordered_dense if m.nnz >= _DENSE_FILL * n2**2 else _bordered_sparse)(m, t)
-
-
-def _bordered_dense(m: sps.csr_array, t: np.ndarray):
-    """B^-1 by numpy's inverse. Not by scipy's dense LU: alone it is faster,
-    but inside `analyze` its bundled OpenBLAS spins beside numpy's, and
-    `analyze` was slower. The explicit inverse gives ||B^-1||_1 exactly, its
-    largest column sum, where `_bordered_sparse` has a lower bound."""
-    n2 = m.shape[0]
-    b = np.zeros((n2 + 1,) * 2)
-    b[:n2, :n2], b[:n2, n2], b[n2, :n2] = m.toarray(), t, t
+def _bordered_dense(m: sps.csr_array, u: np.ndarray):
+    """B^-1 by numpy's inverse, as (X, Y, ||B^-1||_1). Not by scipy's dense
+    LU: alone it is faster, but inside `analyze` its bundled OpenBLAS spins
+    beside numpy's, and `analyze` was slower. The explicit inverse gives
+    ||B^-1||_1 exactly, its largest column sum, where `_bordered_sparse` has a
+    lower bound."""
+    n2, k = u.shape
+    b = np.zeros((n2 + k,) * 2)
+    b[:n2, :n2], b[:n2, n2:], b[n2:, :n2] = m.toarray(), u, u.T
     try:
         inverse = np.linalg.inv(b)
     except np.linalg.LinAlgError:  # exactly singular
         return None
-    return inverse[:n2, n2], float(np.linalg.norm(inverse, 1))
+    return inverse[:n2, n2:], inverse[n2:, n2:], float(np.linalg.norm(inverse, 1))
 
 
-def _bordered_sparse(m: sps.csr_array, t: np.ndarray):
-    """B^-1 through one sparse LU (`splu`) and its solves. `onenormest(t=1)`
-    starts from the ones vector: its default draws from numpy's global RNG."""
+def _bordered_sparse(m: sps.csr_array, u: np.ndarray):
+    """(X, Y, estimate of ||B^-1||_1) through one sparse LU (`splu`) and its
+    solves. `onenormest(t=1)` starts from the ones vector: its default draws
+    from numpy's global RNG. The ones vector can miss a near-null direction
+    by orders of magnitude (1.07 against about 1e15 on H = diag(h),
+    L = diag(l) at dim 2, whose R holds a rounding-level 2e-16 on a
+    population), so the estimate is also at least ||B^-1 r||_1 / ||r||_1 for
+    one seeded random r (Dixon, SIAM J. Numer. Anal. 20, 1983). r is drawn
+    apart from the border: B^-1 [U c; 0] = [0; c] reveals nothing."""
     import scipy.sparse.linalg as spla  # it loads scipy.linalg: only where used
 
-    n2 = m.shape[0]
+    n2, k = u.shape
     try:
-        lu = spla.splu(sps.block_array([[m, t[:, None]], [t[None, :], None]], format="csc"))
+        lu = spla.splu(sps.block_array([[m, u], [u.T, None]], format="csc"))
     except RuntimeError:  # "Factor is exactly singular"
         return None
-    inverse = spla.LinearOperator((n2 + 1,) * 2, matvec=lu.solve, dtype=float,
+    inverse = spla.LinearOperator((n2 + k,) * 2, matvec=lu.solve, dtype=float,
                                   rmatvec=lambda z: lu.solve(z, trans="T"))
-    return lu.solve(np.eye(1, n2 + 1, n2)[0])[:n2], float(spla.onenormest(inverse, t=1))
+    xy = lu.solve(np.eye(n2 + k, k, -n2))
+    probe = np.random.default_rng(1).standard_normal(n2 + k)  # not the border's stream
+    probed = np.abs(lu.solve(probe)).sum() / np.abs(probe).sum()
+    return xy[:n2], xy[n2:], max(float(spla.onenormest(inverse, t=1)), float(probed))
 
 
 def _null_space(m: sps.csr_array, tol_abs: float):
     """Orthonormal null space basis of a real Liouvillian.
 
-    Returns (basis, method, exhaustive, inverse_norm_estimate); the null
-    dimension is the basis' column count. The bordered LU answers when its
+    Returns (basis, method, width, inverse_norm_estimate); the null dimension
+    is the basis' column count. The bordered LU answers at width 1 when its
     estimate certifies a simple zero eigenvalue; otherwise one dense SVD,
-    which is exact, up to `_DENSE_KERNEL_DIM`, and shift-inverted Arnoldi
-    above it, whose window that is not exhaustive is a lower bound and whose
-    non-convergence raises.
+    which is exact, up to `_DENSE_KERNEL_DIM`. Above it the border width
+    doubles, from the least power of two >= 2 and >= R's structural rank
+    deficiency, until the bordered LU certifies the kernel (`width`; None for
+    the SVD); past a width of dim^2, or a B_k that would store more than
+    `MAX_LIOUVILLIAN_ENTRIES` entries, it raises InvariantAnalysisError.
     """
-    bordered = _null_space_bordered(m)
-    if bordered is not None and bordered[1] <= 1.0 / (_BORDERED_MARGIN * tol_abs):
-        x, estimate = bordered
-        return x[:, None] / np.linalg.norm(x), NULL_SPACE_BORDERED, True, estimate
-    if m.shape[0] <= _DENSE_KERNEL_DIM**2:
-        return _null_space_dense(m, tol_abs), NULL_SPACE_DENSE, True, None
-    vecs, exhaustive = _null_space_arnoldi(m, tol_abs)
-    return vecs, NULL_SPACE_ARNOLDI, exhaustive, None
+    found = _null_space_bordered(m, 1, tol_abs)
+    if found is not None:
+        return found[0], NULL_SPACE_BORDERED, 1, found[1]
+    n2 = m.shape[0]
+    if n2 <= _DENSE_KERNEL_DIM**2:
+        return _null_space_dense(m, tol_abs), NULL_SPACE_DENSE, None, None
+    from scipy.sparse.csgraph import structural_rank
+
+    # R's structural rank deficiency bounds the null dimension below, and a
+    # narrower B_k is structurally singular, on which SuperLU's factorization
+    # failed with BLAS errors printed to stderr
+    k = 1 << max(1, (n2 - int(structural_rank(m)) - 1).bit_length())
+    widths = [1]
+    while found is None:
+        stored = (n2 + k) ** 2 if m.nnz >= _DENSE_FILL * n2**2 else m.nnz + 2 * n2 * k
+        if k > n2 or stored > MAX_LIOUVILLIAN_ENTRIES:
+            raise InvariantAnalysisError(
+                "the bordered LU certified no Liouvillian kernel at border widths "
+                f"{', '.join(map(str, widths))}, and above dim {_DENSE_KERNEL_DIM} "
+                "no dense SVD runs"
+            )
+        widths.append(k)
+        found = _null_space_bordered(m, k, tol_abs)
+        k *= 2
+    return found[0], NULL_SPACE_BORDERED, widths[-1], found[1]
 
 
 def _orthonormal_append(basis: list[np.ndarray], x: np.ndarray, floor: float) -> bool:
@@ -286,8 +290,9 @@ def _orthonormal_append(basis: list[np.ndarray], x: np.ndarray, floor: float) ->
 def steady_states(model: ModelSpec, tol: float = 1e-9) -> InvariantStateReport:
     """Stationary states from the null space of the real Liouvillian.
 
-    The kernel of R (`generator.liouvillian`) is solved whole (per sector,
-    ARPACK stalls on mid-size sectors). The Hermitian basis T maps its real
+    The kernel of R (`generator.liouvillian`) is solved whole, by
+    `_null_space`; a kernel that no solver certifies above dim 40 is an
+    InvariantAnalysisError. The Hermitian basis T maps its real
     orthonormal basis to Hermitian matrices, each eigenvalue-clipped at -tol
     and renormalized to unit trace; tolerances scale with the 1-norm of the
     complex Liouvillian.
@@ -298,16 +303,15 @@ def steady_states(model: ModelSpec, tol: float = 1e-9) -> InvariantStateReport:
         raise OperatorError(f"tolerance must be finite and positive, got {tol!r}")
     lv = liouvillian(model)
     tol_abs = tol * max(1.0, lv.norm)
-    basis, method, exhaustive, estimate = _null_space(lv.matrix, tol_abs)
+    basis, method, width, estimate = _null_space(lv.matrix, tol_abs)
     null_dim = basis.shape[1]
     if null_dim == 0:
         raise InvariantAnalysisError(
             "no Liouvillian null vector within tolerance; a trace-preserving "
             "model always has one, so the input or the tolerance is suspect"
         )
-    notes = [] if exhaustive else [
-        f"Arnoldi window returned {null_dim} null vectors and may have "
-        "missed more; null_dimension is a lower bound"
+    notes = [] if width in (None, 1) else [
+        f"bordered LU certified the kernel at border width {width}"
     ]
 
     # a basis direction's sign is arbitrary: flipping its coordinates to a
@@ -364,7 +368,7 @@ def steady_states(model: ModelSpec, tol: float = 1e-9) -> InvariantStateReport:
         )
 
     faith = [faithfulness_check(dm, tol) for dm in states]
-    unique = NOT_UNIQUE if null_dim > 1 else UNIQUE if exhaustive else INCONCLUSIVE
+    unique = NOT_UNIQUE if null_dim > 1 else UNIQUE
 
     return InvariantStateReport(
         states=tuple(states),
@@ -378,7 +382,6 @@ def steady_states(model: ModelSpec, tol: float = 1e-9) -> InvariantStateReport:
         liouvillian_norm=lv.norm,
         tolerance=tol,
         null_space_method=method,
-        exhaustive=exhaustive,
         inverse_norm_estimate=estimate,
         notes=tuple(notes),
     )
@@ -476,10 +479,9 @@ def connectivity_scan(
 
 def uniqueness_check(model: ModelSpec, tol: float = 1e-9) -> UniquenessResult:
     """Uniqueness of the invariant state (Theorem 3) from the kernel that
-    `steady_states` solves: `not_unique` above dimension 1, `unique` at 1
-    when the solve was exhaustive, else `inconclusive`."""
+    `steady_states` solves whole: `unique` exactly at dimension 1."""
     report = steady_states(model, tol)
-    return UniquenessResult(report.unique, report.null_dimension, report.exhaustive)
+    return UniquenessResult(report.unique, report.null_dimension)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ def checks_by_name(report):
 ENTRY_COMMON = {"name": str, "anchor": str, "verdict": str, "tolerance": float}
 ENTRY_SCHEMA = {
     "invariant-state-exists": {
-        "null_dimension": int, "null_space_method": str, "exhaustive": bool,
+        "null_dimension": int, "null_space_method": str,
         "inverse_norm_estimate": (float, type(None)), "residuals": list,
         "cleanup_distances": list, "reliable": list, "notes": list, "states": list,
     },
@@ -115,16 +115,15 @@ class TestAnalyze:
                 assert check["anchor"]
                 assert "tolerance" in check
                 assert check["verdict"] in ("holds", "fails", "inconclusive")
-                for key in ("exhaustive", "v_monotone"):
-                    if key in check:
-                        assert type(check[key]) is bool, (check["name"], key)
-                        flags.add(key)
+                if "v_monotone" in check:
+                    assert type(check["v_monotone"]) is bool, (check["name"], "v_monotone")
+                    flags.add("v_monotone")
                 for flag in check.get("reliable", []):
                     assert type(flag) is bool, (check["name"], "reliable")
                     flags.add("reliable")
         assert commands == set(_COMMANDS)
         assert entries == set(ENTRY_SCHEMA)
-        assert flags == {"exhaustive", "reliable", "v_monotone"}
+        assert flags == {"reliable", "v_monotone"}
 
     def test_dephasing_model_not_unique(self, tmp_path):
         from qmstab import ModelSpec, pauli
@@ -165,36 +164,16 @@ class TestAnalyze:
         assert unique.keys() == {*ENTRY_COMMON, *ENTRY_SCHEMA["unique-invariant-state"]}
         assert (unique["null_dimension"], unique["verdict"]) == (1, "holds")
 
-    def test_single_null_vector_from_partial_window_is_inconclusive(self, tmp_path, monkeypatch):
-        # one null vector from an Arnoldi window that may have missed more
-        # proves no uniqueness
-        import qmstab.invariants
-
-        null_space = qmstab.invariants._null_space
-
-        def partial_window(m, tol_abs):
-            vecs, *_ = null_space(m, tol_abs)
-            assert vecs.shape[1] == 1
-            return vecs, qmstab.invariants.NULL_SPACE_ARNOLDI, False, None
-
-        monkeypatch.setattr(qmstab.invariants, "_null_space", partial_window)
-        run(["analyze", "--model", str(FIXTURES / "twolevel.json")], tmp_path)
-        checks = checks_by_name(read_report(tmp_path))
-        assert checks["invariant-state-exists"]["exhaustive"] is False
-        unique = checks["unique-invariant-state"]
-        assert (unique["null_dimension"], unique["verdict"]) == (1, "inconclusive")
-
     def test_null_space_path_reported(self, tmp_path):
         # a simple kernel takes the bordered LU at any dimension; twoqubit's
         # 4-dimensional kernel makes it singular, so the dense SVD answers
         run(["analyze", "--model", str(FIXTURES / "twolevel.json")], tmp_path / "twolevel")
         entry = checks_by_name(read_report(tmp_path / "twolevel"))["invariant-state-exists"]
         assert entry["null_space_method"] == "bordered-lu"
-        assert entry["exhaustive"] is True
         assert entry["inverse_norm_estimate"] == 1.0
         run(["steady-state", "--model", str(FIXTURES / "twoqubit.json")], tmp_path / "twoqubit")
         entry = checks_by_name(read_report(tmp_path / "twoqubit"))["invariant-state-exists"]
-        assert (entry["null_space_method"], entry["exhaustive"]) == ("dense-svd", True)
+        assert entry["null_space_method"] == "dense-svd"
         assert (entry["null_dimension"], entry["inverse_norm_estimate"]) == (4, None)
 
 
@@ -205,7 +184,6 @@ class TestSteadyState:
         entry = checks_by_name(read_report(tmp_path))["invariant-state-exists"]
         assert len(entry["reliable"]) == 1 and entry["reliable"][0] is True  # not 1
         assert entry["null_space_method"] == "bordered-lu"
-        assert entry["exhaustive"] is True
         assert 0 < entry["inverse_norm_estimate"] <= 1e-3 / 1e-9  # tol_abs >= tol
 
     def test_cleanup_distances_reported(self, tmp_path):
@@ -564,7 +542,7 @@ def test_engineered_n32_model_tells_one_story(tmp_path):
     run(["analyze", "--model", model], tmp_path / "analyze")
     analyze = checks_by_name(read_report(tmp_path / "analyze"))
     exists, unique = analyze["invariant-state-exists"], analyze["unique-invariant-state"]
-    assert (exists["null_dimension"], exists["exhaustive"]) == (64, True)
+    assert exists["null_dimension"] == 64
     assert [block["d"] for block in exists.get("blocks", [])] == [8]
     assert len(exists["states"]) == 1  # basis-free: the block's own state
     assert unique["verdict"] == "fails" and unique.get("conserved_observable") is not None
@@ -675,7 +653,7 @@ assert not loaded, loaded
 def test_runs_without_a_sparse_factorization_load_no_scipy_linalg(tmp_path):
     # sector labels are numpy, and the dense bordered inverse gives its norm
     # itself, so simulate, the probe and analyze of a dense model load no
-    # scipy.linalg: only splu, eigs and onenormest need scipy.sparse.linalg
+    # scipy.linalg: only splu and onenormest need scipy.sparse.linalg
     proc = _run_script(_NO_FACTORIZATION_IMPORTS, tmp_path, FIXTURES)
     assert proc.returncode == 0, proc.stderr
 

@@ -8,6 +8,7 @@ import scipy.sparse.linalg as spla
 import qmstab.generator as generator
 import qmstab.invariants as invariants
 from qmstab import (
+    InvariantAnalysisError,
     ModelSpec,
     OperatorError,
     SynthesisSpec,
@@ -37,6 +38,16 @@ def two_ladders(n, offset):
     a, zero = ladder_lowering(n), np.zeros((n, n))
     h = np.diag(np.r_[np.arange(n), np.arange(n) + offset]).astype(complex)
     return ModelSpec(h, [np.block([[a, zero], [zero, a]])])
+
+
+def timed_kernel(model):
+    """`invariants._null_space` at the tolerance `steady_states` uses, and
+    its wall time: the stages around it multiply small matrices, which
+    OpenBLAS threads can stall on a busy 2-CPU host."""
+    lv = liouvillian(model)
+    start = time.perf_counter()
+    kernel = invariants._null_space(lv.matrix, 1e-9 * max(1.0, lv.norm))
+    return kernel, time.perf_counter() - start
 
 
 def trace_distance(a, b):
@@ -82,54 +93,93 @@ class TestSteadyStates:
         after = np.random.get_state()
         assert before[0] == after[0] and np.array_equal(before[1], after[1])
         assert before[2:] == after[2:]
-        assert (first.null_space_method, first.exhaustive) == ("bordered-lu", True)
+        assert first.null_space_method == "bordered-lu"
         assert 0 < first.inverse_norm_estimate == second.inverse_norm_estimate
         assert first.states[0].matrix.tobytes() == second.states[0].matrix.tobytes()
 
-    def test_arnoldi_path_repeatable(self):
+    def test_doubled_width_path_repeatable(self):
         # two damped 21-level ladders side by side (dim 42): one ground state
-        # each, so the bordered matrix is singular and, above the dense
-        # limit, the Arnoldi window answers
+        # each, so the width-1 bordered matrix is singular and, above the
+        # dense limit, the border doubles to width 2
         model = two_ladders(21, 0.3)
+        (basis, method, width, _), elapsed = timed_kernel(model)
+        assert (basis.shape[1], method, width) == (2, "bordered-lu", 2) and elapsed < 0.1
         first, second = steady_states(model), steady_states(model)
-        assert (first.null_space_method, first.exhaustive) == ("splu-arnoldi", True)
-        assert (first.null_dimension, first.inverse_norm_estimate) == (2, None)
+        assert (first.null_space_method, first.null_dimension) == ("bordered-lu", 2)
+        assert first.notes == ("bordered LU certified the kernel at border width 2",)
+        assert 0 < first.inverse_norm_estimate == second.inverse_norm_estimate
         for a_state, b_state in zip(first.states, second.states):
             assert a_state.matrix.tobytes() == b_state.matrix.tobytes()
 
     def test_identical_ladders_take_dense_svd(self):
         # two identical damped 5-level ladders (dim 10): four stationary
-        # directions, on which the Arnoldi window stalls
+        # directions, below the dense limit
         report = steady_states(two_ladders(5, 0.0))
-        assert (report.null_space_method, report.exhaustive) == ("dense-svd", True)
+        assert report.null_space_method == "dense-svd"
         assert (report.null_dimension, report.notes) == (4, ())
 
     def test_synthesized_n32_kernel_is_found_whole(self):
         # the certify-n32 recipe's synthesized model (dim 32, 24 rank-1
-        # couplings): the Arnoldi window found 8 of its 64 null directions
-        # and called the count a lower bound; below the dense limit the SVD
-        # holds the kernel whole
+        # couplings): 64 null directions, which the dense SVD holds whole
+        # below the dense limit
         model = synthesize_coupling(SynthesisSpec(v=certify_n32_target())).model
         start = time.perf_counter()
         report = steady_states(model)
         assert time.perf_counter() - start < 3.0
-        assert (report.null_dimension, report.exhaustive, report.notes) == (64, True, ())
+        assert (report.null_dimension, report.notes) == (64, ())
         assert (report.null_space_method, len(report.states)) == ("dense-svd", 64)
 
-    @pytest.mark.parametrize("n, called", [(5, False), (12, False), (21, True)])
-    def test_arnoldi_window_runs_only_above_the_dense_limit(self, monkeypatch, n, called):
-        # a singular bordered matrix: the dense SVD answers up to dim 40, the
-        # window above it
-        def window(*args):
-            raise AssertionError("Arnoldi window called")
-
-        monkeypatch.setattr(invariants, "_null_space_arnoldi", window)
-        model = two_ladders(n, 0.3)
-        if called:
-            with pytest.raises(AssertionError, match="Arnoldi window called"):
-                steady_states(model)
+    @pytest.mark.parametrize("n, doubled", [(5, False), (12, False), (21, True)])
+    def test_doubled_width_runs_only_above_the_dense_limit(self, n, doubled):
+        # two identical damped ladders: four stationary directions make the
+        # width-1 bordered matrix singular; the dense SVD answers up to dim
+        # 40, the border doubled to width 4 above it
+        model = two_ladders(n, 0.0)
+        (basis, method, width, _), elapsed = timed_kernel(model)
+        report = steady_states(model)
+        assert basis.shape[1] == report.null_dimension == 4
+        if doubled:
+            assert (method, width, report.null_space_method) == ("bordered-lu", 4, "bordered-lu")
+            assert report.notes == ("bordered LU certified the kernel at border width 4",)
+            assert elapsed < 0.1
         else:
-            assert steady_states(model).null_space_method == "dense-svd"
+            assert (method, report.null_space_method) == ("dense-svd", "dense-svd")
+            assert report.notes == ()
+
+    def test_doubling_starts_at_the_structural_rank_deficiency(self, monkeypatch):
+        # dephasing in the eigenbasis of H at dim 42: R's 42 population
+        # columns are empty, so every border narrower than 42 leaves B_k
+        # structurally singular, and the first width after 1 is 64
+        n, widths = 42, []
+        solve = invariants._null_space_bordered
+
+        def spy(m, k, tol_abs):
+            widths.append(k)
+            return solve(m, k, tol_abs)
+
+        monkeypatch.setattr(invariants, "_null_space_bordered", spy)
+        model = ModelSpec(np.diag(np.arange(n, dtype=complex)), [np.diag(np.linspace(0.5, 2, n))])
+        report = steady_states(model)
+        assert widths == [1, 64]
+        assert (report.null_space_method, report.null_dimension) == ("bordered-lu", n)
+        assert len(report.states) == n
+
+    def test_no_certified_width_above_the_dense_limit_is_a_solver_error(self, tmp_path,
+                                                                        monkeypatch):
+        # every border width reported singular: above dim 40 no dense SVD
+        # runs, so the error names each width tried, up to dim^2 = 1764, and
+        # the CLI exits 65
+        from qmstab.cli import main
+        from qmstab.serialize import save_model
+
+        monkeypatch.setattr(invariants, "_null_space_bordered", lambda *args: None)
+        model = two_ladders(21, 0.3)
+        widths = ", ".join(str(2**i) for i in range(11))
+        with pytest.raises(InvariantAnalysisError, match=f"border widths {widths}, and above"):
+            steady_states(model)
+        save_model(model, tmp_path / "m.json")
+        assert main(["steady-state", "--model", str(tmp_path / "m.json"),
+                     "--out", str(tmp_path / "out")]) == 65
 
     def test_cleanup_does_not_depend_on_the_sign_of_the_null_basis(self, monkeypatch):
         # the solver fixes no sign; a direction with negative trace must be
@@ -151,18 +201,34 @@ class TestSteadyStates:
     def test_dense_bordered_estimate_matches_a_sparse_lu(self, n):
         # numpy's inverse of B answers on a dense R; its value is the exact
         # ||B^-1||_1, and here the LU's `onenormest` reaches it too
-        m = liouvillian(random_model(n, np.random.default_rng(5), n_couplings=2)).matrix
-        n2 = m.shape[0]
+        lv = liouvillian(random_model(n, np.random.default_rng(5), n_couplings=2))
+        m, n2 = lv.matrix, lv.matrix.shape[0]
         assert m.nnz >= generator._DENSE_FILL * n2**2
         t = (np.arange(n2) % (n + 1) == 0).astype(float)
         lu = spla.splu(sps.block_array([[m, t[:, None]], [t[None, :], None]], format="csc"))
         inverse = spla.LinearOperator((n2 + 1,) * 2, matvec=lu.solve, dtype=float,
                                       rmatvec=lambda z: lu.solve(z, trans="T"))
-        x, estimate = invariants._null_space_bordered(m)
+        basis, estimate = invariants._null_space_bordered(m, 1, 1e-9 * max(1.0, lv.norm))
         assert estimate == pytest.approx(spla.onenormest(inverse, t=1), rel=1e-10)
         b = sps.block_array([[m, t[:, None]], [t[None, :], None]]).toarray()
         assert estimate == pytest.approx(np.linalg.norm(np.linalg.inv(b), 1), rel=1e-12)
-        assert np.abs(x - lu.solve(np.eye(1, n2 + 1, n2)[0])[:n2]).max() <= 1e-10 * np.abs(x).max()
+        x = lu.solve(np.eye(1, n2 + 1, n2)[0])[:n2]
+        assert np.abs(basis[:, 0] - x / np.linalg.norm(x)).max() <= 1e-10
+
+    def test_sparse_estimate_sees_a_rounding_level_null_direction(self):
+        # diagonal H and L at dim 2: both populations are stationary, but R
+        # holds 2.2e-16 on one of them, so the width-1 B is nonsingular by
+        # rounding; `onenormest` from the ones vector read 1.07 for its ~1e15
+        # inverse norm and certified a simple kernel, the random probe does not
+        model = ModelSpec(np.diag([0.345584192064786, 0.33043707618338714]),
+                          [np.diag([0.9053558666731177 + 0.4463745723640113j,
+                                    -0.5369532353602852 + 0.5811181041963531j])])
+        lv = liouvillian(model)
+        assert lv.matrix.nnz < generator._DENSE_FILL * 4**2 and lv.matrix[0, 0] != 0
+        assert invariants._null_space_bordered(lv.matrix, 1, 1e-9 * max(1.0, lv.norm)) is None
+        report = steady_states(model)
+        assert (report.null_space_method, report.null_dimension) == ("dense-svd", 2)
+        assert report.unique == "not_unique"
 
     def test_dense_degenerate_kernel_falls_through_to_dense_svd(self):
         # dephasing in a random basis: every U diag(p) U' is stationary, so B
@@ -173,12 +239,10 @@ class TestSteadyStates:
                           [u @ np.diag(rng.standard_normal(6)) @ u.conj().T])
         lv = liouvillian(model)
         assert lv.matrix.nnz >= generator._DENSE_FILL * 36**2
-        bordered = invariants._null_space_bordered(lv.matrix)
-        tol_abs = 1e-9 * max(1.0, lv.norm)
-        assert bordered is None or bordered[1] > 1.0 / (invariants._BORDERED_MARGIN * tol_abs)
+        assert invariants._null_space_bordered(lv.matrix, 1, 1e-9 * max(1.0, lv.norm)) is None
         report = steady_states(model)
         assert (report.null_space_method, report.null_dimension) == ("dense-svd", 6)
-        assert (report.unique, report.exhaustive) == ("not_unique", True)
+        assert report.unique == "not_unique"
 
     def test_degenerate_null_space(self, dephasing):
         report = steady_states(dephasing)
@@ -273,7 +337,7 @@ class TestConnectivity:
 class TestUniqueness:
     def test_flip_model_unique(self, twolevel):
         res = uniqueness_check(twolevel)
-        assert (res.verdict, res.null_dimension, res.exhaustive) == ("unique", 1, True)
+        assert (res.verdict, res.null_dimension) == ("unique", 1)
 
     def test_dephasing_not_unique(self, dephasing):
         res = uniqueness_check(dephasing)

@@ -10,16 +10,13 @@ so every run checks the same models.
 import time
 
 import numpy as np
-import pytest
 import scipy.linalg as sla
 import scipy.sparse as sps
-import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from qmstab import (
-    InvariantAnalysisError,
     ModelSpec,
     check_weak_lyapunov,
     evolve,
@@ -36,11 +33,10 @@ from qmstab import (
 )
 from qmstab.dynamics import _frame, _sector_labels
 from qmstab.invariants import (
-    NULL_SPACE_ARNOLDI,
     NULL_SPACE_BORDERED,
     NULL_SPACE_DENSE,
     _null_space,
-    _null_space_arnoldi,
+    _null_space_bordered,
     _null_space_dense,
     steady_states,
 )
@@ -82,6 +78,26 @@ def ladder_models(draw, max_dim=10):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lowering = np.diag(rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1), 1)
     return ModelSpec(np.diag(rng.standard_normal(n)), [lowering]), rng
+
+
+@st.composite
+def block_models(draw):
+    # the direct sum of 2-3 random blocks, in a random basis or not: one
+    # stationary state per block, so the kernel is degenerate without R
+    # being exactly or structurally singular
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
+    h = sla.block_diag(*(random_hermitian(d, rng) for d in dims))
+    coupling = sla.block_diag(*(random_matrix(d, rng) for d in dims))
+    if draw(st.booleans()):
+        u, _ = np.linalg.qr(random_matrix(sum(dims), rng))
+        h, coupling = u @ h @ u.conj().T, u @ coupling @ u.conj().T
+    return ModelSpec(h, [coupling]), rng
+
+
+def _border_widths(real):
+    """The border widths 1, 2, 4, ... up to dim^2."""
+    return [2**i for i in range(real.shape[0].bit_length())]
 
 
 def _tol(*arrays):
@@ -128,36 +144,49 @@ def test_heisenberg_schroedinger_duality(drawn):
 @SETTINGS
 @given(models(min_dim=8, max_dim=10))
 def test_dense_and_splu_null_spaces_agree(drawn):
-    # below the dense limit the window never answers for `_null_space`, so
-    # it is called directly: whenever it says it is exhaustive, it holds
-    # the whole kernel
     model, _ = drawn
     lv = liouvillian(model)
     tol_abs = 1e-9 * max(1.0, lv.norm)
     real = lv.matrix
     dense = _null_space_dense(real, tol_abs)
-    basis, method, exhaustive, estimate = _null_space(real, tol_abs)
+    basis, method, width, estimate = _null_space(real, tol_abs)
     event(method)
-    assert (basis.shape[1], exhaustive) == (dense.shape[1], True)
-    assert method in (NULL_SPACE_BORDERED, NULL_SPACE_DENSE)
+    assert basis.shape[1] == dense.shape[1]
+    assert (method, width) in ((NULL_SPACE_BORDERED, 1), (NULL_SPACE_DENSE, None))
     assert (estimate is not None) == (method == NULL_SPACE_BORDERED)
     if method == NULL_SPACE_BORDERED:
         # the same state of trace 1, in the real coordinates
         diag = np.arange(model.dim) * (model.dim + 1)
         states = [x / x[diag].sum() for x in (basis[:, 0], dense[:, 0])]
         assert max_abs(states[0] - states[1]) <= 1e-10
-    try:
-        window, window_exhaustive = _null_space_arnoldi(real, tol_abs)
-    except InvariantAnalysisError as exc:
-        assert isinstance(exc.__cause__, spla.ArpackNoConvergence)
-        event("window did not converge")
-        return
-    event(f"window exhaustive: {window_exhaustive}")
-    assert window.shape[1] <= dense.shape[1]
-    if window_exhaustive:
-        assert window.shape[1] == dense.shape[1]
-        # the same span: the window's basis lies in the dense SVD's kernel
-        assert max_abs(window - dense @ (dense.T @ window)) <= 1e-6
+
+
+@SETTINGS
+@given(st.one_of(models(), ladder_models(), block_models()))
+def test_every_certified_border_width_finds_the_dense_svd_kernel(drawn):
+    # below the dense limit `_null_space` doubles no border, so each width
+    # is called directly: wherever it certifies, it holds the SVD's kernel
+    # whole, in orthonormal vectors of residual at most tol_abs. At width
+    # dim^2 the border spans every coordinate, B is never singular and
+    # dim Y is R in the border's basis, so that width certifies every model
+    model, _ = drawn
+    lv = liouvillian(model)
+    tol_abs = 1e-9 * max(1.0, lv.norm)
+    real = lv.matrix
+    dense = _null_space_dense(real, tol_abs)
+    certified = []
+    for k in sorted({*_border_widths(real), real.shape[0]}):
+        found = _null_space_bordered(real, k, tol_abs)
+        if found is None:
+            continue
+        basis = found[0]
+        certified.append(k)
+        assert basis.shape[1] == dense.shape[1]
+        assert max_abs(basis.T @ basis - np.eye(basis.shape[1])) <= 1e-10
+        assert np.linalg.norm(real @ basis, axis=0).max(initial=0.0) <= tol_abs
+        # the same span: the basis lies in the dense SVD's kernel
+        assert max_abs(basis - dense @ (dense.T @ basis)) <= 1e-6
+    event(f"null dimension {dense.shape[1]}, certified at widths {certified}")
 
 
 @settings(derandomize=True, deadline=None, max_examples=5, database=None)
@@ -287,7 +316,7 @@ def test_probe_stays_under_the_best_rate_bound(drawn):
 
 def test_arnoldi_non_convergence_falls_back_to_dense():
     # near-degenerate H and coupling: all 81 eigenvalues sit at the 1e-8
-    # tolerance scale, where shift-invert Arnoldi stalls; below the dense
+    # tolerance scale, where no border width certifies; below the dense
     # limit the dense SVD answers
     rng = np.random.default_rng(1)
     h = _operator("near_degenerate", 9, rng, hermitian=True)
@@ -295,59 +324,50 @@ def test_arnoldi_non_convergence_falls_back_to_dense():
     lv = liouvillian(model)
     tol_abs = 1e-9 * max(1.0, lv.norm)
     real = lv.matrix
-    with pytest.raises(InvariantAnalysisError, match="did not converge") as info:
-        _null_space_arnoldi(real, tol_abs)
-    assert isinstance(info.value.__cause__, spla.ArpackNoConvergence)
-    basis, method, exhaustive, _ = _null_space(real, tol_abs)
-    assert (basis.shape[1], method, exhaustive) == (9, NULL_SPACE_DENSE, True)
+    assert all(_null_space_bordered(real, k, tol_abs) is None for k in _border_widths(real))
+    basis, method, *_ = _null_space(real, tol_abs)
+    assert (basis.shape[1], method) == (9, NULL_SPACE_DENSE)
 
 
 def test_near_degenerate_kernel_above_dim_24_takes_the_dense_svd():
-    # the same family at dim 26: the Arnoldi window spent 28.6 s in ARPACK
-    # there and raised; singular values 28 and 29 lie at 0.09 and 1.08
-    # tol_abs, either side of the cut
+    # the same family at dim 26: singular values 28 and 29 lie at 0.09 and
+    # 1.08 tol_abs, either side of the cut
     rng = np.random.default_rng(1)
     h = _operator("near_degenerate", 26, rng, hermitian=True)
     model = ModelSpec(h, [_operator("near_degenerate", 26, rng, hermitian=False)])
     start = time.perf_counter()
     report = steady_states(model)
     assert time.perf_counter() - start < 2.0
-    assert (report.null_space_method, report.exhaustive) == (NULL_SPACE_DENSE, True)
-    assert report.null_dimension == 28
+    assert (report.null_space_method, report.null_dimension) == (NULL_SPACE_DENSE, 28)
 
 
 def test_window_crowded_near_the_shift_is_not_exhaustive():
     # near-degenerate H without dissipation: eigenvalues -i(e_i - e_j) of
-    # size ~1e-8 crowd the shift sigma = 10 tol_abs, so the window of 8 holds
-    # fewer null eigenvalues than the 9-dimensional kernel without being full
+    # size ~1e-8 crowd zero beside the 9-dimensional kernel, so no border
+    # width certifies; the dense SVD separates them
     rng = np.random.default_rng(1)
     h = _operator("near_degenerate", 9, rng, hermitian=True)
     model = ModelSpec(h, [_operator("zero", 9, rng, hermitian=False)])
     lv = liouvillian(model)
     tol_abs = 1e-9 * max(1.0, lv.norm)
     real = lv.matrix
-    window, exhaustive = _null_space_arnoldi(real, tol_abs)
-    assert window.shape[1] < 9
-    assert not exhaustive
-    basis, method, exhaustive, _ = _null_space(real, tol_abs)
-    assert (basis.shape[1], method, exhaustive) == (9, NULL_SPACE_DENSE, True)
+    assert all(_null_space_bordered(real, k, tol_abs) is None for k in _border_widths(real))
+    basis, method, *_ = _null_space(real, tol_abs)
+    assert (basis.shape[1], method) == (9, NULL_SPACE_DENSE)
 
 
 def test_repeated_null_eigenvalue_missed_by_the_window_is_not_exhaustive():
     # near-degenerate H without dissipation: every |e_i><e_i| is stationary,
-    # so 0 is a 9-fold eigenvalue, of which real Arnoldi finds only a few
-    # copies (4 here); the rest of the window holds eigenvalues just outside
-    # the disc, so only the deflated rerun shows that null vectors were missed
+    # so 0 is a 9-fold eigenvalue, with eigenvalues just outside the cut
+    # beside it, and no border width certifies
     rng = np.random.default_rng(1117)
     model = ModelSpec(_operator("near_degenerate", 9, rng, hermitian=True), [np.zeros((9, 9))])
     lv = liouvillian(model)
     tol_abs = 1e-9 * max(1.0, lv.norm)
     real = lv.matrix
-    window, exhaustive = _null_space_arnoldi(real, tol_abs)
-    assert window.shape[1] < 9
-    assert not exhaustive
-    basis, method, exhaustive, _ = _null_space(real, tol_abs)
-    assert (basis.shape[1], method, exhaustive) == (9, NULL_SPACE_DENSE, True)
+    assert all(_null_space_bordered(real, k, tol_abs) is None for k in _border_widths(real))
+    basis, method, *_ = _null_space(real, tol_abs)
+    assert (basis.shape[1], method) == (9, NULL_SPACE_DENSE)
 
 
 @SETTINGS
@@ -360,7 +380,7 @@ def test_steady_states_lie_in_the_complex_liouvillian_kernel(drawn):
     tol_abs = 1e-9 * max(1.0, lv.norm)
     null_dim = int((np.abs(np.linalg.eigvals(m)) <= tol_abs).sum())
     report = steady_states(model)
-    assert (report.null_dimension, report.exhaustive) == (null_dim, True)
+    assert report.null_dimension == null_dim
     for state in report.states:
         assert max_abs(m @ vec(state.matrix)) <= 1e-9
     event(f"null dimension {null_dim}, {report.null_space_method}")
@@ -368,12 +388,12 @@ def test_steady_states_lie_in_the_complex_liouvillian_kernel(drawn):
 
 def test_kernel_wider_than_the_arnoldi_window_is_found_whole():
     # diagonal H and a diagonal coupling at dim 10: every |i><i| is
-    # stationary, so the kernel has 10 directions, more than the window of 8
+    # stationary, so the kernel has 10 directions
     n = 10
     model = ModelSpec(np.diag(np.arange(n, dtype=complex)), [np.diag(np.linspace(0.5, 2, n))])
     report = steady_states(model)
     assert report.null_dimension == n
-    assert (report.null_space_method, report.exhaustive) == (NULL_SPACE_DENSE, True)
+    assert report.null_space_method == NULL_SPACE_DENSE
     assert len(report.states) == n
     assert report.unique == "not_unique"
     assert report.notes == ()
